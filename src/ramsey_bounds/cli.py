@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -112,7 +111,8 @@ def _parse_grid(text: str, kind: str):
     spacing = parts[3] if len(parts) == 4 else "lin"
     if spacing not in ("lin", "log"):
         raise UsageError(f"--{kind}: spacing must be 'lin' or 'log'")
-    if count < 1 or not hi >= lo or (spacing == "log" and lo <= 0.0):
+    if (count < 1 or not -math.inf < lo <= hi < math.inf
+            or (spacing == "log" and lo <= 0.0)):
         raise UsageError(f"--{kind}: bad range {text}")
     if spacing == "log":
         return np.geomspace(lo, hi, count)
@@ -172,13 +172,16 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--route", default="closed", choices=["closed", "quad"])
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for sweeps (output order is fixed)")
+                   help="accepted for compatibility; has no effect (sweeps run "
+                        "in one thread)")
 
 
 def cmd_gamma(args) -> int:
     deph = _build_model(args)
     if args.t is None and args.t_grid is None:
         raise UsageError("gamma needs --t or --t-grid")
+    if args.t is not None and not math.isfinite(args.t):
+        raise UsageError("--t must be finite")
     ts = np.array([args.t]) if args.t is not None else _parse_grid(args.t_grid, "t-grid")
     rows = []
     for t in ts:
@@ -194,7 +197,7 @@ def cmd_optimize(args) -> int:
     probe = ProbeSpec(args.n, args.total_time, args.strategy)
     res = optimal_resolution(deph, probe)
     row = [("t_opt", res.t_opt), ("delta_omega_sq", res.delta_omega_sq),
-           ("k", res.k), ("finite", res.finite),
+           ("finite", res.finite),
            ("boundary_limited", res.boundary_limited)]
     _emit_rows([row], args.format, sys.stdout)
     return EXIT_BOUNDARY if res.boundary_limited else EXIT_OK
@@ -206,22 +209,17 @@ def cmd_ratio(args) -> int:
     if any(n < 1 for n in ns):
         raise UsageError("--n-grid values must be >= 1")
 
-    def one(n):
+    rows = []
+    for n in ns:
         try:
             res = ratio_r(deph, n)
-            return [("n", n), ("r", res.r), ("t_u", res.t_u), ("t_e", res.t_e),
-                    ("sqrt_n", math.sqrt(n)), ("n_quarter", n ** 0.25),
-                    ("status", "ok")]
+            r, t_u, t_e, status = res.r, res.t_u, res.t_e, "ok"
         except NoFiniteOptimum:
-            return [("n", n), ("r", math.nan), ("t_u", math.nan),
-                    ("t_e", math.nan), ("sqrt_n", math.sqrt(n)),
-                    ("n_quarter", n ** 0.25), ("status", "no-finite-optimum")]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, ns))
-    else:
-        rows = [one(n) for n in ns]
+            r = t_u = t_e = math.nan
+            status = "no-finite-optimum"
+        rows.append([("n", n), ("r", r), ("t_u", t_u), ("t_e", t_e),
+                     ("sqrt_n", math.sqrt(n)), ("n_quarter", n ** 0.25),
+                     ("status", status)])
     _emit_rows(rows, args.format, sys.stdout)
     flagged = any(dict(r)["status"] != "ok" for r in rows)
     return EXIT_BOUNDARY if flagged else EXIT_OK

@@ -15,6 +15,23 @@ quadrature route everywhere a spectral density is defined:
 * a generic power-law decoherence function gamma(t) = alpha * t^nu with no
   underlying J (nu = 1 is Markovian dephasing, nu = 2 a static bath).
 
+Each family is one class that holds every formula for its bath and decides
+on the temperature mode only inside its own methods, so a new family, or a
+new route for an existing one, touches one class. A family provides:
+
+* ``check_temperature(temp)``: reject temperature modes it does not support;
+* ``density(w)``: J(w) on an array of frequencies w >= 0;
+* ``gamma(temp, t)`` and ``dgamma(temp, t)``: the closed forms on an array
+  of times, raising :class:`NoClosedForm` where none exists;
+* ``c2(temp)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
+* ``quad_problem(temp, t, tail_goal)``: the bath integral at time t set up
+  for quadrature (see :meth:`PowerLawExpCutoff.quad_problem`);
+* ``omega_fast()``: the fastest bath frequency, or None;
+* ``time_scale(m)``: the characteristic time (m = 1), and the scale of the
+  root of 2 m t gamma'(t) = 1 that seeds the optimizer's scan.
+
+Temperature tags supply the thermal weight W(w) through ``weight(w)``.
+
 Convention note: the Ohmic (s = 1) closed form used throughout,
 gamma(t) = (alpha/2) ln(1 + wc^2 t^2), is exactly twice the integral above,
 so the quadrature route reproduces it up to the constant factor 1/2. For
@@ -25,7 +42,7 @@ computed from a single route are unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -64,6 +81,23 @@ __all__ = [
 # (the general expression has a Gamma(s-1) pole at s = 1).
 OHMIC_S_TOL = 1e-9
 
+_NO_FINITE_BETA_FORM = "finite-beta power-law baths have no closed form; use quadrature"
+_HIGH_T_OHMIC_ONLY = ("the high-temperature expansion is only valid for an Ohmic "
+                      "power-law bath (s = 1)")
+
+
+def _check_fields(params, zero_ok=()):
+    """Every field of a parameter class must be finite and > 0 (>= 0 for the
+    names in ``zero_ok``)."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite")
+        if f.name in zero_ok and value < 0.0:
+            raise DomainError(f"{f.name} must be >= 0")
+        if f.name not in zero_ok and value <= 0.0:
+            raise DomainError(f"{f.name} must be > 0")
+
 
 # --- spectral models ---------------------------------------------------------
 
@@ -76,44 +110,248 @@ class PowerLawExpCutoff:
     omega_c: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise DomainError("alpha must be > 0")
-        if self.s <= 0.0:
-            raise DomainError("s must be > 0")
-        if self.omega_c <= 0.0:
-            raise DomainError("omega_c must be > 0")
+        _check_fields(self)
 
     @property
     def is_ohmic(self) -> bool:
         return abs(self.s - 1.0) < OHMIC_S_TOL
 
+    def check_temperature(self, temp):
+        if isinstance(temp, HighTemperatureOhmic) and not self.is_ohmic:
+            raise DomainError(_HIGH_T_OHMIC_ONLY)
+
+    def density(self, w):
+        return (self.alpha * self.omega_c ** (1.0 - self.s)
+                * w ** self.s * np.exp(-w / self.omega_c))
+
+    def gamma(self, temp, t):
+        x = self.omega_c * t
+        if isinstance(temp, ZeroTemperature):
+            if self.is_ohmic:
+                return 0.5 * self.alpha * np.log1p(x * x)
+            s1 = self.s - 1.0
+            return (0.5 * self.alpha * math.gamma(s1)
+                    * (1.0 - np.cos(s1 * np.arctan(x)) / (1.0 + x * x) ** (0.5 * s1)))
+        if isinstance(temp, HighTemperatureOhmic):
+            return (self.alpha / temp.beta
+                    * (t * np.arctan(x) - 0.5 * np.log1p(x * x) / self.omega_c))
+        raise NoClosedForm(_NO_FINITE_BETA_FORM)
+
+    def dgamma(self, temp, t):
+        x = self.omega_c * t
+        if isinstance(temp, ZeroTemperature):
+            if self.is_ohmic:
+                return self.alpha * self.omega_c ** 2 * t / (1.0 + x * x)
+            s = self.s
+            return (0.5 * self.alpha * self.omega_c * math.gamma(s)
+                    * np.sin(s * np.arctan(x)) / (1.0 + x * x) ** (0.5 * s))
+        if isinstance(temp, HighTemperatureOhmic):
+            return self.alpha / temp.beta * np.arctan(x)
+        raise NoClosedForm(_NO_FINITE_BETA_FORM)
+
+    def c2(self, temp):
+        wc = self.omega_c
+        if isinstance(temp, ZeroTemperature):
+            if self.is_ohmic:
+                return 0.5 * self.alpha * wc ** 2
+            return 0.25 * self.alpha * wc ** 2 * math.gamma(self.s + 1.0)
+        if isinstance(temp, HighTemperatureOhmic):
+            return 0.5 * self.alpha * wc / temp.beta
+
+        # finite beta: c2 = (1/4) Int J(w) coth(beta w / 2) dw
+        def f(w):
+            return 0.25 * spectral_density(self, w) * temp.weight(w)
+
+        settings = QuadratureSettings(rel_tol=1e-11)
+        if self.s < 1.0 - OHMIC_S_TOL:
+            return integrate_semi_infinite(
+                _in_sqrt(f), math.sqrt(40.0 * wc / self.s), settings)[0]
+        return integrate_semi_infinite(f, 40.0 * wc, settings)[0]
+
+    def quad_problem(self, temp, t: float, tail_goal: float):
+        """Build the 1-D integration problem for the bath integral at time t > 0.
+
+        Returns ``(integrand, x_max, panel_cap, tail_value, tail_err, endpoint)``
+        in the integration variable x. ``tail_value`` is the analytically known
+        part of the neglected tail (added to the quadrature result) and
+        ``tail_err`` bounds the remainder. For sub-Ohmic finite-beta baths
+        x = sqrt(omega) removes the integrable endpoint singularity; otherwise
+        x = omega. ``endpoint`` is the x -> 0 limit of the integrand (used by
+        trapezoid-based references).
+        """
+        s, wc = self.s, self.omega_c
+        omega_max = wc * max(40.0, 40.0 / s, 10.0 + 5.0 * s)
+        # exponential-tail envelope: integrand <= alpha*wc^(1-s)*w^(s-2)*W*2*e^(-w/wc)
+        tail_err = (2.0 * self.alpha * wc ** (2.0 - s) * omega_max ** (s - 2.0)
+                    * math.exp(-omega_max / wc)
+                    * max(1.0, float(temp.weight(omega_max))))
+        f = _integrand(self, temp, t)
+
+        # Fractional powers of w at the origin defeat extrapolation-based
+        # integrators, so substitute w = x^2 (integrand_x = f(x^2) 2x)
+        # whenever the endpoint behaviour w^s (T = 0, s < 2) or w^(s-1)
+        # (finite beta) is not already smooth.
+        if (isinstance(temp, FiniteBeta)
+                or (isinstance(temp, ZeroTemperature) and s < 2.0)):
+            x_max = math.sqrt(omega_max)
+            # endpoint ~ x^(2s+1) at T = 0 and ~ x^(2s-1) at finite beta
+            end0 = 0.0
+            if isinstance(temp, FiniteBeta):
+                if abs(s - 0.5) < 1e-12:
+                    end0 = self.alpha * wc ** 0.5 * t * t / temp.beta
+                elif s < 0.5:
+                    end0 = math.inf
+            return _in_sqrt(f), x_max, math.pi / (x_max * t), 0.0, tail_err, end0
+
+        # T = 0 with s >= 2, or the Ohmic high-temperature weight, where
+        # J*W -> 2 alpha / beta at the origin
+        if isinstance(temp, ZeroTemperature):
+            limit0 = 0.0
+        else:
+            limit0 = 0.5 * self.alpha * (2.0 / temp.beta) * (t * t / 2.0)
+        return f, omega_max, 2.0 * math.pi / t, 0.0, tail_err, limit0
+
+    def omega_fast(self):
+        return self.omega_c
+
+    def time_scale(self, m=1) -> float:
+        return 1.0 / self.omega_c / math.sqrt(m)
+
 
 @dataclass(frozen=True)
 class Lorentzian:
-    """J(w) = (1/pi) * a * g / (g^2 + w^2); a sets the coupling, g the width."""
+    """J(w) = (1/pi) * a * g / (g^2 + w^2); a sets the coupling, g the width.
+
+    Defined at T = 0 only, so its methods ignore the temperature tag.
+    """
 
     a: float
     g: float
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise DomainError("a must be > 0")
-        if self.g < 0.0:
-            raise DomainError("g must be >= 0")
+        _check_fields(self, zero_ok=("g",))
+
+    def check_temperature(self, temp):
+        if not isinstance(temp, ZeroTemperature):
+            # J(0) > 0 makes the thermal integral diverge logarithmically
+            raise DomainError("the Lorentzian bath is only defined at T = 0")
+
+    def density(self, w):
+        return (self.a * self.g / np.pi) / (self.g ** 2 + w ** 2)
+
+    def gamma(self, temp, t):
+        g = self.g
+        if g == 0.0:
+            return self.a * t * t / 8.0
+        return self.a / (4.0 * g) * (np.expm1(-g * t) / g + t)
+
+    def dgamma(self, temp, t):
+        if self.g == 0.0:
+            return self.a * t / 4.0
+        return self.a / (4.0 * self.g) * (-np.expm1(-self.g * t))
+
+    def c2(self, temp):
+        return self.a / 8.0
+
+    def quad_problem(self, temp, t: float, tail_goal: float):
+        """The bath integral at time t > 0; see :meth:`PowerLawExpCutoff.quad_problem`."""
+        a, g = self.a, self.g
+        if g == 0.0:
+            raise DomainError(
+                "Lorentzian quadrature needs g > 0 (g = 0 is the static-bath "
+                "limit; use the closed form)")
+        # Above the cutoff W the kernel splits into a closed-form mean part
+        #   Int_W^inf H dw,  H(w) = (a g / 2 pi) / ((g^2 + w^2) w^2),
+        # and an oscillatory part -Int_W^inf H cos(wt) dw handled by two
+        # integrations by parts: the surface terms are added exactly and the
+        # remainder is bounded by |H'(W)|/t^2. W is the smallest multiple of
+        # 1/t meeting the goal, so the panel count stays bounded in gt.
+        goal = max(tail_goal, 1e-300)
+
+        def h_val(om):
+            return 0.5 * (a * g / math.pi) / ((g * g + om * om) * om * om)
+
+        def h_der(om):
+            return -(a * g / math.pi) / ((g * g + om * om) * om ** 3) \
+                * (1.0 + om * om / (g * g + om * om))
+
+        omega_max = 20.0 / t
+        for _ in range(200):
+            if 2.0 * abs(h_der(omega_max)) / (t * t) <= 0.25 * goal:
+                break
+            omega_max *= 2.0
+
+        # 1/W - arctan(g/W)/g = (u - arctan u)/g with u = g/W; series below u ~ 1e-2
+        # avoids the cancellation of the two nearly equal terms
+        u = g / omega_max
+        if u < 1e-2:
+            u_minus_atan = u ** 3 * (1.0 / 3.0 - u * u / 5.0 + u ** 4 / 7.0)
+        else:
+            u_minus_atan = u - math.atan(u)
+        mean_tail = 0.5 * a / (math.pi * g) * (u_minus_atan / g)
+        x = omega_max * t
+        tail_value = (mean_tail
+                      + h_val(omega_max) * math.sin(x) / t
+                      + h_der(omega_max) * math.cos(x) / (t * t))
+        tail_err = 2.0 * abs(h_der(omega_max)) / (t * t)
+        limit0 = 0.25 * a * t * t / (math.pi * g)
+        return (_integrand(self, temp, t), omega_max, 2.0 * math.pi / t,
+                tail_value, tail_err, limit0)
+
+    def omega_fast(self):
+        # None in the static-bath limit g = 0
+        return self.g if self.g > 0.0 else None
+
+    def time_scale(self, m=1) -> float:
+        base = 1.0 / math.sqrt(self.a) if self.g == 0.0 else 1.0 / self.g
+        return base / math.sqrt(m)
 
 
 @dataclass(frozen=True)
 class GenericPowerLawDephasing:
-    """Direct decoherence law gamma(t) = alpha * t^nu, with no spectral density."""
+    """Direct decoherence law gamma(t) = alpha * t^nu, with no spectral density.
+
+    The law holds at zero and finite temperature alike, so its methods
+    ignore the temperature tag.
+    """
 
     alpha: float
     nu: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise DomainError("alpha must be > 0")
-        if self.nu <= 0.0:
-            raise DomainError("nu must be > 0")
+        _check_fields(self)
+
+    def check_temperature(self, temp):
+        if isinstance(temp, HighTemperatureOhmic):
+            raise DomainError(_HIGH_T_OHMIC_ONLY)
+
+    def density(self, w):
+        raise NoSpectralDensity(
+            "generic power-law dephasing is defined directly via gamma(t)")
+
+    def gamma(self, temp, t):
+        return self.alpha * t ** self.nu
+
+    def dgamma(self, temp, t):
+        if self.nu < 1.0 and np.any(t <= 0.0):
+            raise DomainError("derivative is singular at t = 0 for nu < 1")
+        return self.alpha * self.nu * t ** (self.nu - 1.0)
+
+    def c2(self, temp):
+        if self.nu != 2.0:
+            raise NoQuadraticRegime(
+                f"gamma = alpha*t^nu with nu={self.nu} has no quadratic regime")
+        return self.alpha
+
+    def quad_problem(self, temp, t: float, tail_goal: float):
+        raise NoSpectralDensity("no bath integral for generic power-law dephasing")
+
+    def omega_fast(self):
+        return None
+
+    def time_scale(self, m=1) -> float:
+        # exact root of 2 m t gamma'(t) = 1
+        return (2.0 * m * self.alpha * self.nu) ** (-1.0 / self.nu)
 
 
 SpectralModel = Union[PowerLawExpCutoff, Lorentzian, GenericPowerLawDephasing]
@@ -125,6 +363,9 @@ SpectralModel = Union[PowerLawExpCutoff, Lorentzian, GenericPowerLawDephasing]
 class ZeroTemperature:
     """T = 0: the quadrature weight is 1."""
 
+    def weight(self, w):
+        return 1.0
+
 
 @dataclass(frozen=True)
 class FiniteBeta:
@@ -133,8 +374,10 @@ class FiniteBeta:
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise DomainError("beta must be > 0")
+        _check_fields(self)
+
+    def weight(self, w):
+        return 1.0 / np.tanh(0.5 * self.beta * w)
 
 
 @dataclass(frozen=True)
@@ -144,8 +387,10 @@ class HighTemperatureOhmic:
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise DomainError("beta must be > 0")
+        _check_fields(self)
+
+    def weight(self, w):
+        return 2.0 / (self.beta * w)
 
 
 Temperature = Union[ZeroTemperature, FiniteBeta, HighTemperatureOhmic]
@@ -159,16 +404,7 @@ class BathSpec:
     temperature: Temperature = field(default_factory=ZeroTemperature)
 
     def __post_init__(self):
-        if isinstance(self.temperature, HighTemperatureOhmic):
-            if not (isinstance(self.spectral, PowerLawExpCutoff)
-                    and self.spectral.is_ohmic):
-                raise DomainError(
-                    "the high-temperature expansion is only valid for an Ohmic "
-                    "power-law bath (s = 1)")
-        if (isinstance(self.spectral, Lorentzian)
-                and not isinstance(self.temperature, ZeroTemperature)):
-            # J(0) > 0 makes the thermal integral diverge logarithmically
-            raise DomainError("the Lorentzian bath is only defined at T = 0")
+        self.spectral.check_temperature(self.temperature)
 
 
 # --- evaluation routes -------------------------------------------------------
@@ -220,22 +456,11 @@ class DephasingModel:
     def omega_fast(self):
         """Fastest bath frequency scale; None when the model has none
         (generic power laws and the static-bath g = 0 Lorentzian limit)."""
-        spec = self.bath.spectral
-        if isinstance(spec, PowerLawExpCutoff):
-            return spec.omega_c
-        if isinstance(spec, Lorentzian) and spec.g > 0.0:
-            return spec.g
-        return None
+        return self.bath.spectral.omega_fast()
 
     def time_scale(self) -> float:
         """Characteristic time used to seed searches and sweep grids."""
-        spec = self.bath.spectral
-        if isinstance(spec, GenericPowerLawDephasing):
-            return (2.0 * spec.alpha * spec.nu) ** (-1.0 / spec.nu)
-        wf = self.omega_fast()
-        if isinstance(spec, Lorentzian) and spec.g == 0.0:
-            return 1.0 / math.sqrt(spec.a)
-        return 1.0 / wf
+        return self.bath.spectral.time_scale()
 
 
 # --- operations --------------------------------------------------------------
@@ -250,17 +475,10 @@ def spectral_density(model: SpectralModel, omega):
     omega:
         Frequency (scalar or array), omega >= 0.
     """
-    if isinstance(model, GenericPowerLawDephasing):
-        raise NoSpectralDensity(
-            "generic power-law dephasing is defined directly via gamma(t)")
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0.0):
         raise DomainError("omega must be >= 0")
-    if isinstance(model, PowerLawExpCutoff):
-        out = (model.alpha * model.omega_c ** (1.0 - model.s)
-               * w ** model.s * np.exp(-w / model.omega_c))
-    else:
-        out = (model.a * model.g / np.pi) / (model.g ** 2 + w ** 2)
+    out = model.density(w)
     return out if out.ndim else float(out)
 
 
@@ -270,7 +488,7 @@ def gamma_closed(deph: DephasingModel, t):
     Supported pairs: power-law cutoff bath at T = 0 (general s and the
     Ohmic logarithmic limit), Lorentzian at T = 0, Ohmic bath in the
     high-temperature expansion, and the generic power law at any
-    temperature tag. Anything else raises :class:`NoClosedForm`.
+    temperature tag. Finite-beta power-law baths raise :class:`NoClosedForm`.
 
     Parameters
     ----------
@@ -279,41 +497,11 @@ def gamma_closed(deph: DephasingModel, t):
     t:
         Time, scalar or array, t >= 0.
     """
-    spec = deph.bath.spectral
-    temp = deph.bath.temperature
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise DomainError("t must be >= 0")
-
-    if isinstance(spec, GenericPowerLawDephasing):
-        out = spec.alpha * t_arr ** spec.nu
-    elif isinstance(spec, PowerLawExpCutoff):
-        x = spec.omega_c * t_arr
-        if isinstance(temp, ZeroTemperature):
-            if spec.is_ohmic:
-                out = 0.5 * spec.alpha * np.log1p(x * x)
-            else:
-                s1 = spec.s - 1.0
-                out = (0.5 * spec.alpha * math.gamma(s1)
-                       * (1.0 - np.cos(s1 * np.arctan(x))
-                          / (1.0 + x * x) ** (0.5 * s1)))
-        elif isinstance(temp, HighTemperatureOhmic):
-            out = (spec.alpha / temp.beta
-                   * (t_arr * np.arctan(x) - 0.5 * np.log1p(x * x) / spec.omega_c))
-        else:
-            raise NoClosedForm(
-                "finite-beta power-law baths have no closed form; use quadrature")
-    elif isinstance(spec, Lorentzian):
-        if not isinstance(temp, ZeroTemperature):
-            raise NoClosedForm(
-                "the Lorentzian closed form is only available at T = 0")
-        if spec.g == 0.0:
-            out = spec.a * t_arr * t_arr / 8.0
-        else:
-            g = spec.g
-            out = spec.a / (4.0 * g) * (np.expm1(-g * t_arr) / g + t_arr)
-    else:  # pragma: no cover - exhaustive over SpectralModel
-        raise NoClosedForm(f"unsupported model {type(spec).__name__}")
+    bath = deph.bath
+    out = bath.spectral.gamma(bath.temperature, t_arr)
     return out if out.ndim else float(out)
 
 
@@ -323,15 +511,9 @@ def dgamma_dt(deph: DephasingModel, t):
     Analytic for every closed form; a centered finite difference of the
     quadrature route otherwise (step max(1e-6 * t, 1e-12)).
     """
-    spec = deph.bath.spectral
-    temp = deph.bath.temperature
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise DomainError("t must be >= 0")
-
-    if isinstance(spec, GenericPowerLawDephasing) and spec.nu < 1.0:
-        if np.any(t_arr <= 0.0):
-            raise DomainError("derivative is singular at t = 0 for nu < 1")
 
     if isinstance(deph.route, Quadrature):
         def one(ti):
@@ -344,176 +526,38 @@ def dgamma_dt(deph: DephasingModel, t):
             return one(float(t_arr))
         return np.array([one(float(ti)) for ti in t_arr])
 
-    if isinstance(spec, GenericPowerLawDephasing):
-        out = spec.alpha * spec.nu * t_arr ** (spec.nu - 1.0)
-    elif isinstance(spec, PowerLawExpCutoff):
-        x = spec.omega_c * t_arr
-        if isinstance(temp, ZeroTemperature):
-            if spec.is_ohmic:
-                out = spec.alpha * spec.omega_c ** 2 * t_arr / (1.0 + x * x)
-            else:
-                s = spec.s
-                out = (0.5 * spec.alpha * spec.omega_c * math.gamma(s)
-                       * np.sin(s * np.arctan(x)) / (1.0 + x * x) ** (0.5 * s))
-        elif isinstance(temp, HighTemperatureOhmic):
-            out = spec.alpha / temp.beta * np.arctan(x)
-        else:
-            raise NoClosedForm(
-                "finite-beta power-law baths have no closed form; use quadrature")
-    elif isinstance(spec, Lorentzian):
-        if not isinstance(temp, ZeroTemperature):
-            raise NoClosedForm(
-                "the Lorentzian closed form is only available at T = 0")
-        if spec.g == 0.0:
-            out = spec.a * t_arr / 4.0
-        else:
-            out = spec.a / (4.0 * spec.g) * (-np.expm1(-spec.g * t_arr))
-    else:  # pragma: no cover
-        raise NoClosedForm(f"unsupported model {type(spec).__name__}")
+    bath = deph.bath
+    out = bath.spectral.dgamma(bath.temperature, t_arr)
     return out if out.ndim else float(out)
+
+
+def gamma_short_time_coeff(deph: DephasingModel) -> float:
+    """Exact coefficient c2 of the universal short-time law gamma(t) ~ c2 t^2.
+
+    For spectral baths c2 = (1/4) Int J(w) W(w) dw evaluated against the
+    model's own convention (the Ohmic closed form carries its factor 2);
+    the generic power law supports this only at nu = 2.
+    """
+    return deph.bath.spectral.c2(deph.bath.temperature)
 
 
 # --- quadrature route --------------------------------------------------------
 
-def _coth(x):
-    return 1.0 / np.tanh(x)
-
-
-def _one_minus_cos_over_w2(w, t):
-    # 2 sin^2(wt/2) / w^2, stable for all w > 0 (no cancellation)
-    half = np.sin(0.5 * w * t)
-    return 2.0 * (half / w) ** 2
-
-
-def _quad_problem(bath: BathSpec, t: float, tail_goal: float):
-    """Build the 1-D integration problem for the bath integral at time t.
-
-    Returns ``(integrand, x_max, panel_cap, tail_value, tail_err, endpoint)``
-    in the integration variable x. ``tail_value`` is the analytically known
-    part of the neglected tail (added to the quadrature result) and
-    ``tail_err`` bounds the remainder. For sub-Ohmic finite-beta baths
-    x = sqrt(omega) removes the integrable endpoint singularity; otherwise
-    x = omega. ``endpoint`` is the x -> 0 limit of the integrand (used by
-    trapezoid-based references).
-    """
-    spec = bath.spectral
-    temp = bath.temperature
-    if isinstance(spec, GenericPowerLawDephasing):
-        raise NoSpectralDensity("no bath integral for generic power-law dephasing")
-
-    if isinstance(temp, ZeroTemperature):
-        weight = lambda w: 1.0
-    elif isinstance(temp, FiniteBeta):
-        beta = temp.beta
-        weight = lambda w: _coth(0.5 * beta * w)
-    else:
-        beta = temp.beta
-        weight = lambda w: 2.0 / (beta * w)
-
-    if isinstance(spec, PowerLawExpCutoff):
-        omega_max = spec.omega_c * max(40.0, 40.0 / spec.s, 10.0 + 5.0 * spec.s)
-        # exponential-tail envelope: integrand <= alpha*wc^(1-s)*w^(s-2)*W*2*e^(-w/wc)
-        w_top = 1.0
-        if isinstance(temp, FiniteBeta):
-            w_top = float(_coth(0.5 * temp.beta * omega_max))
-        elif isinstance(temp, HighTemperatureOhmic):
-            w_top = max(1.0, 2.0 / (temp.beta * omega_max))
-        tail_err = (2.0 * spec.alpha * spec.omega_c ** (2.0 - spec.s)
-                    * omega_max ** (spec.s - 2.0)
-                    * math.exp(-omega_max / spec.omega_c) * w_top)
-
-        def f(w):
-            kern = _one_minus_cos_over_w2(w, t)
-            return 0.5 * spectral_density(spec, w) * weight(w) * kern
-
-        # w -> 0 limit of the integrand
-        if isinstance(temp, ZeroTemperature):
-            limit0 = 0.0
-        else:
-            # J*W ~ alpha*wc^(1-s)*w^(s-1)*(2/beta): finite only for s >= 1
-            if spec.s > 1.0 + OHMIC_S_TOL:
-                limit0 = 0.0
-            elif spec.is_ohmic:
-                limit0 = 0.5 * spec.alpha * (2.0 / temp.beta) * (t * t / 2.0)
-            else:
-                limit0 = math.inf
-
-        # Fractional powers of w at the origin defeat extrapolation-based
-        # integrators, so substitute w = x^2 (integrand_x = f(x^2) 2x)
-        # whenever the endpoint behaviour w^s (T = 0, s < 2) or w^(s-1)
-        # (finite beta) is not already smooth.
-        use_sqrt = (isinstance(temp, FiniteBeta)
-                    or (isinstance(temp, ZeroTemperature) and spec.s < 2.0))
-        if use_sqrt:
-            def fx(x):
-                x = np.asarray(x, dtype=float)
-                return f(x * x) * 2.0 * x
-
-            x_max = math.sqrt(omega_max)
-            cap = math.pi / (x_max * t) if t > 0.0 else None
-            s = spec.s
-            if isinstance(temp, FiniteBeta):
-                # endpoint ~ x^(2s-1)
-                if abs(s - 0.5) < 1e-12:
-                    end0 = spec.alpha * spec.omega_c ** 0.5 * t * t / temp.beta
-                elif s > 0.5:
-                    end0 = 0.0
-                else:
-                    end0 = math.inf
-            else:
-                end0 = 0.0  # endpoint ~ x^(2s+1), s > 0
-            return fx, x_max, cap, 0.0, tail_err, end0
-
-        cap = 2.0 * math.pi / t if t > 0.0 else None
-        return f, omega_max, cap, 0.0, tail_err, limit0
-
-    # Lorentzian at T = 0 (BathSpec rejects other temperature tags)
-    a, g = spec.a, spec.g
-    if g == 0.0:
-        raise DomainError(
-            "Lorentzian quadrature needs g > 0 (g = 0 is the static-bath "
-            "limit; use the closed form)")
-    # Above the cutoff W the kernel splits into a closed-form mean part
-    #   Int_W^inf H dw,  H(w) = (a g / 2 pi) / ((g^2 + w^2) w^2),
-    # and an oscillatory part -Int_W^inf H cos(wt) dw handled by two
-    # integrations by parts: the surface terms are added exactly and the
-    # remainder is bounded by |H'(W)|/t^2. W is the smallest multiple of
-    # 1/t meeting the goal, so the panel count stays bounded in gt.
-    goal = max(tail_goal, 1e-300)
-
-    def h_val(om):
-        return 0.5 * (a * g / math.pi) / ((g * g + om * om) * om * om)
-
-    def h_der(om):
-        return -(a * g / math.pi) / ((g * g + om * om) * om ** 3) \
-            * (1.0 + om * om / (g * g + om * om))
-
-    omega_max = 20.0 / t
-    for _ in range(200):
-        if 2.0 * abs(h_der(omega_max)) / (t * t) <= 0.25 * goal:
-            break
-        omega_max *= 2.0
-
+def _integrand(spec, temp, t):
+    """(1/2) J(w) W(w) (1 - cos(w t)) / w^2, the integrand of the bath integral."""
     def f(w):
-        kern = _one_minus_cos_over_w2(w, t)
-        return 0.5 * spectral_density(spec, w) * weight(w) * kern
+        # 2 sin^2(wt/2) / w^2, stable for all w > 0 (no cancellation)
+        kern = 2.0 * (np.sin(0.5 * w * t) / w) ** 2
+        return 0.5 * spectral_density(spec, w) * temp.weight(w) * kern
+    return f
 
-    # 1/W - arctan(g/W)/g = (u - arctan u)/g with u = g/W; series below u ~ 1e-2
-    # avoids the cancellation of the two nearly equal terms
-    u = g / omega_max
-    if u < 1e-2:
-        u_minus_atan = u ** 3 * (1.0 / 3.0 - u * u / 5.0 + u ** 4 / 7.0)
-    else:
-        u_minus_atan = u - math.atan(u)
-    mean_tail = 0.5 * a / (math.pi * g) * (u_minus_atan / g)
-    x = omega_max * t
-    tail_value = (mean_tail
-                  + h_val(omega_max) * math.sin(x) / t
-                  + h_der(omega_max) * math.cos(x) / (t * t))
-    tail_err = 2.0 * abs(h_der(omega_max)) / (t * t)
-    limit0 = 0.25 * a * t * t / (math.pi * g)
-    cap = 2.0 * math.pi / t
-    return f, omega_max, cap, tail_value, tail_err, limit0
+
+def _in_sqrt(f):
+    """The integrand f(w) dw in the variable x = sqrt(w): f(x^2) 2x dx."""
+    def fx(x):
+        x = np.asarray(x, dtype=float)
+        return f(x * x) * 2.0 * x
+    return fx
 
 
 def gamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
@@ -524,7 +568,7 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
     bath:
         Bath with a spectral density (not the generic power-law model).
     t:
-        Time, t >= 0.
+        Time, finite and >= 0.
     settings:
         Tolerances and panel budget.
 
@@ -534,10 +578,12 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
         The integral and a conservative error estimate including the
         truncated tail, with error_estimate <= max(abs_tol, rel_tol*value).
     """
-    if t < 0.0:
-        raise DomainError("t must be >= 0")
+    # a NaN time would make every panel's error NaN, which never refines
+    if not 0.0 <= t < math.inf:
+        raise DomainError("t must be finite and >= 0")
     if t == 0.0:
         return 0.0, 0.0
+    spec, temp = bath.spectral, bath.temperature
     # panels run at half tolerance so the tail bound fits inside the contract
     inner = QuadratureSettings(rel_tol=0.5 * settings.rel_tol,
                                abs_tol=0.5 * settings.abs_tol,
@@ -545,55 +591,13 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
                                small_omega_cutoff=settings.small_omega_cutoff)
     # first pass against a crude absolute goal; rebuild the cutoff once the
     # magnitude of the result is known
-    f, x_max, cap, tail_val, tail_err, _ = _quad_problem(
-        bath, t, max(settings.abs_tol, 1e-9))
+    f, x_max, cap, tail_val, tail_err, _ = spec.quad_problem(
+        temp, t, max(settings.abs_tol, 1e-9))
     value, err = integrate_semi_infinite(f, x_max, inner, max_panel_width=cap)
     value += tail_val
     goal = max(settings.abs_tol, settings.rel_tol * abs(value))
     if tail_err > 0.5 * goal:
-        f, x_max, cap, tail_val, tail_err, _ = _quad_problem(bath, t, 0.25 * goal)
+        f, x_max, cap, tail_val, tail_err, _ = spec.quad_problem(temp, t, 0.25 * goal)
         value, err = integrate_semi_infinite(f, x_max, inner, max_panel_width=cap)
         value += tail_val
     return value, err + tail_err
-
-
-def gamma_short_time_coeff(deph: DephasingModel) -> float:
-    """Exact coefficient c2 of the universal short-time law gamma(t) ~ c2 t^2.
-
-    For spectral baths c2 = (1/4) Int J(w) W(w) dw evaluated against the
-    model's own convention (the Ohmic closed form carries its factor 2);
-    the generic power law supports this only at nu = 2.
-    """
-    spec = deph.bath.spectral
-    temp = deph.bath.temperature
-    if isinstance(spec, GenericPowerLawDephasing):
-        if spec.nu != 2.0:
-            raise NoQuadraticRegime(
-                f"gamma = alpha*t^nu with nu={spec.nu} has no quadratic regime")
-        return spec.alpha
-    if isinstance(spec, PowerLawExpCutoff):
-        if isinstance(temp, ZeroTemperature):
-            if spec.is_ohmic:
-                return 0.5 * spec.alpha * spec.omega_c ** 2
-            return 0.25 * spec.alpha * spec.omega_c ** 2 * math.gamma(spec.s + 1.0)
-        if isinstance(temp, HighTemperatureOhmic):
-            return 0.5 * spec.alpha * spec.omega_c / temp.beta
-        # finite beta: c2 = (1/4) Int J(w) coth(beta w / 2) dw
-        beta = temp.beta
-        wc = spec.omega_c
-
-        def f(w):
-            return 0.25 * spectral_density(spec, w) * _coth(0.5 * beta * w)
-
-        if spec.s < 1.0 - OHMIC_S_TOL:
-            def fx(x):
-                x = np.asarray(x, dtype=float)
-                return f(x * x) * 2.0 * x
-            val, _ = integrate_semi_infinite(
-                fx, math.sqrt(40.0 * wc / spec.s), QuadratureSettings(rel_tol=1e-11))
-        else:
-            val, _ = integrate_semi_infinite(
-                f, 40.0 * wc, QuadratureSettings(rel_tol=1e-11))
-        return val
-    # Lorentzian (T = 0 by construction)
-    return spec.a / 8.0

@@ -33,7 +33,6 @@ import numpy as np
 from .dephasing import (
     BathSpec,
     DephasingModel,
-    GenericPowerLawDephasing,
     HighTemperatureOhmic,
     Lorentzian,
     PowerLawExpCutoff,
@@ -76,10 +75,17 @@ class ProbeSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be >= 1")
+        if not math.isfinite(self.total_time):
+            raise DomainError("total_time must be finite")
         if self.total_time <= 0.0:
             raise DomainError("total_time must be > 0")
         if self.strategy not in STRATEGIES:
             raise DomainError(f"strategy must be one of {STRATEGIES}")
+
+    @property
+    def m(self) -> int:
+        """Phase and decay multiplier: 1 for product states, n for GHZ states."""
+        return 1 if self.strategy == "product" else self.n
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,6 @@ class Optimum:
 
     t_opt: float
     delta_omega_sq: float
-    k: int = 1
     finite: bool = True
     boundary_limited: bool = False
 
@@ -140,6 +145,23 @@ def fisher_information(phi, t, gamma_t):
     return t * t * (1.0 - c * c) * decay / denom
 
 
+def _variance(gam: float, theta: float, probe: ProbeSpec, t: float) -> float:
+    """dw^2 = (e^(2 m gamma) - cos^2 theta) / (n m T t sin^2 theta) at the
+    fringe argument theta; inf where e^(2 m gamma) overflows."""
+    m = probe.m
+    c2 = math.cos(theta) ** 2
+    try:
+        growth = math.exp(2.0 * m * gam)
+    except OverflowError:
+        return math.inf
+    num = growth - c2
+    if num <= 0.0:
+        raise DegenerateSignal(
+            "p0 is 0 or 1 (gamma = 0 and phi t = 0 mod pi): no information")
+    den = probe.n * m * probe.total_time * t * (1.0 - c2)
+    return math.inf if den == 0.0 else num / den
+
+
 def frequency_variance(phi, t, probe: ProbeSpec, deph: DephasingModel):
     """Frequency variance dw^2 at operating point (phi, t).
 
@@ -151,25 +173,7 @@ def frequency_variance(phi, t, probe: ProbeSpec, deph: DephasingModel):
         raise DomainError("t must be > 0")
     if t > probe.total_time:
         raise DomainError("t must not exceed the probe's total_time")
-    gam = deph.gamma(t)
-    n = probe.n
-    if probe.strategy == "product":
-        arg = phi * t
-        decay = math.exp(-2.0 * gam)
-        shots = n * probe.total_time * t
-    else:
-        arg = n * phi * t
-        decay = math.exp(-2.0 * n * gam)
-        shots = n * n * probe.total_time * t
-    c2 = math.cos(arg) ** 2
-    num = 1.0 - c2 * decay
-    den = shots * (1.0 - c2) * decay
-    if num <= 0.0:
-        raise DegenerateSignal(
-            "p0 is 0 or 1 (gamma = 0 and phi t = 0 mod pi): no information")
-    if den == 0.0:
-        return math.inf
-    return num / den
+    return _variance(deph.gamma(t), probe.m * phi * t, probe, t)
 
 
 # --- optimal interrogation times ----------------------------------------------
@@ -178,12 +182,6 @@ def frequency_variance(phi, t, probe: ProbeSpec, deph: DephasingModel):
 # every supported model at couplings within ~20 orders of magnitude of unity
 _SCAN_DECADES = 12
 _SCAN_PER_DECADE = 25
-
-
-def _constraint(deph: DephasingModel, m: float):
-    def h(t):
-        return 2.0 * m * t * deph.dgamma_dt(t) - 1.0
-    return h
 
 
 def optimal_interrogation(deph: DephasingModel, m, settings=RootSettings()):
@@ -196,13 +194,11 @@ def optimal_interrogation(deph: DephasingModel, m, settings=RootSettings()):
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    h = _constraint(deph, m)
-    spec = deph.bath.spectral
-    if isinstance(spec, GenericPowerLawDephasing):
-        # exact root scale for the pure power law
-        t_ref = (2.0 * m * spec.alpha * spec.nu) ** (-1.0 / spec.nu)
-    else:
-        t_ref = deph.time_scale() / math.sqrt(float(m))
+
+    def h(t):
+        return 2.0 * m * t * deph.dgamma_dt(t) - 1.0
+
+    t_ref = deph.bath.spectral.time_scale(m)
     ts = np.geomspace(t_ref * 10.0 ** (-_SCAN_DECADES), t_ref * 10.0 ** _SCAN_DECADES,
                       2 * _SCAN_DECADES * _SCAN_PER_DECADE + 1)
     hv = 2.0 * m * ts * np.asarray(deph.dgamma_dt(ts), dtype=float) - 1.0
@@ -234,14 +230,6 @@ def optimal_interrogation(deph: DephasingModel, m, settings=RootSettings()):
     return solve_bracketed_root(h, (ts[i], ts[i + 1]), settings)
 
 
-def _optimal_point_variance(deph: DephasingModel, probe: ProbeSpec, t: float) -> float:
-    gam = deph.gamma(t)
-    n = probe.n
-    m = 1 if probe.strategy == "product" else n
-    log_var = 2.0 * m * gam - math.log(n * m * probe.total_time * t)
-    return math.exp(log_var) if log_var < 700.0 else math.inf
-
-
 def optimal_resolution(deph: DephasingModel, probe: ProbeSpec) -> Optimum:
     """Minimize the frequency variance over t in (0, total_time] at phi t = pi/2.
 
@@ -251,16 +239,15 @@ def optimal_resolution(deph: DephasingModel, probe: ProbeSpec) -> Optimum:
     boundary does. When no stationary point exists the result is clamped to
     total_time with ``finite=False``.
     """
-    m = 1 if probe.strategy == "product" else probe.n
     t_star = None
     try:
-        t_star = optimal_interrogation(deph, m)
+        t_star = optimal_interrogation(deph, probe.m)
     except NoFiniteOptimum:
         pass
     T = probe.total_time
-    var_T = _optimal_point_variance(deph, probe, T)
+    var_T = _variance(deph.gamma(T), math.pi / 2.0, probe, T)
     if t_star is not None and t_star <= T:
-        var_star = _optimal_point_variance(deph, probe, t_star)
+        var_star = _variance(deph.gamma(t_star), math.pi / 2.0, probe, t_star)
         if var_star <= var_T:
             return Optimum(t_opt=t_star, delta_omega_sq=var_star)
         return Optimum(t_opt=T, delta_omega_sq=var_T, boundary_limited=True)

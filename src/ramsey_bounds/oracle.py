@@ -22,7 +22,6 @@ from .dephasing import (
     HighTemperatureOhmic,
     Lorentzian,
     PowerLawExpCutoff,
-    _quad_problem,
 )
 from .errors import DomainError, GridTooCoarse, NonConvergence
 from .metrology import Optimum, ProbeSpec, optimal_interrogation
@@ -64,7 +63,13 @@ class GridSpec:
 
 def _variance_surface(deph: DephasingModel, probe: ProbeSpec, ts, thetas):
     """dw^2 on the (t, theta) product grid; theta is the fringe argument
-    (phi t for product states, n phi t for GHZ)."""
+    (phi t for product states, n phi t for GHZ).
+
+    Deliberately a separate copy of the variance formula in ``metrology``:
+    it is the independent reference that ``validate`` checks the optimizer
+    against, so it must not share that code. Entries too large for a float
+    are inf, the intended value.
+    """
     gam = np.asarray(deph.gamma(ts), dtype=float)
     n = probe.n
     if probe.strategy == "product":
@@ -76,7 +81,7 @@ def _variance_surface(deph: DephasingModel, probe: ProbeSpec, ts, thetas):
     c2 = np.cos(thetas) ** 2
     num = 1.0 - c2[None, :] * decay[:, None]
     den = (shots * decay)[:, None] * (1.0 - c2)[None, :]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return num / den
 
 
@@ -148,7 +153,8 @@ def reference_gamma(bath: BathSpec, t: float, rel_tol: float = 1e-10,
         raise DomainError("t must be >= 0")
     if t == 0.0:
         return 0.0
-    f, x_max, _, tail_value, tail_err, limit0 = _quad_problem(bath, t, 1e-9)
+    spec, temp = bath.spectral, bath.temperature
+    f, x_max, _, tail_value, tail_err, limit0 = spec.quad_problem(temp, t, 1e-9)
     if not math.isfinite(limit0):
         raise DomainError("integrand endpoint diverges; model unsupported here")
 
@@ -190,8 +196,8 @@ def reference_gamma(bath: BathSpec, t: float, rel_tol: float = 1e-10,
         goal = rel_tol * abs(total)
         if tail_err <= goal or attempt == 1:
             return total
-        f, x_max, _, tail_value, tail_err, limit0 = _quad_problem(
-            bath, t, 0.25 * goal)
+        f, x_max, _, tail_value, tail_err, limit0 = spec.quad_problem(
+            temp, t, 0.25 * goal)
     return total
 
 

@@ -1,8 +1,18 @@
 import math
+import warnings
 
 import pytest
 
 from ramsey_bounds.cli import main
+from ramsey_bounds.dephasing import (
+    FiniteBeta,
+    GenericPowerLawDephasing,
+    HighTemperatureOhmic,
+    Lorentzian,
+    PowerLawExpCutoff,
+)
+from ramsey_bounds.errors import DomainError
+from ramsey_bounds.metrology import ProbeSpec
 
 
 def run(capsys, *argv):
@@ -195,6 +205,46 @@ def test_invalid_parameter_exit_2(capsys):
     assert code == 2
 
 
+OHMIC_T1 = ["gamma", "--model", "ohmic", "--alpha", "1", "--omega-c", "1", "--t", "1"]
+
+
+@pytest.mark.parametrize("build,argv", [
+    (lambda: PowerLawExpCutoff(math.nan, 1.0, 1.0),
+     ["gamma", "--model", "ohmic", "--alpha", "nan", "--omega-c", "1", "--t", "1"]),
+    (lambda: PowerLawExpCutoff(1.0, 1.0, math.inf),
+     ["gamma", "--model", "ohmic", "--alpha", "1", "--omega-c", "inf", "--t", "1"]),
+    (lambda: PowerLawExpCutoff(1.0, math.nan, 1.0),
+     ["gamma", "--model", "powerlaw", "--alpha", "1", "--s", "nan", "--omega-c", "1",
+      "--t", "1"]),
+    (lambda: Lorentzian(math.inf, 1.0),
+     ["gamma", "--model", "lorentzian", "--a", "inf", "--g", "1", "--t", "1"]),
+    (lambda: Lorentzian(1.0, math.nan),
+     ["gamma", "--model", "lorentzian", "--a", "1", "--g", "nan", "--t", "1"]),
+    (lambda: GenericPowerLawDephasing(1.0, math.inf),
+     ["gamma", "--model", "powerlaw-dephasing", "--alpha", "1", "--nu", "inf", "--t", "1"]),
+    (lambda: GenericPowerLawDephasing(-math.inf, 1.0),
+     ["gamma", "--model", "powerlaw-dephasing", "--alpha", "nan", "--nu", "1", "--t", "1"]),
+    (lambda: FiniteBeta(math.nan), OHMIC_T1 + ["--temp", "beta=nan", "--route", "quad"]),
+    (lambda: HighTemperatureOhmic(math.inf), OHMIC_T1 + ["--temp", "high-t=inf"]),
+    (lambda: ProbeSpec(1, math.nan),
+     ["optimize", "--model", "ohmic", "--alpha", "1", "--omega-c", "1", "--n", "1",
+      "--total-time", "nan", "--strategy", "product"]),
+    (None, ["gamma", "--model", "ohmic", "--alpha", "1", "--omega-c", "1",
+            "--t-grid", "1:inf:3"]),
+    (None, ["gamma", "--model", "ohmic", "--alpha", "1", "--omega-c", "1",
+            "--t-grid", "nan:2:3"]),
+    (None, ["gamma", "--model", "ohmic", "--alpha", "1", "--omega-c", "1", "--t", "nan"]),
+])
+def test_nonfinite_input_rejected(capsys, build, argv):
+    if build is not None:
+        with pytest.raises(DomainError):
+            build()
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_closed_route_unsupported_exit_4(capsys):
     code, _, err = run(capsys, "gamma", "--model", "powerlaw", "--alpha", "1",
                        "--s", "2", "--omega-c", "1", "--temp", "beta=1",
@@ -215,3 +265,12 @@ def test_validate_deterministic_and_green(capsys):
     assert "overall status=ok" in first
     code, second, _ = run(capsys, "validate", "--seed", "3", "--trials", "3")
     assert second == first
+
+
+def test_validate_emits_no_runtime_warning(capsys):
+    # the oracle's variance surface overflows to inf on purpose
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "validate", "--trials", "200")
+    assert code == 0
+    assert out.endswith("overall status=ok\n")

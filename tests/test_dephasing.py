@@ -234,6 +234,13 @@ def test_quadrature_zero_time():
     assert gamma_quadrature(BathSpec(Lorentzian(1.0, 1.0)), 0.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_quadrature_rejects_nonfinite_time(t):
+    # a NaN time would make every panel error NaN, which never refines
+    with pytest.raises(DomainError):
+        gamma_quadrature(BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0)), t)
+
+
 def test_quadrature_rejects_generic_model():
     with pytest.raises(NoSpectralDensity):
         gamma_quadrature(BathSpec(GenericPowerLawDephasing(1.0, 2.0)), 1.0)

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ramsey_bounds import metrology
 from ramsey_bounds.dephasing import (
     BathSpec,
     DephasingModel,
@@ -101,6 +103,18 @@ def test_variance_domain_checks():
         frequency_variance(1.0, 2.0, ProbeSpec(1, 1.0), deph)
 
 
+def test_variance_overflow_is_inf():
+    # e^(2 gamma) overflows at T: the variance there is inf, silently
+    deph = markov(1e3)
+    probe = ProbeSpec(1, 10.0, "product")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frequency_variance(math.pi / 20.0, 10.0, probe, deph) == math.inf
+        res = optimal_resolution(deph, probe)
+    assert res.t_opt == pytest.approx(5e-4, rel=1e-10)
+    assert not res.boundary_limited
+
+
 def test_fisher_peak_at_half_pi():
     # best operating point phi t = pi/2: grid check over the fringe argument
     deph = ohmic(1.0)
@@ -137,11 +151,34 @@ def test_ohmic_general_time_formula():
                                     rel=1e-10)
 
 
+def test_rescue_search_finds_narrow_window():
+    # s = 3, wc = 1, T = 0: 2 t gamma'(t) = 2 alpha sin(u) cos(u)^2 sin(3u)
+    # with u = arctan(t); couple the bath 1e-5 above and below its threshold
+    u = np.linspace(0.0, math.pi / 2.0, 200001)
+    peak = float(np.max(2.0 * np.sin(u) * np.cos(u) ** 2 * np.sin(3.0 * u)))
+    above = DephasingModel(BathSpec(PowerLawExpCutoff((1.0 + 1e-5) / peak, 3.0, 1.0)))
+    below = DephasingModel(BathSpec(PowerLawExpCutoff((1.0 - 1e-5) / peak, 3.0, 1.0)))
+    # the optimizer's log-spaced scan never crosses the narrow positive window
+    decades = metrology._SCAN_DECADES
+    t_ref = above.bath.spectral.time_scale(1)
+    ts = np.geomspace(t_ref * 10.0 ** -decades, t_ref * 10.0 ** decades,
+                      2 * decades * metrology._SCAN_PER_DECADE + 1)
+    hv = 2.0 * ts * above.dgamma_dt(ts) - 1.0
+    assert ts.size == 601
+    assert not np.any((hv[:-1] < 0.0) & (hv[1:] >= 0.0))
+    # so only the ternary refinement of the hump can find the root
+    t = optimal_interrogation(above, 1)
+    assert abs(2.0 * t * above.dgamma_dt(t) - 1.0) <= 1e-10
+    assert t == pytest.approx(0.62647, abs=1e-5)
+    with pytest.raises(NoFiniteOptimum):
+        optimal_interrogation(below, 1)
+
+
 def test_optimal_resolution_values():
     res = optimal_resolution(ohmic(1.0), ProbeSpec(1, 1.0, "product"))
     assert res.t_opt == pytest.approx(1.0, rel=1e-10)
     assert res.delta_omega_sq == pytest.approx(2.0, rel=1e-10)
-    assert res.k == 1 and res.finite and not res.boundary_limited
+    assert res.finite and not res.boundary_limited
 
     res = optimal_resolution(ohmic(1.0), ProbeSpec(2, 1.0, "ghz"))
     assert res.t_opt == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-10)
