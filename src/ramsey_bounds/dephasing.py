@@ -21,16 +21,19 @@ new route for an existing one, touches one class. A family provides:
 
 * ``check_temperature(temp)``: reject temperature modes it does not support;
 * ``density(w)``: J(w) on an array of frequencies w >= 0;
-* ``gamma(temp, t)`` and ``dgamma(temp, t)``: the closed forms on an array
-  of times, raising :class:`NoClosedForm` where none exists;
+* ``gamma(temp, t)`` and ``dgamma(temp, t)``: the closed forms at a time
+  or on an array of times, raising :class:`NoClosedForm` where none exists;
 * ``c2(temp)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
 * ``quad_problem(temp, t, tail_goal)``: the bath integral at time t set up
   for quadrature (see :meth:`PowerLawExpCutoff.quad_problem`);
 * ``omega_fast()``: the fastest bath frequency, or None;
 * ``time_scale(m)``: the characteristic time (m = 1), and the scale of the
-  root of 2 m t gamma'(t) = 1 that seeds the optimizer's scan.
+  root of 2 m t gamma'(t) = 1 that seeds the optimizer's scan; ``m`` may be
+  an array of multipliers.
 
-Temperature tags supply the thermal weight W(w) through ``weight(w)``.
+Temperature tags supply the thermal weight W(w) through ``weight(w)``. An
+evaluation route (closed form or quadrature) supplies ``gamma(bath, t)`` and
+``dgamma(bath, t)`` on a time or an array of times, checked by the caller.
 
 Convention note: the Ohmic (s = 1) closed form used throughout,
 gamma(t) = (alpha/2) ln(1 + wc^2 t^2), is exactly twice the integral above,
@@ -214,8 +217,8 @@ class PowerLawExpCutoff:
     def omega_fast(self):
         return self.omega_c
 
-    def time_scale(self, m=1) -> float:
-        return 1.0 / self.omega_c / math.sqrt(m)
+    def time_scale(self, m=1):
+        return 1.0 / self.omega_c / np.sqrt(m)
 
 
 @dataclass(frozen=True)
@@ -302,9 +305,9 @@ class Lorentzian:
         # None in the static-bath limit g = 0
         return self.g if self.g > 0.0 else None
 
-    def time_scale(self, m=1) -> float:
+    def time_scale(self, m=1):
         base = 1.0 / math.sqrt(self.a) if self.g == 0.0 else 1.0 / self.g
-        return base / math.sqrt(m)
+        return base / np.sqrt(m)
 
 
 @dataclass(frozen=True)
@@ -330,10 +333,13 @@ class GenericPowerLawDephasing:
             "generic power-law dephasing is defined directly via gamma(t)")
 
     def gamma(self, temp, t):
-        return self.alpha * t ** self.nu
+        # numpy's power on an array, for a single time too, so that a time
+        # gives the same bits alone and inside an array
+        return self.alpha * np.asarray(t) ** self.nu
 
     def dgamma(self, temp, t):
-        if self.nu < 1.0 and np.any(t <= 0.0):
+        t = np.asarray(t)  # numpy's power, as in gamma
+        if self.nu < 1.0 and (t <= 0.0).any():
             raise DomainError("derivative is singular at t = 0 for nu < 1")
         return self.alpha * self.nu * t ** (self.nu - 1.0)
 
@@ -349,9 +355,14 @@ class GenericPowerLawDephasing:
     def omega_fast(self):
         return None
 
-    def time_scale(self, m=1) -> float:
-        # exact root of 2 m t gamma'(t) = 1
-        return (2.0 * m * self.alpha * self.nu) ** (-1.0 / self.nu)
+    def time_scale(self, m=1):
+        # The exact root of 2 m t gamma'(t) = 1, and the centre of the
+        # optimizer's scan grid, so its last bit picks the bracket. Python's
+        # scalar pow on each element gives that bit for an array of m as for
+        # a single m; numpy's vector pow may not.
+        p = -1.0 / self.nu
+        roots = [(2.0 * mi * self.alpha * self.nu) ** p for mi in np.ravel(m).tolist()]
+        return np.reshape(roots, np.shape(m))
 
 
 SpectralModel = Union[PowerLawExpCutoff, Lorentzian, GenericPowerLawDephasing]
@@ -413,12 +424,32 @@ class BathSpec:
 class ClosedForm:
     """Evaluate gamma(t) from the model's closed-form expression."""
 
+    def gamma(self, bath: BathSpec, t):
+        return bath.spectral.gamma(bath.temperature, t)
+
+    def dgamma(self, bath: BathSpec, t):
+        return bath.spectral.dgamma(bath.temperature, t)
+
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Evaluate gamma(t) by adaptive quadrature of the bath integral."""
+    """Evaluate gamma(t) by adaptive quadrature of the bath integral, one
+    time at a time; dgamma/dt is a centered difference of two quadratures
+    (step max(1e-6 * t, 1e-12))."""
 
     settings: QuadratureSettings = field(default_factory=QuadratureSettings)
+
+    def gamma(self, bath: BathSpec, t):
+        return _each(lambda ti: gamma_quadrature(bath, ti, self.settings)[0], t)
+
+    def dgamma(self, bath: BathSpec, t):
+        def one(ti):
+            h = max(1e-6 * ti, 1e-12)
+            lo = max(ti - h, 0.0)
+            gp = gamma_quadrature(bath, ti + h, self.settings)[0]
+            gm = gamma_quadrature(bath, lo, self.settings)[0]
+            return (gp - gm) / (ti + h - lo)
+        return _each(one, t)
 
 
 Route = Union[ClosedForm, Quadrature]
@@ -437,13 +468,8 @@ class DephasingModel:
 
     def gamma(self, t):
         """gamma(t) via the declared route."""
-        if isinstance(self.route, ClosedForm):
-            return gamma_closed(self, t)
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return gamma_quadrature(self.bath, float(t_arr), self.route.settings)[0]
-        return np.array([gamma_quadrature(self.bath, float(ti), self.route.settings)[0]
-                         for ti in t_arr])
+        out = self.route.gamma(self.bath, _times(t))
+        return out if out.ndim else float(out)
 
     def dgamma_dt(self, t):
         """dgamma/dt via the declared route."""
@@ -460,10 +486,24 @@ class DephasingModel:
 
     def time_scale(self) -> float:
         """Characteristic time used to seed searches and sweep grids."""
-        return self.bath.spectral.time_scale()
+        return float(self.bath.spectral.time_scale())
 
 
 # --- operations --------------------------------------------------------------
+
+def _times(t):
+    """t as a float array, rejecting NaN, inf and negative times."""
+    t_arr = np.asarray(t, dtype=float)
+    if not ((0.0 <= t_arr) & (t_arr < math.inf)).all():
+        raise DomainError("t must be finite and >= 0")
+    return t_arr
+
+
+def _each(f, t):
+    """f(ti) for every time ti of t (a float or an array), keeping its shape."""
+    t = np.asarray(t, dtype=float)
+    return np.array([f(ti) for ti in t.ravel().tolist()]).reshape(t.shape)
+
 
 def spectral_density(model: SpectralModel, omega):
     """Evaluate J(omega) for a model that has a spectral density.
@@ -495,39 +535,21 @@ def gamma_closed(deph: DephasingModel, t):
     deph:
         Dephasing model (the route tag is ignored here).
     t:
-        Time, scalar or array, t >= 0.
+        Time, scalar or array, finite and >= 0.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("t must be >= 0")
     bath = deph.bath
-    out = bath.spectral.gamma(bath.temperature, t_arr)
+    out = bath.spectral.gamma(bath.temperature, _times(t))
     return out if out.ndim else float(out)
 
 
 def dgamma_dt(deph: DephasingModel, t):
-    """Time derivative of gamma.
+    """Time derivative of gamma via the model's route, for a time t (scalar
+    or array, finite and >= 0).
 
     Analytic for every closed form; a centered finite difference of the
     quadrature route otherwise (step max(1e-6 * t, 1e-12)).
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("t must be >= 0")
-
-    if isinstance(deph.route, Quadrature):
-        def one(ti):
-            h = max(1e-6 * ti, 1e-12)
-            lo = max(ti - h, 0.0)
-            gp = gamma_quadrature(deph.bath, ti + h, deph.route.settings)[0]
-            gm = gamma_quadrature(deph.bath, lo, deph.route.settings)[0]
-            return (gp - gm) / (ti + h - lo)
-        if t_arr.ndim == 0:
-            return one(float(t_arr))
-        return np.array([one(float(ti)) for ti in t_arr])
-
-    bath = deph.bath
-    out = bath.spectral.dgamma(bath.temperature, t_arr)
+    out = deph.route.dgamma(deph.bath, _times(t))
     return out if out.ndim else float(out)
 
 

@@ -63,6 +63,8 @@ __all__ = [
 
 STRATEGIES = ("product", "ghz")
 
+_NO_OPTIMUM = "2 m t dgamma/dt stays below 1 at every time; no finite optimum"
+
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -169,8 +171,10 @@ def frequency_variance(phi, t, probe: ProbeSpec, deph: DephasingModel):
     decay e^(-gamma). GHZ states: N = T/t fringes with argument n phi t and
     decay e^(-n gamma).
     """
-    if t <= 0.0:
-        raise DomainError("t must be > 0")
+    if not math.isfinite(phi):
+        raise DomainError("phi must be finite")
+    if not 0.0 < t < math.inf:
+        raise DomainError("t must be finite and > 0")
     if t > probe.total_time:
         raise DomainError("t must not exceed the probe's total_time")
     return _variance(deph.gamma(t), probe.m * phi * t, probe, t)
@@ -182,6 +186,9 @@ def frequency_variance(phi, t, probe: ProbeSpec, deph: DephasingModel):
 # every supported model at couplings within ~20 orders of magnitude of unity
 _SCAN_DECADES = 12
 _SCAN_PER_DECADE = 25
+# multipliers scanned together: a block's scan arrays stay near 300 kB each,
+# within a core's cache, and memory does not grow with the length of a sweep
+_SCAN_LANES = 64
 
 
 def optimal_interrogation(deph: DephasingModel, m, settings=RootSettings()):
@@ -191,43 +198,101 @@ def optimal_interrogation(deph: DephasingModel, m, settings=RootSettings()):
     has two solutions (decoherence functions that saturate), the variance
     minimum is the smaller one and is returned. Raises
     :class:`NoFiniteOptimum` when 2 m t gamma'(t) stays below 1 for all t.
+
+    ``m`` may also be a 1-D array of multipliers, all solved in one pass:
+    the result is then an array of times, NaN where no finite optimum exists.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    ms = np.asarray(m, dtype=float)
+    if ms.ndim > 1 or not ((1.0 <= ms) & (ms < math.inf)).all():
+        raise DomainError("m must be finite and >= 1 (a scalar or a 1-D array)")
+    lanes = ms.reshape(-1)
+    times = np.empty(lanes.size)
+    for i in range(0, lanes.size, _SCAN_LANES):
+        times[i:i + _SCAN_LANES] = _solve_lanes(deph, lanes[i:i + _SCAN_LANES], settings)
+    if ms.ndim:
+        return times
+    if math.isnan(times[0]):
+        raise NoFiniteOptimum(_NO_OPTIMUM)
+    return float(times[0])
+
+
+def _solve_lanes(deph: DephasingModel, ms, settings):
+    """Optimal times for a 1-D array of multipliers, NaN where none exists.
+
+    One log grid per multiplier (a row of ``ts``) spans t_ref(m) 10^(+-12);
+    one gamma' call covers every row, and the first upward crossing of each
+    row brackets its root.
+    """
+    t_ref = deph.bath.spectral.time_scale(ms)
+    ts = _log_grid(t_ref * 10.0 ** (-_SCAN_DECADES), t_ref * 10.0 ** _SCAN_DECADES,
+                   2 * _SCAN_DECADES * _SCAN_PER_DECADE + 1)
+    hv = 2.0 * ms[:, None] * ts * np.asarray(deph.dgamma_dt(ts), dtype=float) - 1.0
+    if (hv[:, 0] >= 0.0).any():
+        raise DomainError("constraint scan starts above 1; coupling out of range")
+    crossing = (hv[:, :-1] < 0.0) & (hv[:, 1:] >= 0.0)
+    first = crossing.argmax(axis=1)
+    out = np.empty(ms.size)
+    for k, m in enumerate(ms.tolist()):
+        h = _constraint(deph, m)
+        i = first[k]
+        if crossing[k, i]:
+            out[k] = solve_bracketed_root(h, (ts[k, i], ts[k, i + 1]), settings)
+        else:
+            out[k] = _rescue_search(h, ts[k], hv[k], settings)
+    return out
+
+
+def _log_grid(lo, hi, num):
+    """np.geomspace(lo, hi, num, axis=-1) for 1-D arrays of positive ends.
+
+    The same arithmetic (10 to the power of a linear grid of exponents, with
+    the ends set exactly), so the same bits, without geomspace's general set-up,
+    which costs more than the rest of a one-multiplier scan.
+    """
+    log_lo, log_hi = np.log10(lo), np.log10(hi)
+    exps = ((log_hi - log_lo) / (num - 1))[:, None] * np.arange(num) + log_lo[:, None]
+    exps[:, -1] = log_hi
+    ts = 10.0 ** exps
+    ts[:, 0], ts[:, -1] = lo, hi
+    return ts
+
+
+def _constraint(deph: DephasingModel, m: float):
+    """h(t) = 2 m t gamma'(t) - 1 at a time t > 0 of the scan.
+
+    The route is called directly, on a float: the scan's times were checked
+    once, and every iterate lies inside a bracket of that scan.
+    """
+    route, bath = deph.route, deph.bath
 
     def h(t):
-        return 2.0 * m * t * deph.dgamma_dt(t) - 1.0
+        return 2.0 * m * t * float(route.dgamma(bath, t)) - 1.0
+    return h
 
-    t_ref = deph.bath.spectral.time_scale(m)
-    ts = np.geomspace(t_ref * 10.0 ** (-_SCAN_DECADES), t_ref * 10.0 ** _SCAN_DECADES,
-                      2 * _SCAN_DECADES * _SCAN_PER_DECADE + 1)
-    hv = 2.0 * m * ts * np.asarray(deph.dgamma_dt(ts), dtype=float) - 1.0
-    if hv[0] >= 0.0:
-        raise DomainError("constraint scan starts above 1; coupling out of range")
-    sign_change = np.nonzero((hv[:-1] < 0.0) & (hv[1:] >= 0.0))[0]
-    if sign_change.size == 0:
-        # no crossing on the grid; refine the hump maximum in case a narrow
-        # positive window slipped between grid points
-        i = int(np.argmax(hv))
-        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            f1, f2 = float(h(m1)), float(h(m2))
-            if f1 >= 0.0:
-                return solve_bracketed_root(h, (ts[0], m1), settings)
-            if f2 >= 0.0:
-                return solve_bracketed_root(h, (ts[0], m2), settings)
-            if f1 < f2:
-                lo = m1
-            else:
-                hi = m2
-            if hi - lo <= 1e-9 * hi:
-                break
-        raise NoFiniteOptimum(
-            "2 m t dgamma/dt stays below 1 at every time; no finite optimum")
-    i = int(sign_change[0])
-    return solve_bracketed_root(h, (ts[i], ts[i + 1]), settings)
+
+def _rescue_search(h, ts, hv, settings):
+    """The root of h on a scan row with no crossing, or NaN.
+
+    Refines the hump maximum by ternary search, in case a narrow positive
+    window slipped between grid points.
+    """
+    i = int(np.argmax(hv))
+    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        f1, f2 = float(h(m1)), float(h(m2))
+        if f1 >= 0.0:
+            return solve_bracketed_root(h, (ts[0], m1), settings)
+        if f2 >= 0.0:
+            return solve_bracketed_root(h, (ts[0], m2), settings)
+        if f1 < f2:
+            lo = m1
+        else:
+            hi = m2
+        if hi - lo <= 1e-9 * hi:
+            break
+    return math.nan
 
 
 def optimal_resolution(deph: DephasingModel, probe: ProbeSpec) -> Optimum:
@@ -255,20 +320,48 @@ def optimal_resolution(deph: DephasingModel, probe: ProbeSpec) -> Optimum:
                    finite=t_star is not None, boundary_limited=True)
 
 
-def ratio_r(deph: DephasingModel, n: int) -> RatioResult:
+def ratio_r(deph: DephasingModel, n) -> RatioResult:
     """Resolution ratio r of product vs GHZ probes at their own optima.
 
     r^2 = n (t_e/t_u) e^(2 gamma(t_u) - 2 n gamma(t_e)); the total time T
-    drops out. Raises :class:`NoFiniteOptimum` if either optimum is missing.
+    drops out. For an int n the fields are floats, and
+    :class:`NoFiniteOptimum` is raised if either optimum is missing. For a
+    1-D array of ints, t_u and every t_e are solved in one pass (t_u once)
+    and the fields are arrays, NaN on the rows where either optimum is
+    missing.
     """
-    if n < 1:
+    ns = np.asarray(n)
+    if ns.ndim > 1 or ns.dtype.kind not in "iu":
+        raise DomainError("n must be an int or a 1-D array of ints")
+    if (ns < 1).any():
         raise DomainError("n must be >= 1")
-    t_u = optimal_interrogation(deph, 1)
-    t_e = optimal_interrogation(deph, n) if n > 1 else t_u
-    factor = math.exp(2.0 * deph.gamma(t_u) - 2.0 * n * deph.gamma(t_e))
-    r_sq = n * (t_e / t_u) * factor
-    return RatioResult(r=math.sqrt(r_sq), t_u=t_u, t_e=t_e,
-                       exponential_factor=factor)
+    # lane 0 is m = 1, the product optimum; lane[j] is the lane of row j
+    flat = ns.reshape(-1)
+    ms = np.unique(np.append(flat, 1))
+    lane = np.searchsorted(ms, flat)
+    times = optimal_interrogation(deph, ms).tolist()
+    # optimal times are finite and > 0, so the route needs no check
+    route, bath = deph.route, deph.bath
+    gammas = [math.nan if math.isnan(t) else float(route.gamma(bath, t)) for t in times]
+    t_u, g_u = times[0], gammas[0]
+    rows = []
+    for k, j in zip(flat.tolist(), lane.tolist()):
+        t_e = times[j]
+        if math.isnan(t_u) or math.isnan(t_e):
+            rows.append((math.nan,) * 4)
+            continue
+        # Python floats, scalar gamma and math.exp, so that every row holds
+        # the bits of this formula evaluated for its n alone: numpy's vector
+        # exp and pow can differ from them in the last bit
+        factor = math.exp(2.0 * g_u - 2.0 * k * gammas[j])
+        r_sq = k * (t_e / t_u) * factor
+        rows.append((math.sqrt(r_sq), t_u, t_e, factor))
+    table = np.array(rows, dtype=float).reshape(ns.shape + (4,))
+    if ns.ndim:
+        return RatioResult(*table.T)
+    if math.isnan(table[0]):
+        raise NoFiniteOptimum(_NO_OPTIMUM)
+    return RatioResult(*table.tolist())
 
 
 def ohmic_exact_ratio(alpha: float, n) -> float:

@@ -3,6 +3,7 @@ range, safeguarded bracketed root finding, and log-log power-law fitting."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,9 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
 
     Returns ``(value, error_estimate)`` with
     ``error_estimate <= max(abs_tol, rel_tol*|value|)``; raises
-    :class:`ToleranceNotMet` once ``max_panels`` panels are in play.
+    :class:`ToleranceNotMet` once ``max_panels`` panels are in play, or at
+    once when the error estimate is not finite (a NaN or infinite integrand),
+    which no refinement can mend.
     """
     if upper_cutoff <= 0.0:
         raise DomainError("upper_cutoff must be > 0")
@@ -156,6 +159,10 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
         total = float(val.sum())
         total_err = float(err.sum())
         tol = max(settings.abs_tol, settings.rel_tol * abs(total))
+        if not math.isfinite(total_err):
+            raise ToleranceNotMet(
+                f"error estimate is {total_err:g}: the integrand is not finite",
+                value=total, error=total_err)
         if total_err <= tol:
             return total, total_err
         split = err > tol / (2.0 * lo.size)

@@ -124,6 +124,13 @@ def test_ratio_flags_failed_rows(capsys):
         assert line.split(",")[-1] == "no-finite-optimum"
 
 
+def test_ratio_rejects_n_beyond_64_bits(capsys):
+    code, _, err = run(capsys, "ratio", "--model", "ohmic", "--alpha", "1",
+                       "--omega-c", "1", "--n-grid", "1:1e19:2")
+    assert code == 2
+    assert "below 2^63" in err
+
+
 def test_ratio_threads_keep_order(capsys):
     argv = ["ratio", "--model", "ohmic", "--alpha", "1", "--omega-c", "1",
             "--n-grid", "1:16:16"]

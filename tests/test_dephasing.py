@@ -286,6 +286,16 @@ def test_quadrature_route_on_model():
         dgamma_dt(power_law(1.0, 2.0, 1.0), 1.0), rel=1e-5)
 
 
+def test_quadrature_route_keeps_array_shape():
+    model = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 2.0, 1.0)), Quadrature())
+    ts = np.array([[0.5, 1.0, 2.0], [0.1, 0.2, 0.3]])
+    for f in (model.gamma, model.dgamma_dt):
+        out = f(ts)
+        assert out.shape == ts.shape
+        assert out[1, 2] == f(0.3)
+    assert model.gamma(np.empty((0, 2))).shape == (0, 2)
+
+
 # --- global decoherence-function properties ---------------------------------------
 
 @pytest.mark.parametrize("model", [

@@ -9,8 +9,11 @@ from ramsey_bounds.dephasing import (
     BathSpec,
     DephasingModel,
     GenericPowerLawDephasing,
+    HighTemperatureOhmic,
     Lorentzian,
     PowerLawExpCutoff,
+    dgamma_dt,
+    gamma_closed,
 )
 from ramsey_bounds.errors import DegenerateSignal, DomainError, NoFiniteOptimum
 from ramsey_bounds.metrology import (
@@ -41,6 +44,14 @@ def markov(gamma0=1.0):
 
 def generic(alpha, nu):
     return DephasingModel(BathSpec(GenericPowerLawDephasing(alpha, nu)))
+
+
+def s3_near_threshold(offset):
+    """s = 3, wc = 1, T = 0 bath coupled (1 + offset) times its product
+    threshold: 2 t gamma'(t) = 2 alpha sin(u) cos(u)^2 sin(3u), u = arctan(t)."""
+    u = np.linspace(0.0, math.pi / 2.0, 200001)
+    peak = float(np.max(2.0 * np.sin(u) * np.cos(u) ** 2 * np.sin(3.0 * u)))
+    return DephasingModel(BathSpec(PowerLawExpCutoff((1.0 + offset) / peak, 3.0, 1.0)))
 
 
 # --- signal and information -----------------------------------------------------
@@ -103,6 +114,27 @@ def test_variance_domain_checks():
         frequency_variance(1.0, 2.0, ProbeSpec(1, 1.0), deph)
 
 
+@pytest.mark.parametrize("fn,args", [
+    (gamma_closed, (ohmic(), math.nan)),
+    (gamma_closed, (ohmic(), math.inf)),
+    (gamma_closed, (ohmic(), np.array([[0.5], [math.nan]]))),
+    (dgamma_dt, (ohmic(), math.inf)),
+    (dgamma_dt, (ohmic(), np.array([0.5, -math.inf]))),
+    (dgamma_dt, (generic(1.0, 0.5), math.nan)),
+    (frequency_variance, (math.nan, 0.5, ProbeSpec(1, 1.0), ohmic())),
+    (frequency_variance, (math.inf, 0.5, ProbeSpec(1, 1.0), ohmic())),
+    (frequency_variance, (1.0, math.nan, ProbeSpec(1, 1.0), ohmic())),
+    (frequency_variance, (1.0, math.inf, ProbeSpec(1, 1.0), ohmic())),
+], ids=["gamma-nan", "gamma-inf", "gamma-2d-nan", "dgamma-inf", "dgamma-neg-inf",
+        "dgamma-generic-nan", "variance-phi-nan", "variance-phi-inf",
+        "variance-t-nan", "variance-t-inf"])
+def test_nonfinite_time_and_phase_rejected(fn, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            fn(*args)
+
+
 def test_variance_overflow_is_inf():
     # e^(2 gamma) overflows at T: the variance there is inf, silently
     deph = markov(1e3)
@@ -152,12 +184,8 @@ def test_ohmic_general_time_formula():
 
 
 def test_rescue_search_finds_narrow_window():
-    # s = 3, wc = 1, T = 0: 2 t gamma'(t) = 2 alpha sin(u) cos(u)^2 sin(3u)
-    # with u = arctan(t); couple the bath 1e-5 above and below its threshold
-    u = np.linspace(0.0, math.pi / 2.0, 200001)
-    peak = float(np.max(2.0 * np.sin(u) * np.cos(u) ** 2 * np.sin(3.0 * u)))
-    above = DephasingModel(BathSpec(PowerLawExpCutoff((1.0 + 1e-5) / peak, 3.0, 1.0)))
-    below = DephasingModel(BathSpec(PowerLawExpCutoff((1.0 - 1e-5) / peak, 3.0, 1.0)))
+    # couple the bath 1e-5 above and below its threshold
+    above, below = s3_near_threshold(1e-5), s3_near_threshold(-1e-5)
     # the optimizer's log-spaced scan never crosses the narrow positive window
     decades = metrology._SCAN_DECADES
     t_ref = above.bath.spectral.time_scale(1)
@@ -242,6 +270,99 @@ def test_powerlaw_family_t_ordering():
             res = ratio_r(deph, n)
             assert res.t_e < res.t_u
             assert res.r <= math.sqrt(n) * (1.0 + 1e-9)
+
+
+SWEEP_MODELS = {
+    "ohmic": ohmic(1.0, 1.3),
+    "ohmic-below-threshold": ohmic(0.4),
+    "sub-ohmic": DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0))),
+    "s2": DephasingModel(BathSpec(PowerLawExpCutoff(2.0, 2.0, 1.3))),
+    "s3-below-threshold": s3_near_threshold(-1e-5),
+    "high-T": DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0),
+                                      HighTemperatureOhmic(2.0))),
+    "lorentzian": DephasingModel(BathSpec(Lorentzian(1.0, 0.5))),
+    "lorentzian-static": DephasingModel(BathSpec(Lorentzian(2.0, 0.0))),
+    "nu0.6": generic(0.7, 0.6),
+    "nu1.5": generic(1.0, 1.5),
+}
+
+
+@pytest.mark.parametrize("deph", SWEEP_MODELS.values(), ids=SWEEP_MODELS.keys())
+def test_array_ratio_matches_per_n_bitwise(deph):
+    # 150 rows span three scan blocks; every row must carry the bits of the
+    # one-n-at-a-time formula and of a scalar call
+    ns = np.arange(1, 151)
+    res = ratio_r(deph, ns)
+    assert res.r.shape == res.t_u.shape == res.t_e.shape == ns.shape
+    for j, n in enumerate(ns.tolist()):
+        row = (res.r[j], res.t_u[j], res.t_e[j], res.exponential_factor[j])
+        try:
+            t_u = optimal_interrogation(deph, 1)
+            t_e = optimal_interrogation(deph, n) if n > 1 else t_u
+        except NoFiniteOptimum:
+            assert np.isnan(row).all()
+            with pytest.raises(NoFiniteOptimum):
+                ratio_r(deph, n)
+            continue
+        factor = math.exp(2.0 * deph.gamma(t_u) - 2.0 * n * deph.gamma(t_e))
+        r = math.sqrt(n * (t_e / t_u) * factor)
+        assert row == (r, t_u, t_e, factor)
+        one = ratio_r(deph, n)
+        assert (one.r, one.t_u, one.t_e, one.exponential_factor) == row
+
+
+def test_scan_grid_is_geomspace():
+    rng = np.random.default_rng(5)
+    lo = 10.0 ** rng.uniform(-30.0, 5.0, 300)
+    hi = lo * 10.0 ** rng.uniform(0.5, 30.0, 300)
+    assert np.array_equal(metrology._log_grid(lo, hi, 601),
+                          np.geomspace(lo, hi, 601, axis=-1))
+
+
+def test_sweep_solves_product_root_once(monkeypatch):
+    brackets = []
+    solve = metrology.solve_bracketed_root
+
+    def counted(g, bracket, settings):
+        brackets.append(bracket)
+        return solve(g, bracket, settings)
+
+    monkeypatch.setattr(metrology, "solve_bracketed_root", counted)
+    # Ohmic alpha = 1: t_u = 1 and t_e = 1/sqrt(2n - 1) < 0.6 for n >= 2
+    res = ratio_r(ohmic(1.0), np.arange(2, 52))
+    assert np.allclose(res.t_u, 1.0, rtol=1e-12, atol=0.0)
+    assert len(brackets) == 51
+    assert sum(lo <= 1.0 <= hi for lo, hi in brackets) == 1
+
+
+def test_sweep_runs_rescue_search_once(monkeypatch):
+    calls = []
+    rescue = metrology._rescue_search
+
+    def counted(*args):
+        calls.append(args)
+        return rescue(*args)
+
+    monkeypatch.setattr(metrology, "_rescue_search", counted)
+    res = ratio_r(s3_near_threshold(-1e-5), np.arange(1, 51))
+    assert np.isnan(res.r).all() and np.isnan(res.t_u).all()
+    assert len(calls) == 1
+
+
+def test_sweep_argument_checks():
+    deph = ohmic(1.0)
+    for n in (2.0, np.array([[2, 3]]), np.array([0, 3]), True):
+        with pytest.raises(DomainError):
+            ratio_r(deph, n)
+    for m in (0.5, math.nan, math.inf, np.array([[1.0]])):
+        with pytest.raises(DomainError):
+            optimal_interrogation(deph, m)
+    times = optimal_interrogation(ohmic(0.4), np.array([1.0, 2.0, 3.0]))
+    assert math.isnan(times[0])
+    assert times[1:].tolist() == [optimal_interrogation(ohmic(0.4), 2),
+                                  optimal_interrogation(ohmic(0.4), 3)]
+    empty = ratio_r(deph, np.arange(1, 1))
+    assert empty.r.shape == (0,)
 
 
 def test_ohmic_exact_ratio_formula():

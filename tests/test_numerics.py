@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ramsey_bounds.errors import DomainError, NoSignChange
+from ramsey_bounds.errors import DomainError, NoSignChange, ToleranceNotMet
 from ramsey_bounds.numerics import (
     QuadratureSettings,
     RootSettings,
@@ -60,6 +60,19 @@ def test_linearity_of_results():
     vg, eg = integrate_semi_infinite(g, 60.0)
     vb, _ = integrate_semi_infinite(both, 60.0)
     assert vb == pytest.approx(vf + vg, abs=2.0 * max(ef + eg, 1e-12))
+
+
+def test_nonfinite_error_estimate_raises():
+    # a NaN error estimate selects no panel to split, so refinement would
+    # never end; an infinite one would pass as converged against inf * rel_tol
+    with pytest.raises(ToleranceNotMet) as info:
+        integrate_semi_infinite(lambda w: np.full_like(w, np.nan), 1.0)
+    assert math.isnan(info.value.value)
+    assert math.isnan(info.value.error)
+    with np.errstate(over="ignore"), pytest.raises(ToleranceNotMet) as info:
+        integrate_semi_infinite(lambda w: 1.0 / w ** 3, 1.0)
+    assert info.value.value == math.inf
+    assert info.value.error == math.inf
 
 
 def test_bad_cutoff_rejected():
