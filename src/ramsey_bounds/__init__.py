@@ -14,6 +14,7 @@ from .dephasing import (
     Quadrature,
     ZeroTemperature,
     dgamma_dt,
+    dgamma_quadrature,
     gamma_closed,
     gamma_quadrature,
     gamma_short_time_coeff,
@@ -68,7 +69,8 @@ __all__ = [
     "BathSpec", "ClosedForm", "DephasingModel", "FiniteBeta",
     "GenericPowerLawDephasing", "HighTemperatureOhmic", "Lorentzian",
     "PowerLawExpCutoff", "Quadrature", "ZeroTemperature",
-    "dgamma_dt", "gamma_closed", "gamma_quadrature", "gamma_short_time_coeff",
+    "dgamma_dt", "dgamma_quadrature", "gamma_closed", "gamma_quadrature",
+    "gamma_short_time_coeff",
     "spectral_density",
     "DegenerateSignal", "DomainError", "GridTooCoarse", "MaxIterations",
     "NoClosedForm", "NoFiniteOptimum", "NonConvergence", "NoQuadraticRegime",

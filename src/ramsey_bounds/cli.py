@@ -11,7 +11,9 @@ Times and frequencies are quoted in units where the bath cutoff is 1 unless
 stated otherwise on the flags.
 
 Exit codes: 0 ok, 1 validation failure, 2 bad arguments, 3 boundary-limited
-optimum, 4 unsupported closed form, 5 file I/O error.
+optimum, 4 unsupported closed form, 5 file I/O error, 6 numerical failure (a
+quadrature or an iterative solver did not reach its tolerance; the message
+shows the last value and error estimate when there is one).
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ from .dephasing import (
 )
 from .errors import (
     DomainError,
+    MaxIterations,
     NoClosedForm,
+    NonConvergence,
     NoSpectralDensity,
     RamseyBoundsError,
+    ToleranceNotMet,
 )
 from .metrology import ProbeSpec, ohmic_exact_ratio, optimal_resolution, ratio_r
 from .oracle import (
@@ -55,6 +60,7 @@ EXIT_USAGE = 2
 EXIT_BOUNDARY = 3
 EXIT_NO_CLOSED_FORM = 4
 EXIT_IO = 5
+EXIT_NUMERICAL = 6
 
 
 class UsageError(Exception):
@@ -182,11 +188,8 @@ def cmd_gamma(args) -> int:
     if args.t is not None and not math.isfinite(args.t):
         raise UsageError("--t must be finite")
     ts = np.array([args.t]) if args.t is not None else _parse_grid(args.t_grid, "t-grid")
-    rows = []
-    for t in ts:
-        t = float(t)
-        rows.append([("t", t), ("gamma", float(deph.gamma(t))),
-                     ("dgamma_dt", float(deph.dgamma_dt(t)))])
+    rows = [[("t", t), ("gamma", g), ("dgamma_dt", dg)] for t, g, dg in
+            zip(ts.tolist(), deph.gamma(ts).tolist(), deph.dgamma_dt(ts).tolist())]
     _emit_rows(rows, args.format, sys.stdout)
     return EXIT_OK
 
@@ -342,6 +345,12 @@ def main(argv=None) -> int:
     except (NoSpectralDensity, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ToleranceNotMet, MaxIterations, NonConvergence) as exc:
+        detail = ""
+        if getattr(exc, "value", None) is not None:
+            detail = f" (value={_fmt(exc.value)}, error={_fmt(exc.error)})"
+        print(f"error: {exc}{detail}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except RamseyBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -24,8 +24,11 @@ new route for an existing one, touches one class. A family provides:
 * ``gamma(temp, t)`` and ``dgamma(temp, t)``: the closed forms at a time
   or on an array of times, raising :class:`NoClosedForm` where none exists;
 * ``c2(temp)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
-* ``quad_problem(temp, t, tail_goal)``: the bath integral at time t set up
-  for quadrature (see :meth:`PowerLawExpCutoff.quad_problem`);
+* ``quad_problem(temp, t, tail_goal, derivative)``: the bath integral at
+  time t set up for quadrature, or with ``derivative`` the integral of its
+  t-derivative, (1/2) Int J(w) W(w) sin(w t) / w dw, on the same cutoff,
+  substitution and panel cap with a tail bound of its own (see
+  :meth:`PowerLawExpCutoff.quad_problem`);
 * ``omega_fast()``: the fastest bath frequency, or None;
 * ``time_scale(m)``: the characteristic time (m = 1), and the scale of the
   root of 2 m t gamma'(t) = 1 that seeds the optimizer's scan; ``m`` may be
@@ -76,6 +79,7 @@ __all__ = [
     "gamma_closed",
     "dgamma_dt",
     "gamma_quadrature",
+    "dgamma_quadrature",
     "gamma_short_time_coeff",
     "OHMIC_S_TOL",
 ]
@@ -171,8 +175,9 @@ class PowerLawExpCutoff:
                 _in_sqrt(f), math.sqrt(40.0 * wc / self.s), settings)[0]
         return integrate_semi_infinite(f, 40.0 * wc, settings)[0]
 
-    def quad_problem(self, temp, t: float, tail_goal: float):
-        """Build the 1-D integration problem for the bath integral at time t > 0.
+    def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
+        """Build the 1-D integration problem for the bath integral at time t > 0,
+        or with ``derivative`` for its t-derivative (see :func:`_integrand`).
 
         Returns ``(integrand, x_max, panel_cap, tail_value, tail_err, endpoint)``
         in the integration variable x. ``tail_value`` is the analytically known
@@ -184,11 +189,13 @@ class PowerLawExpCutoff:
         """
         s, wc = self.s, self.omega_c
         omega_max = wc * max(40.0, 40.0 / s, 10.0 + 5.0 * s)
-        # exponential-tail envelope: integrand <= alpha*wc^(1-s)*w^(s-2)*W*2*e^(-w/wc)
-        tail_err = (2.0 * self.alpha * wc ** (2.0 - s) * omega_max ** (s - 2.0)
+        # exponential-tail envelope: integrand <= alpha*wc^(1-s)*w^(s-2)*W*2*e^(-w/wc),
+        # with one power of w more for the derivative kernel sin(wt)/w
+        tail_err = (2.0 * self.alpha * wc ** (2.0 - s)
+                    * omega_max ** (s - 1.0 if derivative else s - 2.0)
                     * math.exp(-omega_max / wc)
                     * max(1.0, float(temp.weight(omega_max))))
-        f = _integrand(self, temp, t)
+        f = _integrand(self, temp, t, derivative)
 
         # Fractional powers of w at the origin defeat extrapolation-based
         # integrators, so substitute w = x^2 (integrand_x = f(x^2) 2x)
@@ -204,7 +211,8 @@ class PowerLawExpCutoff:
                     end0 = self.alpha * wc ** 0.5 * t * t / temp.beta
                 elif s < 0.5:
                     end0 = math.inf
-            return _in_sqrt(f), x_max, math.pi / (x_max * t), 0.0, tail_err, end0
+            return (_in_sqrt(f), x_max, math.pi / (x_max * t), 0.0, tail_err,
+                    _endpoint(end0, t, derivative))
 
         # T = 0 with s >= 2, or the Ohmic high-temperature weight, where
         # J*W -> 2 alpha / beta at the origin
@@ -212,7 +220,8 @@ class PowerLawExpCutoff:
             limit0 = 0.0
         else:
             limit0 = 0.5 * self.alpha * (2.0 / temp.beta) * (t * t / 2.0)
-        return f, omega_max, 2.0 * math.pi / t, 0.0, tail_err, limit0
+        return (f, omega_max, 2.0 * math.pi / t, 0.0, tail_err,
+                _endpoint(limit0, t, derivative))
 
     def omega_fast(self):
         return self.omega_c
@@ -256,21 +265,40 @@ class Lorentzian:
     def c2(self, temp):
         return self.a / 8.0
 
-    def quad_problem(self, temp, t: float, tail_goal: float):
-        """The bath integral at time t > 0; see :meth:`PowerLawExpCutoff.quad_problem`."""
+    def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
+        """The bath integral at time t > 0, or its t-derivative; see
+        :meth:`PowerLawExpCutoff.quad_problem`."""
         a, g = self.a, self.g
         if g == 0.0:
             raise DomainError(
                 "Lorentzian quadrature needs g > 0 (g = 0 is the static-bath "
                 "limit; use the closed form)")
-        # Above the cutoff W the kernel splits into a closed-form mean part
-        #   Int_W^inf H dw,  H(w) = (a g / 2 pi) / ((g^2 + w^2) w^2),
-        # and an oscillatory part -Int_W^inf H cos(wt) dw handled by two
-        # integrations by parts: the surface terms are added exactly and the
-        # remainder is bounded by |H'(W)|/t^2. W is the smallest multiple of
-        # 1/t meeting the goal, so the panel count stays bounded in gt.
+        # Above the cutoff W the tail is integrated by parts twice: the surface
+        # terms are added exactly and the remainder is bounded by the first
+        # derivative of the smooth factor at W over t^2. W is 20/t doubled
+        # until that bound meets the goal, so the panel count stays bounded
+        # in gt.
         goal = max(tail_goal, 1e-300)
+        limit0 = 0.25 * a * t * t / (math.pi * g)
+        if derivative:
+            # Int_W^inf H1 sin(wt) dw,  H1(w) = (a g / 2 pi) / ((g^2 + w^2) w)
+            def h1_val(om):
+                return 0.5 * (a * g / math.pi) / ((g * g + om * om) * om)
 
+            def h1_der(om):
+                return -0.5 * (a * g / math.pi) * (g * g + 3.0 * om * om) \
+                    / ((g * g + om * om) ** 2 * om * om)
+
+            omega_max = _tail_cutoff(lambda om: abs(h1_der(om)) / (t * t), t, goal)
+            x = omega_max * t
+            tail_value = (h1_val(omega_max) * math.cos(x) / t
+                          - h1_der(omega_max) * math.sin(x) / (t * t))
+            tail_err = abs(h1_der(omega_max)) / (t * t)
+            return (_integrand(self, temp, t, derivative), omega_max, 2.0 * math.pi / t,
+                    tail_value, tail_err, _endpoint(limit0, t, derivative))
+
+        # Int_W^inf H (1 - cos(wt)) dw,  H(w) = (a g / 2 pi) / ((g^2 + w^2) w^2):
+        # a closed-form mean part and an oscillatory part -Int_W^inf H cos(wt) dw
         def h_val(om):
             return 0.5 * (a * g / math.pi) / ((g * g + om * om) * om * om)
 
@@ -278,12 +306,7 @@ class Lorentzian:
             return -(a * g / math.pi) / ((g * g + om * om) * om ** 3) \
                 * (1.0 + om * om / (g * g + om * om))
 
-        omega_max = 20.0 / t
-        for _ in range(200):
-            if 2.0 * abs(h_der(omega_max)) / (t * t) <= 0.25 * goal:
-                break
-            omega_max *= 2.0
-
+        omega_max = _tail_cutoff(lambda om: 2.0 * abs(h_der(om)) / (t * t), t, goal)
         # 1/W - arctan(g/W)/g = (u - arctan u)/g with u = g/W; series below u ~ 1e-2
         # avoids the cancellation of the two nearly equal terms
         u = g / omega_max
@@ -297,7 +320,6 @@ class Lorentzian:
                       + h_val(omega_max) * math.sin(x) / t
                       + h_der(omega_max) * math.cos(x) / (t * t))
         tail_err = 2.0 * abs(h_der(omega_max)) / (t * t)
-        limit0 = 0.25 * a * t * t / (math.pi * g)
         return (_integrand(self, temp, t), omega_max, 2.0 * math.pi / t,
                 tail_value, tail_err, limit0)
 
@@ -349,7 +371,7 @@ class GenericPowerLawDephasing:
                 f"gamma = alpha*t^nu with nu={self.nu} has no quadratic regime")
         return self.alpha
 
-    def quad_problem(self, temp, t: float, tail_goal: float):
+    def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
         raise NoSpectralDensity("no bath integral for generic power-law dephasing")
 
     def omega_fast(self):
@@ -433,9 +455,9 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Evaluate gamma(t) by adaptive quadrature of the bath integral, one
-    time at a time; dgamma/dt is a centered difference of two quadratures
-    (step max(1e-6 * t, 1e-12))."""
+    """Evaluate gamma(t) and dgamma/dt by adaptive quadrature of their bath
+    integrals, one time at a time (:func:`gamma_quadrature` and
+    :func:`dgamma_quadrature`)."""
 
     settings: QuadratureSettings = field(default_factory=QuadratureSettings)
 
@@ -443,13 +465,7 @@ class Quadrature:
         return _each(lambda ti: gamma_quadrature(bath, ti, self.settings)[0], t)
 
     def dgamma(self, bath: BathSpec, t):
-        def one(ti):
-            h = max(1e-6 * ti, 1e-12)
-            lo = max(ti - h, 0.0)
-            gp = gamma_quadrature(bath, ti + h, self.settings)[0]
-            gm = gamma_quadrature(bath, lo, self.settings)[0]
-            return (gp - gm) / (ti + h - lo)
-        return _each(one, t)
+        return _each(lambda ti: dgamma_quadrature(bath, ti, self.settings)[0], t)
 
 
 Route = Union[ClosedForm, Quadrature]
@@ -513,11 +529,11 @@ def spectral_density(model: SpectralModel, omega):
     model:
         A :class:`PowerLawExpCutoff` or :class:`Lorentzian`.
     omega:
-        Frequency (scalar or array), omega >= 0.
+        Frequency (scalar or array), finite and >= 0.
     """
     w = np.asarray(omega, dtype=float)
-    if np.any(w < 0.0):
-        raise DomainError("omega must be >= 0")
+    if not ((0.0 <= w) & (w < math.inf)).all():
+        raise DomainError("omega must be finite and >= 0")
     out = model.density(w)
     return out if out.ndim else float(out)
 
@@ -546,8 +562,8 @@ def dgamma_dt(deph: DephasingModel, t):
     """Time derivative of gamma via the model's route, for a time t (scalar
     or array, finite and >= 0).
 
-    Analytic for every closed form; a centered finite difference of the
-    quadrature route otherwise (step max(1e-6 * t, 1e-12)).
+    Analytic for every closed form; on the quadrature route the integral
+    (1/2) Int J(w) W(w) sin(w t) / w dw (:func:`dgamma_quadrature`).
     """
     out = deph.route.dgamma(deph.bath, _times(t))
     return out if out.ndim else float(out)
@@ -565,13 +581,37 @@ def gamma_short_time_coeff(deph: DephasingModel) -> float:
 
 # --- quadrature route --------------------------------------------------------
 
-def _integrand(spec, temp, t):
-    """(1/2) J(w) W(w) (1 - cos(w t)) / w^2, the integrand of the bath integral."""
+def _integrand(spec, temp, t, derivative=False):
+    """(1/2) J(w) W(w) (1 - cos(w t)) / w^2, the integrand of the bath integral,
+    or with ``derivative`` its t-derivative (1/2) J(w) W(w) sin(w t) / w."""
+    if derivative:
+        def f(w):
+            kern = np.sin(w * t) / w
+            return 0.5 * spectral_density(spec, w) * temp.weight(w) * kern
+        return f
+
     def f(w):
         # 2 sin^2(wt/2) / w^2, stable for all w > 0 (no cancellation)
         kern = 2.0 * (np.sin(0.5 * w * t) / w) ** 2
         return 0.5 * spectral_density(spec, w) * temp.weight(w) * kern
     return f
+
+
+def _endpoint(limit0, t, derivative):
+    """The x -> 0 limit of the integrand from ``limit0``, that of the gamma
+    integrand: the kernels tend to t^2/2 (gamma) and to t (its derivative)."""
+    return limit0 * 2.0 / t if derivative else limit0
+
+
+def _tail_cutoff(bound, t, goal):
+    """20/t doubled until ``bound`` (the tail error at a cutoff) is within
+    a quarter of ``goal``, or at most 200 times."""
+    omega_max = 20.0 / t
+    for _ in range(200):
+        if bound(omega_max) <= 0.25 * goal:
+            break
+        omega_max *= 2.0
+    return omega_max
 
 
 def _in_sqrt(f):
@@ -600,6 +640,23 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
         The integral and a conservative error estimate including the
         truncated tail, with error_estimate <= max(abs_tol, rel_tol*value).
     """
+    return _bath_quadrature(bath, t, settings, derivative=False)
+
+
+def dgamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
+    """dgamma/dt by adaptive quadrature of its own bath integral,
+    (1/2) Int_0^inf J(w) W(w) sin(w t) / w dw.
+
+    Same arguments, cutoffs and error contract as :func:`gamma_quadrature`;
+    returns ``(value, error_estimate)``.
+    """
+    return _bath_quadrature(bath, t, settings, derivative=True)
+
+
+def _bath_quadrature(bath, t, settings, derivative):
+    """Both quadratures: the bath's problem for gamma or for its derivative,
+    integrated against half the tolerance, with the tail cut again once the
+    magnitude of the result is known."""
     # a NaN time would make every panel's error NaN, which never refines
     if not 0.0 <= t < math.inf:
         raise DomainError("t must be finite and >= 0")
@@ -614,12 +671,13 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
     # first pass against a crude absolute goal; rebuild the cutoff once the
     # magnitude of the result is known
     f, x_max, cap, tail_val, tail_err, _ = spec.quad_problem(
-        temp, t, max(settings.abs_tol, 1e-9))
+        temp, t, max(settings.abs_tol, 1e-9), derivative)
     value, err = integrate_semi_infinite(f, x_max, inner, max_panel_width=cap)
     value += tail_val
     goal = max(settings.abs_tol, settings.rel_tol * abs(value))
     if tail_err > 0.5 * goal:
-        f, x_max, cap, tail_val, tail_err, _ = spec.quad_problem(temp, t, 0.25 * goal)
+        f, x_max, cap, tail_val, tail_err, _ = spec.quad_problem(
+            temp, t, 0.25 * goal, derivative)
         value, err = integrate_semi_infinite(f, x_max, inner, max_panel_width=cap)
         value += tail_val
     return value, err + tail_err

@@ -104,33 +104,31 @@ def _seed_panels(upper_cutoff, inner_boundary, max_panel_width, max_panels):
     """Geometric ladder of panel boundaries from below ``inner_boundary`` up to
     the cutoff, with every rung split to the oscillation width cap."""
     eps = min(inner_boundary, 0.25 * upper_cutoff) * 2.0 ** (-_LADDER_DEPTH)
-    rungs = [0.0, eps]
-    b = eps
-    while b < upper_cutoff:
-        b = min(b * 2.0, upper_cutoff)
-        rungs.append(b)
-
-    def pieces(width):
-        if max_panel_width is not None and width > max_panel_width:
-            return int(np.ceil(width / max_panel_width))
-        return 1
-
-    widths = np.diff(np.asarray(rungs))
-    total = sum(pieces(w) for w in widths)
+    # eps * 2^j is exact, so these are the rungs that repeated doubling gives;
+    # the frexp exponents bound the number of doublings below the cutoff
+    doublings = math.frexp(upper_cutoff)[1] - math.frexp(eps)[1] + 2
+    rungs = np.ldexp(eps, np.arange(doublings))
+    rungs = np.concatenate(([0.0], rungs[rungs < upper_cutoff], [upper_cutoff]))
+    widths = np.diff(rungs)
+    if max_panel_width is None:
+        pieces = np.ones(widths.size, dtype=int)
+    else:
+        pieces = np.where(widths > max_panel_width,
+                          np.ceil(widths / max_panel_width), 1.0).astype(int)
+    total = int(pieces.sum())
     if total > max_panels:
         raise ToleranceNotMet(
             f"seeding would need {total} panels (max_panels={max_panels})")
-    los, his = [], []
-    for lo, hi in zip(rungs[:-1], rungs[1:]):
-        k = pieces(hi - lo)
-        if k > 1:
-            edges = np.linspace(lo, hi, k + 1)
-            los.extend(edges[:-1])
-            his.extend(edges[1:])
-        else:
-            los.append(lo)
-            his.append(hi)
-    return np.asarray(los), np.asarray(his)
+    # rung r split into k equal pieces has edges i * (width / k) + lo, its
+    # last edge set to hi: the arithmetic of np.linspace(lo, hi, k + 1)
+    rung = np.repeat(np.arange(widths.size), pieces)
+    ends = np.cumsum(pieces)
+    i = np.arange(total) - np.repeat(ends - pieces, pieces)
+    step, lo = widths[rung] / pieces[rung], rungs[rung]
+    los = i * step + lo
+    his = (i + 1) * step + lo
+    his[ends - 1] = rungs[1:]
+    return los, his
 
 
 def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings(),

@@ -11,7 +11,8 @@ from ramsey_bounds.dephasing import (
     Lorentzian,
     PowerLawExpCutoff,
 )
-from ramsey_bounds.errors import DomainError
+from ramsey_bounds import dephasing
+from ramsey_bounds.errors import DomainError, ToleranceNotMet
 from ramsey_bounds.metrology import ProbeSpec
 
 
@@ -257,6 +258,25 @@ def test_closed_route_unsupported_exit_4(capsys):
                        "--s", "2", "--omega-c", "1", "--temp", "beta=1",
                        "--t", "1", "--route", "closed")
     assert code == 4
+
+
+def test_numerical_failure_exit_6(capsys):
+    # one panel per oscillation period up to the cutoff exceeds the budget
+    code, out, err = run(capsys, "gamma", "--model", "ohmic", "--alpha", "1",
+                         "--omega-c", "1", "--t", "1000", "--route", "quad")
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error: seeding would need ")
+
+
+def test_numerical_failure_shows_value_and_error(capsys, monkeypatch):
+    def not_met(*args, **kwargs):
+        raise ToleranceNotMet("tolerance not met", value=0.25, error=1e-3)
+
+    monkeypatch.setattr(dephasing, "integrate_semi_infinite", not_met)
+    code, _, err = run(capsys, *OHMIC_T1, "--route", "quad")
+    assert code == 6
+    assert err == "error: tolerance not met (value=0.25, error=0.001)\n"
 
 
 def test_quad_route_on_generic_exit_2(capsys):

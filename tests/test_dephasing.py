@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ramsey_bounds import numerics
 from ramsey_bounds.dephasing import (
     BathSpec,
     DephasingModel,
@@ -14,6 +15,7 @@ from ramsey_bounds.dephasing import (
     Quadrature,
     ZeroTemperature,
     dgamma_dt,
+    dgamma_quadrature,
     gamma_closed,
     gamma_quadrature,
     gamma_short_time_coeff,
@@ -25,6 +27,7 @@ from ramsey_bounds.errors import (
     NoQuadraticRegime,
     NoSpectralDensity,
 )
+from ramsey_bounds.numerics import QuadratureSettings
 
 
 def power_law(alpha=1.0, s=1.0, omega_c=1.0, temperature=None):
@@ -294,6 +297,86 @@ def test_quadrature_route_keeps_array_shape():
         assert out.shape == ts.shape
         assert out[1, 2] == f(0.3)
     assert model.gamma(np.empty((0, 2))).shape == (0, 2)
+
+
+def _within_contract(value, err, settings=QuadratureSettings()):
+    return err <= max(settings.abs_tol, settings.rel_tol * abs(value))
+
+
+# (model, fast frequency, quadrature / closed form): the Ohmic closed form at
+# T = 0 is twice the bath integral, every other one equals it
+DERIVATIVE_CASES = [
+    (power_law(1.0, 0.5, 1.0), 1.0, 1.0),
+    (power_law(1.3, 2.0, 0.7), 0.7, 1.0),
+    (power_law(0.8, 3.0, 1.5), 1.5, 1.0),
+    (power_law(1.0, 1.0, 2.0), 2.0, 0.5),
+    (power_law(1.0, 1.0, 1.0, HighTemperatureOhmic(2.0)), 1.0, 1.0),
+    (lorentzian(2.0, 0.5), 0.5, 1.0),
+]
+
+
+@pytest.mark.parametrize("model,w_fast,factor", DERIVATIVE_CASES,
+                         ids=["s0.5", "s2", "s3", "ohmic", "high-T", "lorentzian"])
+def test_dgamma_quadrature_matches_closed_form(model, w_fast, factor):
+    for t in np.geomspace(1e-2, 30.0, 15) / w_fast:
+        value, err = dgamma_quadrature(model.bath, float(t))
+        assert value == pytest.approx(factor * dgamma_dt(model, float(t)), rel=1e-8)
+        assert _within_contract(value, err)
+
+
+@pytest.mark.parametrize("s", [0.3, 2.0])
+def test_finite_beta_dgamma_matches_difference_of_gamma(s):
+    # no closed form at finite beta: the centred difference of two gamma
+    # quadratures must agree within the error their estimates allow it
+    bath = BathSpec(PowerLawExpCutoff(1.0, s, 1.0), FiniteBeta(1.0))
+    for t in (0.05, 1.0, 10.0):
+        h = 1e-6 * t
+        g_hi, e_hi = gamma_quadrature(bath, t + h)
+        g_lo, e_lo = gamma_quadrature(bath, t - h)
+        value, err = dgamma_quadrature(bath, t)
+        assert _within_contract(value, err)
+        assert abs((g_hi - g_lo) / (2.0 * h) - value) <= (e_hi + e_lo) / (2.0 * h)
+
+
+def test_refinement_loop_meets_contract(monkeypatch):
+    # finite beta, s = 0.3, at rel_tol = 1e-13 is not met by the seeded
+    # panels, so the panel-splitting loop must run for both kernels
+    passes = []
+    refined = numerics._refined_panels
+    monkeypatch.setattr(numerics, "_refined_panels",
+                        lambda *args: passes.append(1) or refined(*args))
+    bath = BathSpec(PowerLawExpCutoff(1.0, 0.3, 1.0), FiniteBeta(1.0))
+    tight = QuadratureSettings(rel_tol=1e-13)
+    for kernel in (gamma_quadrature, dgamma_quadrature):
+        passes.clear()
+        value, err = kernel(bath, 1.0, tight)
+        assert len(passes) > 1
+        assert _within_contract(value, err, tight)
+        assert value == pytest.approx(kernel(bath, 1.0)[0], rel=2e-9)
+
+
+@pytest.mark.parametrize("bath", [
+    BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0), FiniteBeta(2.0)),
+    BathSpec(PowerLawExpCutoff(1.0, 2.5, 1.0)),
+    BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0), HighTemperatureOhmic(2.0)),
+    BathSpec(Lorentzian(2.0, 0.5)),
+], ids=["beta-s0.5", "s2.5", "high-T", "lorentzian"])
+def test_quad_problem_endpoint_is_the_integrand_limit(bath):
+    for derivative in (False, True):
+        f, *_, endpoint = bath.spectral.quad_problem(bath.temperature, 1.3, 1e-9,
+                                                     derivative)
+        assert float(f(np.array([1e-7]))[0]) == pytest.approx(endpoint, rel=1e-6,
+                                                               abs=1e-12)
+
+
+def test_dgamma_quadrature_domain():
+    bath = BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0))
+    assert dgamma_quadrature(bath, 0.0) == (0.0, 0.0)
+    for t in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError):
+            dgamma_quadrature(bath, t)
+    with pytest.raises(NoSpectralDensity):
+        dgamma_quadrature(BathSpec(GenericPowerLawDephasing(1.0, 2.0)), 1.0)
 
 
 # --- global decoherence-function properties ---------------------------------------

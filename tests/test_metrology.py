@@ -14,6 +14,7 @@ from ramsey_bounds.dephasing import (
     PowerLawExpCutoff,
     dgamma_dt,
     gamma_closed,
+    spectral_density,
 )
 from ramsey_bounds.errors import DegenerateSignal, DomainError, NoFiniteOptimum
 from ramsey_bounds.metrology import (
@@ -125,9 +126,13 @@ def test_variance_domain_checks():
     (frequency_variance, (math.inf, 0.5, ProbeSpec(1, 1.0), ohmic())),
     (frequency_variance, (1.0, math.nan, ProbeSpec(1, 1.0), ohmic())),
     (frequency_variance, (1.0, math.inf, ProbeSpec(1, 1.0), ohmic())),
+    (spectral_density, (PowerLawExpCutoff(1.0, 1.0, 1.0), math.nan)),
+    (spectral_density, (PowerLawExpCutoff(1.0, 1.0, 1.0), math.inf)),
+    (spectral_density, (Lorentzian(1.0, 1.0), np.array([0.5, math.nan]))),
 ], ids=["gamma-nan", "gamma-inf", "gamma-2d-nan", "dgamma-inf", "dgamma-neg-inf",
         "dgamma-generic-nan", "variance-phi-nan", "variance-phi-inf",
-        "variance-t-nan", "variance-t-inf"])
+        "variance-t-nan", "variance-t-inf", "density-nan", "density-inf",
+        "density-array-nan"])
 def test_nonfinite_time_and_phase_rejected(fn, args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

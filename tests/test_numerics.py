@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ramsey_bounds import numerics
 from ramsey_bounds.errors import DomainError, NoSignChange, ToleranceNotMet
 from ramsey_bounds.numerics import (
     QuadratureSettings,
@@ -73,6 +75,59 @@ def test_nonfinite_error_estimate_raises():
         integrate_semi_infinite(lambda w: 1.0 / w ** 3, 1.0)
     assert info.value.value == math.inf
     assert info.value.error == math.inf
+
+
+def seed_panels_loop(upper_cutoff, inner_boundary, max_panel_width, max_panels):
+    """The panel ladder built rung by rung with np.linspace: the reference
+    that numerics._seed_panels must match bit for bit."""
+    eps = min(inner_boundary, 0.25 * upper_cutoff) * 2.0 ** (-numerics._LADDER_DEPTH)
+    rungs = [0.0, eps]
+    b = eps
+    while b < upper_cutoff:
+        b = min(b * 2.0, upper_cutoff)
+        rungs.append(b)
+
+    def pieces(width):
+        if max_panel_width is not None and width > max_panel_width:
+            return int(np.ceil(width / max_panel_width))
+        return 1
+
+    total = sum(pieces(w) for w in np.diff(np.asarray(rungs)))
+    if total > max_panels:
+        raise ToleranceNotMet(
+            f"seeding would need {total} panels (max_panels={max_panels})")
+    los, his = [], []
+    for lo, hi in zip(rungs[:-1], rungs[1:]):
+        k = pieces(hi - lo)
+        if k > 1:
+            edges = np.linspace(lo, hi, k + 1)
+            los.extend(edges[:-1])
+            his.extend(edges[1:])
+        else:
+            los.append(lo)
+            his.append(hi)
+    return np.asarray(los), np.asarray(his)
+
+
+def test_seed_panels_match_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    raised = 0
+    for k in range(300):
+        upper = 10.0 ** rng.uniform(-3.0, 4.0)
+        inner = upper * 10.0 ** rng.uniform(-8.0, 0.0)
+        cap = None if k % 10 == 0 else upper * 10.0 ** rng.uniform(-4.0, 0.5)
+        args = (upper, inner, cap, 4096)
+        try:
+            want = seed_panels_loop(*args)
+        except ToleranceNotMet as exc:
+            raised += 1
+            with pytest.raises(ToleranceNotMet, match=f"^{re.escape(str(exc))}$"):
+                numerics._seed_panels(*args)
+            continue
+        got = numerics._seed_panels(*args)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert 0 < raised < 150
 
 
 def test_bad_cutoff_rejected():
