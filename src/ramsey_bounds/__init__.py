@@ -56,12 +56,11 @@ from .metrology import (
 from .numerics import (
     PowerLawFit,
     QuadratureSettings,
-    RootSettings,
     fit_power_law,
     integrate_semi_infinite,
     solve_bracketed_root,
 )
-from .oracle import GridSpec, brute_force_optimum, reference_gamma
+from .oracle import brute_force_optimum, reference_gamma
 
 __version__ = "0.1.0"
 
@@ -81,8 +80,8 @@ __all__ = [
     "lorentzian_regime_ratio", "ohmic_exact_ratio", "optimal_interrogation",
     "optimal_resolution", "power_law_scaling", "ramsey_probability", "ratio_r",
     "zeno_diagnostic",
-    "PowerLawFit", "QuadratureSettings", "RootSettings", "fit_power_law",
+    "PowerLawFit", "QuadratureSettings", "fit_power_law",
     "integrate_semi_infinite", "solve_bracketed_root",
-    "GridSpec", "brute_force_optimum", "reference_gamma",
+    "brute_force_optimum", "reference_gamma",
     "__version__",
 ]

@@ -176,9 +176,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="zero | beta=<v> | high-t=<v> (default zero)")
     p.add_argument("--route", default="closed", choices=["closed", "quad"])
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect (sweeps run "
-                        "in one thread)")
 
 
 def cmd_gamma(args) -> int:

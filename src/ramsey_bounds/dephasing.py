@@ -48,7 +48,7 @@ computed from a single route are unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -58,8 +58,9 @@ from .errors import (
     NoClosedForm,
     NoQuadraticRegime,
     NoSpectralDensity,
+    ToleranceNotMet,
 )
-from .numerics import QuadratureSettings, integrate_semi_infinite
+from .numerics import QuadratureSettings, _check_fields, integrate_semi_infinite
 
 __all__ = [
     "PowerLawExpCutoff",
@@ -91,19 +92,6 @@ OHMIC_S_TOL = 1e-9
 _NO_FINITE_BETA_FORM = "finite-beta power-law baths have no closed form; use quadrature"
 _HIGH_T_OHMIC_ONLY = ("the high-temperature expansion is only valid for an Ohmic "
                       "power-law bath (s = 1)")
-
-
-def _check_fields(params, zero_ok=()):
-    """Every field of a parameter class must be finite and > 0 (>= 0 for the
-    names in ``zero_ok``)."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if not math.isfinite(value):
-            raise DomainError(f"{f.name} must be finite")
-        if f.name in zero_ok and value < 0.0:
-            raise DomainError(f"{f.name} must be >= 0")
-        if f.name not in zero_ok and value <= 0.0:
-            raise DomainError(f"{f.name} must be > 0")
 
 
 # --- spectral models ---------------------------------------------------------
@@ -169,11 +157,31 @@ class PowerLawExpCutoff:
         def f(w):
             return 0.25 * spectral_density(self, w) * temp.weight(w)
 
-        settings = QuadratureSettings(rel_tol=1e-11)
-        if self.s < 1.0 - OHMIC_S_TOL:
+        # Past a cutoff W = x wc with x > s, the envelope
+        # w^s e^(-w/wc) <= W^s e^(-x) e^((s/x - 1)(w/wc - x)) bounds the tail
+        # by (1/4) alpha wc^2 x^s e^(-x) coth(beta W / 2) x / (x - s). W doubles
+        # until that is within half the relative goal of a lower bound on c2,
+        # (1/4) alpha wc^2 max(Gamma(s+1), 2 Gamma(s) / (beta wc)) from
+        # coth(u) >= max(1, 1/u); compared in logs, as x^s may overflow.
+        s, rel_tol = self.s, 1e-11
+        log_goal = math.log(0.5 * rel_tol) + max(
+            math.lgamma(s + 1.0), math.log(2.0 / (temp.beta * wc)) + math.lgamma(s))
+
+        def log_tail(om):
+            x = om / wc
+            if x <= s:
+                return math.inf
+            return (s * math.log(x) - x + math.log(x / (x - s))
+                    + math.log(temp.weight(om)))
+
+        sub_ohmic = s < 1.0 - OHMIC_S_TOL
+        omega_max = _tail_cutoff(log_tail, 40.0 * wc / s if sub_ohmic else 40.0 * wc,
+                                 log_goal)
+        settings = QuadratureSettings(rel_tol=rel_tol)
+        if sub_ohmic:
             return integrate_semi_infinite(
-                _in_sqrt(f), math.sqrt(40.0 * wc / self.s), settings)[0]
-        return integrate_semi_infinite(f, 40.0 * wc, settings)[0]
+                _in_sqrt(f), math.sqrt(omega_max), settings)[0]
+        return integrate_semi_infinite(f, omega_max, settings)[0]
 
     def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
         """Build the 1-D integration problem for the bath integral at time t > 0,
@@ -188,13 +196,23 @@ class PowerLawExpCutoff:
         trapezoid-based references).
         """
         s, wc = self.s, self.omega_c
-        omega_max = wc * max(40.0, 40.0 / s, 10.0 + 5.0 * s)
         # exponential-tail envelope: integrand <= alpha*wc^(1-s)*w^(s-2)*W*2*e^(-w/wc),
-        # with one power of w more for the derivative kernel sin(wt)/w
-        tail_err = (2.0 * self.alpha * wc ** (2.0 - s)
-                    * omega_max ** (s - 1.0 if derivative else s - 2.0)
-                    * math.exp(-omega_max / wc)
-                    * max(1.0, float(temp.weight(omega_max))))
+        # with one power of w more for the derivative kernel sin(wt)/w; as the
+        # kernels are also at most t^2/2 and t, it shrinks by (W t)^2/4 and
+        # W t/2 where those are smaller, and for the derivative, whose factor
+        # J W / w decreases past W, by 1/(2 wc t) (second mean value theorem).
+        # The cutoff doubles from a fixed multiple of wc until the envelope
+        # meets a quarter of the goal.
+        def tail_bound(om):
+            kern = (min(1.0, 0.5 * om * t, 0.5 / (wc * t)) if derivative
+                    else min(1.0, 0.25 * (om * t) ** 2))
+            return (2.0 * self.alpha * wc ** (2.0 - s)
+                    * om ** (s - 1.0 if derivative else s - 2.0)
+                    * math.exp(-om / wc) * max(1.0, float(temp.weight(om))) * kern)
+
+        omega_max = _tail_cutoff(tail_bound, wc * max(40.0, 40.0 / s, 10.0 + 5.0 * s),
+                                 0.25 * tail_goal)
+        tail_err = tail_bound(omega_max)
         f = _integrand(self, temp, t, derivative)
 
         # Fractional powers of w at the origin defeat extrapolation-based
@@ -289,7 +307,8 @@ class Lorentzian:
                 return -0.5 * (a * g / math.pi) * (g * g + 3.0 * om * om) \
                     / ((g * g + om * om) ** 2 * om * om)
 
-            omega_max = _tail_cutoff(lambda om: abs(h1_der(om)) / (t * t), t, goal)
+            omega_max = _tail_cutoff(lambda om: abs(h1_der(om)) / (t * t), 20.0 / t,
+                                     0.25 * goal)
             x = omega_max * t
             tail_value = (h1_val(omega_max) * math.cos(x) / t
                           - h1_der(omega_max) * math.sin(x) / (t * t))
@@ -306,7 +325,8 @@ class Lorentzian:
             return -(a * g / math.pi) / ((g * g + om * om) * om ** 3) \
                 * (1.0 + om * om / (g * g + om * om))
 
-        omega_max = _tail_cutoff(lambda om: 2.0 * abs(h_der(om)) / (t * t), t, goal)
+        omega_max = _tail_cutoff(lambda om: 2.0 * abs(h_der(om)) / (t * t), 20.0 / t,
+                                 0.25 * goal)
         # 1/W - arctan(g/W)/g = (u - arctan u)/g with u = g/W; series below u ~ 1e-2
         # avoids the cancellation of the two nearly equal terms
         u = g / omega_max
@@ -456,16 +476,14 @@ class ClosedForm:
 @dataclass(frozen=True)
 class Quadrature:
     """Evaluate gamma(t) and dgamma/dt by adaptive quadrature of their bath
-    integrals, one time at a time (:func:`gamma_quadrature` and
-    :func:`dgamma_quadrature`)."""
-
-    settings: QuadratureSettings = field(default_factory=QuadratureSettings)
+    integrals at the default tolerances, one time at a time
+    (:func:`gamma_quadrature` and :func:`dgamma_quadrature`)."""
 
     def gamma(self, bath: BathSpec, t):
-        return _each(lambda ti: gamma_quadrature(bath, ti, self.settings)[0], t)
+        return _each(lambda ti: gamma_quadrature(bath, ti)[0], t)
 
     def dgamma(self, bath: BathSpec, t):
-        return _each(lambda ti: dgamma_quadrature(bath, ti, self.settings)[0], t)
+        return _each(lambda ti: dgamma_quadrature(bath, ti)[0], t)
 
 
 Route = Union[ClosedForm, Quadrature]
@@ -603,12 +621,12 @@ def _endpoint(limit0, t, derivative):
     return limit0 * 2.0 / t if derivative else limit0
 
 
-def _tail_cutoff(bound, t, goal):
-    """20/t doubled until ``bound`` (the tail error at a cutoff) is within
-    a quarter of ``goal``, or at most 200 times."""
-    omega_max = 20.0 / t
+def _tail_cutoff(bound, omega_max, goal):
+    """The cutoff ``omega_max`` doubled until ``bound`` (the tail error at a
+    cutoff, or any increasing function of it) is within ``goal``, or at most
+    200 times."""
     for _ in range(200):
-        if bound(omega_max) <= 0.25 * goal:
+        if bound(omega_max) <= goal:
             break
         omega_max *= 2.0
     return omega_max
@@ -632,13 +650,14 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
     t:
         Time, finite and >= 0.
     settings:
-        Tolerances and panel budget.
+        Tolerances.
 
     Returns
     -------
     (value, error_estimate):
         The integral and a conservative error estimate including the
-        truncated tail, with error_estimate <= max(abs_tol, rel_tol*value).
+        truncated tail, with error_estimate <= max(abs_tol, rel_tol*|value|);
+        :class:`ToleranceNotMet` (with both) is raised where that fails.
     """
     return _bath_quadrature(bath, t, settings, derivative=False)
 
@@ -665,9 +684,7 @@ def _bath_quadrature(bath, t, settings, derivative):
     spec, temp = bath.spectral, bath.temperature
     # panels run at half tolerance so the tail bound fits inside the contract
     inner = QuadratureSettings(rel_tol=0.5 * settings.rel_tol,
-                               abs_tol=0.5 * settings.abs_tol,
-                               max_panels=settings.max_panels,
-                               small_omega_cutoff=settings.small_omega_cutoff)
+                               abs_tol=0.5 * settings.abs_tol)
     # first pass against a crude absolute goal; rebuild the cutoff once the
     # magnitude of the result is known
     f, x_max, cap, tail_val, tail_err, _ = spec.quad_problem(
@@ -680,4 +697,10 @@ def _bath_quadrature(bath, t, settings, derivative):
             temp, t, 0.25 * goal, derivative)
         value, err = integrate_semi_infinite(f, x_max, inner, max_panel_width=cap)
         value += tail_val
-    return value, err + tail_err
+    err += tail_err
+    tol = max(settings.abs_tol, settings.rel_tol * abs(value))
+    if err > tol:
+        raise ToleranceNotMet(
+            f"tolerance {tol:g} not met: panel and tail error {err:g}",
+            value=value, error=err)
+    return value, err

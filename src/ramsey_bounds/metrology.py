@@ -38,7 +38,7 @@ from .dephasing import (
     PowerLawExpCutoff,
 )
 from .errors import DegenerateSignal, DomainError, NoFiniteOptimum
-from .numerics import RootSettings, solve_bracketed_root
+from .numerics import solve_bracketed_root
 
 __all__ = [
     "STRATEGIES",
@@ -75,8 +75,9 @@ class ProbeSpec:
     strategy: str = "product"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
+        if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
+                or self.n < 1):
+            raise DomainError("n must be an int >= 1")
         if not math.isfinite(self.total_time):
             raise DomainError("total_time must be finite")
         if self.total_time <= 0.0:
@@ -138,6 +139,8 @@ def fisher_information(phi, t, gamma_t):
     which reduces to t^2 e^(-2 gamma) at the operating points
     phi t = k pi/2, odd k.
     """
+    if not (math.isfinite(phi) and math.isfinite(t) and math.isfinite(gamma_t)):
+        raise DomainError("phi, t and gamma_t must be finite")
     c = math.cos(phi * t)
     decay = math.exp(-2.0 * gamma_t)
     denom = 1.0 - c * c * decay
@@ -191,7 +194,7 @@ _SCAN_PER_DECADE = 25
 _SCAN_LANES = 64
 
 
-def optimal_interrogation(deph: DephasingModel, m, settings=RootSettings()):
+def optimal_interrogation(deph: DephasingModel, m):
     """Solve 2 m t gamma'(t) = 1 for the optimal interrogation time.
 
     ``m`` is 1 for product states and n for GHZ states. When the condition
@@ -208,7 +211,7 @@ def optimal_interrogation(deph: DephasingModel, m, settings=RootSettings()):
     lanes = ms.reshape(-1)
     times = np.empty(lanes.size)
     for i in range(0, lanes.size, _SCAN_LANES):
-        times[i:i + _SCAN_LANES] = _solve_lanes(deph, lanes[i:i + _SCAN_LANES], settings)
+        times[i:i + _SCAN_LANES] = _solve_lanes(deph, lanes[i:i + _SCAN_LANES])
     if ms.ndim:
         return times
     if math.isnan(times[0]):
@@ -216,7 +219,7 @@ def optimal_interrogation(deph: DephasingModel, m, settings=RootSettings()):
     return float(times[0])
 
 
-def _solve_lanes(deph: DephasingModel, ms, settings):
+def _solve_lanes(deph: DephasingModel, ms):
     """Optimal times for a 1-D array of multipliers, NaN where none exists.
 
     One log grid per multiplier (a row of ``ts``) spans t_ref(m) 10^(+-12);
@@ -236,9 +239,9 @@ def _solve_lanes(deph: DephasingModel, ms, settings):
         h = _constraint(deph, m)
         i = first[k]
         if crossing[k, i]:
-            out[k] = solve_bracketed_root(h, (ts[k, i], ts[k, i + 1]), settings)
+            out[k] = solve_bracketed_root(h, (ts[k, i], ts[k, i + 1]))
         else:
-            out[k] = _rescue_search(h, ts[k], hv[k], settings)
+            out[k] = _rescue_search(h, ts[k], hv[k])
     return out
 
 
@@ -270,7 +273,7 @@ def _constraint(deph: DephasingModel, m: float):
     return h
 
 
-def _rescue_search(h, ts, hv, settings):
+def _rescue_search(h, ts, hv):
     """The root of h on a scan row with no crossing, or NaN.
 
     Refines the hump maximum by ternary search, in case a narrow positive
@@ -283,9 +286,9 @@ def _rescue_search(h, ts, hv, settings):
         m2 = hi - (hi - lo) / 3.0
         f1, f2 = float(h(m1)), float(h(m2))
         if f1 >= 0.0:
-            return solve_bracketed_root(h, (ts[0], m1), settings)
+            return solve_bracketed_root(h, (ts[0], m1))
         if f2 >= 0.0:
-            return solve_bracketed_root(h, (ts[0], m2), settings)
+            return solve_bracketed_root(h, (ts[0], m2))
         if f1 < f2:
             lo = m1
         else:
@@ -372,10 +375,8 @@ def ohmic_exact_ratio(alpha: float, n) -> float:
 
     Requires alpha > 1/2 (below it no finite optimum exists).
     """
-    if alpha <= 0.5:
-        raise DomainError("alpha must exceed 1/2 for a finite Ohmic optimum")
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not (0.5 < alpha < math.inf and 1.0 <= n < math.inf):
+        raise DomainError("need finite alpha > 1/2 (a finite Ohmic optimum) and n >= 1")
     a, na = float(alpha), float(alpha) * float(n)
     # logs via log1p keep n*alpha ~ 1e9 accurate
     log_f_sq = (-a * math.log1p(-0.5 / a)
@@ -387,10 +388,8 @@ def ohmic_exact_ratio(alpha: float, n) -> float:
 def power_law_scaling(nu: float, n):
     """Exact (r, t_u/t_e) for gamma = alpha t^nu: r = n^((nu-1)/(2 nu)),
     t_u/t_e = n^(1/nu); independent of alpha."""
-    if nu <= 0.0:
-        raise DomainError("nu must be > 0")
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not (0.0 < nu < math.inf and 1.0 <= n < math.inf):
+        raise DomainError("need finite nu > 0 and n >= 1")
     n = float(n)
     return n ** ((nu - 1.0) / (2.0 * nu)), n ** (1.0 / nu)
 
@@ -398,8 +397,8 @@ def power_law_scaling(nu: float, n):
 def lorentzian_newton_time(a: float, g: float, n=1) -> float:
     """Leading-order refined optimum for the Lorentzian bath in the gt << 1
     regime: sqrt(2/(a n)) (1 + sqrt(g^2/(8 a n)))."""
-    if a <= 0.0 or g < 0.0:
-        raise DomainError("need a > 0 and g >= 0")
+    if not (0.0 < a < math.inf and 0.0 <= g < math.inf and 1.0 <= n < math.inf):
+        raise DomainError("need finite a > 0, g >= 0 and n >= 1")
     an = a * float(n)
     return math.sqrt(2.0 / an) * (1.0 + math.sqrt(g * g / (8.0 * an)))
 
@@ -407,8 +406,8 @@ def lorentzian_newton_time(a: float, g: float, n=1) -> float:
 def lorentzian_newton_refined(a: float, g: float, n=1) -> float:
     """One exact Newton iteration on f(t) = a n t (1 - e^(-g t)) - 2 g from
     the short-time seed t0 = sqrt(2/(a n))."""
-    if a <= 0.0 or g < 0.0:
-        raise DomainError("need a > 0 and g >= 0")
+    if not (0.0 < a < math.inf and 0.0 <= g < math.inf and 1.0 <= n < math.inf):
+        raise DomainError("need finite a > 0, g >= 0 and n >= 1")
     an = a * float(n)
     t0 = math.sqrt(2.0 / an)
     if g == 0.0:
@@ -445,8 +444,8 @@ def high_temp_entangled_time(alpha: float, beta: float, omega_c: float,
     leading-order literature estimate is sqrt(beta/(4 alpha n wc)). Both are
     reported; scaling in (alpha n wc / beta)^(-1/2) is common to the two.
     """
-    if min(alpha, beta, omega_c) <= 0.0 or n < 1:
-        raise DomainError("alpha, beta, omega_c must be > 0 and n >= 1")
+    if not all(0.0 < v < math.inf for v in (alpha, beta, omega_c, n)) or n < 1:
+        raise DomainError("alpha, beta, omega_c must be finite and > 0, n >= 1")
     printed = math.sqrt(beta / (4.0 * alpha * n * omega_c))
     deph = DephasingModel(BathSpec(PowerLawExpCutoff(alpha, 1.0, omega_c),
                                    HighTemperatureOhmic(beta)))
@@ -466,5 +465,7 @@ def zeno_diagnostic(deph: DephasingModel, n: int, omega_fast=None) -> float:
     if wf is None:
         raise DomainError(
             "model has no bath frequency scale; pass omega_fast explicitly")
+    if not 0.0 < wf < math.inf:
+        raise DomainError("omega_fast must be finite and > 0")
     res = ratio_r(deph, n)
     return res.r ** 2 * wf * res.t_e

@@ -4,7 +4,7 @@ range, safeguarded bracketed root finding, and log-log power-law fitting."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import (
 
 __all__ = [
     "QuadratureSettings",
-    "RootSettings",
     "PowerLawFit",
     "integrate_semi_infinite",
     "solve_bracketed_root",
@@ -25,44 +24,41 @@ __all__ = [
 ]
 
 
+def _check_fields(params, zero_ok=()):
+    """Every field of a parameter class must be finite and > 0 (>= 0 for the
+    names in ``zero_ok``)."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite")
+        if f.name in zero_ok and value < 0.0:
+            raise DomainError(f"{f.name} must be >= 0")
+        if f.name not in zero_ok and value <= 0.0:
+            raise DomainError(f"{f.name} must be > 0")
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and budget for the adaptive panel quadrature.
-
-    ``small_omega_cutoff`` sets the innermost panel boundary as a fraction of
-    the problem's fast frequency scale; below it a single panel covers the
-    (regularized) origin region.
-    """
+    """Tolerances for the adaptive panel quadrature: the result meets
+    ``error_estimate <= max(abs_tol, rel_tol*|value|)``."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
-    max_panels: int = 4096
-    small_omega_cutoff: float = 1e-4
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise DomainError("rel_tol must be > 0")
-        if self.abs_tol < 0.0:
-            raise DomainError("abs_tol must be >= 0")
-        if self.max_panels < 16:
-            raise DomainError("max_panels must be >= 16")
-        if self.small_omega_cutoff <= 0.0:
-            raise DomainError("small_omega_cutoff must be > 0")
+        _check_fields(self, zero_ok=("abs_tol",))
 
 
-@dataclass(frozen=True)
-class RootSettings:
-    """Stopping criteria for the safeguarded root solver."""
+# Panel budget of one quadrature, seeding and refinement together.
+MAX_PANELS = 4096
+# Innermost seeded panel boundary as a fraction of the upper cutoff; below it
+# the geometric ladder covers the (regularized) origin region.
+SMALL_OMEGA_CUTOFF = 1e-4
 
-    x_tol: float = 1e-12
-    f_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.x_tol <= 0.0:
-            raise DomainError("x_tol must be > 0")
-        if self.max_iter < 8:
-            raise DomainError("max_iter must be >= 8")
+# Stopping criteria of the safeguarded root solver (see solve_bracketed_root).
+ROOT_X_TOL = 1e-12
+ROOT_F_TOL = 1e-12
+ROOT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -142,15 +138,14 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
 
     Returns ``(value, error_estimate)`` with
     ``error_estimate <= max(abs_tol, rel_tol*|value|)``; raises
-    :class:`ToleranceNotMet` once ``max_panels`` panels are in play, or at
+    :class:`ToleranceNotMet` once ``MAX_PANELS`` panels are in play, or at
     once when the error estimate is not finite (a NaN or infinite integrand),
     which no refinement can mend.
     """
     if upper_cutoff <= 0.0:
         raise DomainError("upper_cutoff must be > 0")
-    lo, hi = _seed_panels(upper_cutoff,
-                          settings.small_omega_cutoff * upper_cutoff,
-                          max_panel_width, settings.max_panels)
+    lo, hi = _seed_panels(upper_cutoff, SMALL_OMEGA_CUTOFF * upper_cutoff,
+                          max_panel_width, MAX_PANELS)
     val, err = _refined_panels(integrand, lo, hi)
 
     while True:
@@ -166,7 +161,7 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
         split = err > tol / (2.0 * lo.size)
         if not split.any():
             split = err == err.max()
-        if lo.size + int(split.sum()) > settings.max_panels:
+        if lo.size + int(split.sum()) > MAX_PANELS:
             raise ToleranceNotMet(
                 f"tolerance {tol:g} not met with {lo.size} panels "
                 f"(error estimate {total_err:g})",
@@ -182,13 +177,13 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
         err = np.concatenate([err[keep], new_err])
 
 
-def solve_bracketed_root(g, bracket, settings=RootSettings()):
+def solve_bracketed_root(g, bracket):
     """Find a root of ``g`` inside ``bracket = (lo, hi)``.
 
     Secant steps are accepted only when they stay inside the current bracket
     and shrink the residual; otherwise the step falls back to bisection, so
-    the iterate never leaves the bracket. Stops when |g| <= f_tol or the
-    bracket width falls below x_tol relative to the root location.
+    the iterate never leaves the bracket. Stops when |g| <= ROOT_F_TOL or the
+    bracket width falls below ROOT_X_TOL relative to the root location.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
@@ -210,7 +205,7 @@ def solve_bracketed_root(g, bracket, settings=RootSettings()):
 
     x_prev, f_prev = lo, flo
     x_cur, f_cur = hi, fhi
-    for _ in range(settings.max_iter):
+    for _ in range(ROOT_MAX_ITER):
         secant_ok = False
         x_new = 0.5 * (lo + hi)
         if f_cur != f_prev:
@@ -229,11 +224,11 @@ def solve_bracketed_root(g, bracket, settings=RootSettings()):
         absorb(x_new, f_new)
         x_prev, f_prev = x_cur, f_cur
         x_cur, f_cur = x_new, f_new
-        if abs(f_cur) <= settings.f_tol:
+        if abs(f_cur) <= ROOT_F_TOL:
             return x_cur
-        if (hi - lo) <= settings.x_tol * max(abs(lo), abs(hi)):
+        if (hi - lo) <= ROOT_X_TOL * max(abs(lo), abs(hi)):
             return lo if abs(flo) <= abs(fhi) else hi
-    raise MaxIterations(f"no convergence in {settings.max_iter} iterations")
+    raise MaxIterations(f"no convergence in {ROOT_MAX_ITER} iterations")
 
 
 def fit_power_law(xs, ys):

@@ -10,8 +10,6 @@ independent; used by the test suite and the ``validate`` CLI command.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dephasing import (
@@ -27,7 +25,6 @@ from .errors import DomainError, GridTooCoarse, NonConvergence
 from .metrology import Optimum, ProbeSpec, optimal_interrogation
 
 __all__ = [
-    "GridSpec",
     "brute_force_optimum",
     "reference_gamma",
     "scenario_draws",
@@ -35,30 +32,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Search grid: log-spaced in t, linear in the fringe argument theta.
-
-    ``t_min``/``t_max`` default to [1e-4, 1e4] times the model's
-    characteristic time. Each refinement round zooms 10x around the
-    incumbent.
-    """
-
-    t_min: float | None = None
-    t_max: float | None = None
-    points_per_decade: int = 50
-    phi_points: int = 181
-    refine_rounds: int = 4
-
-    def __post_init__(self):
-        if self.t_min is not None and self.t_min <= 0.0:
-            raise DomainError("t_min must be > 0")
-        if self.points_per_decade < 20:
-            raise DomainError("points_per_decade must be >= 20")
-        if self.refine_rounds < 2:
-            raise DomainError("refine_rounds must be >= 2")
-        if self.phi_points < 8:
-            raise DomainError("phi_points must be >= 8")
+# brute_force_optimum's grid (points per decade of t, fringe arguments theta,
+# zoom rounds) and reference_gamma's Romberg tolerance and doubling budget
+_POINTS_PER_DECADE, _PHI_POINTS, _REFINE_ROUNDS = 50, 181, 4
+_REF_REL_TOL, _REF_MAX_DOUBLINGS = 1e-10, 30
 
 
 def _variance_surface(deph: DephasingModel, probe: ProbeSpec, ts, thetas):
@@ -85,27 +62,33 @@ def _variance_surface(deph: DephasingModel, probe: ProbeSpec, ts, thetas):
         return num / den
 
 
-def brute_force_optimum(deph: DephasingModel, probe: ProbeSpec,
-                        grid: GridSpec = GridSpec(), with_theta: bool = False):
+def brute_force_optimum(deph: DephasingModel, probe: ProbeSpec, *,
+                        t_min: float | None = None, t_max: float | None = None,
+                        with_theta: bool = False):
     """Minimize the variance surface by grid scan plus zoom refinement.
 
-    Deterministic for a given grid. Raises :class:`GridTooCoarse` when the
+    The time grid spans [t_min, t_max], by default [1e-4, 1e4] times the
+    model's characteristic time, capped at the total time. Deterministic for
+    a given grid. Raises :class:`GridTooCoarse` when the
     minimum ends on a grid edge that is not the total-time boundary; sitting
     on t = total_time is reported as a boundary-limited optimum instead.
     With ``with_theta`` the recovered fringe argument is returned alongside
     the :class:`Optimum` (expected pi/2 up to grid resolution).
     """
+    for name, value in (("t_min", t_min), ("t_max", t_max)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and > 0")
     t_ref = deph.time_scale()
-    t_lo = grid.t_min if grid.t_min is not None else 1e-4 * t_ref
-    t_hi = grid.t_max if grid.t_max is not None else 1e4 * t_ref
+    t_lo = t_min if t_min is not None else 1e-4 * t_ref
+    t_hi = t_max if t_max is not None else 1e4 * t_ref
     t_hi = min(t_hi, probe.total_time)
     if not t_hi > t_lo:
         raise DomainError("empty time grid after the total-time cap")
 
     decades = math.log10(t_hi / t_lo)
-    n_t = max(int(round(decades * grid.points_per_decade)) + 1, 16)
+    n_t = max(int(round(decades * _POINTS_PER_DECADE)) + 1, 16)
     ts = np.geomspace(t_lo, t_hi, n_t)
-    thetas = np.pi * np.arange(1, grid.phi_points + 1) / (grid.phi_points + 1)
+    thetas = np.pi * np.arange(1, _PHI_POINTS + 1) / (_PHI_POINTS + 1)
 
     var = _variance_surface(deph, probe, ts, thetas)
     i, j = np.unravel_index(np.argmin(var), var.shape)
@@ -113,7 +96,7 @@ def brute_force_optimum(deph: DephasingModel, probe: ProbeSpec,
 
     dlog = math.log10(ts[1] / ts[0])
     dth = thetas[1] - thetas[0]
-    for _ in range(grid.refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         lo = max(t_best * 10.0 ** (-2.0 * dlog), t_lo)
         hi = min(t_best * 10.0 ** (2.0 * dlog), t_hi)
         ts_r = np.geomspace(lo, hi, 41)
@@ -140,13 +123,12 @@ def brute_force_optimum(deph: DephasingModel, probe: ProbeSpec,
     return result
 
 
-def reference_gamma(bath: BathSpec, t: float, rel_tol: float = 1e-10,
-                    max_doublings: int = 30) -> float:
+def reference_gamma(bath: BathSpec, t: float) -> float:
     """gamma(t) by interval-doubling trapezoids with Richardson extrapolation.
 
     Shares the integrand, cutoff, and analytic tail pieces with the adaptive
     route but none of its quadrature machinery. Converges when successive
-    Romberg diagonal entries agree to ``rel_tol``; raises
+    Romberg diagonal entries agree to a relative 1e-10; raises
     :class:`NonConvergence` otherwise.
     """
     if t < 0.0:
@@ -175,7 +157,7 @@ def reference_gamma(bath: BathSpec, t: float, rel_tol: float = 1e-10,
                     + 0.5 * eval_f(xs[-1:])[0])
         rows = [[trap]]
         value = None
-        for k in range(1, max_doublings + 1):
+        for k in range(1, _REF_MAX_DOUBLINGS + 1):
             h *= 0.5
             n_now = n0 * 2 ** k
             mids = np.linspace(h, x_max - h, n_now // 2)
@@ -185,15 +167,15 @@ def reference_gamma(bath: BathSpec, t: float, rel_tol: float = 1e-10,
                 row.append(row[-1] + (row[-1] - prev) / (4.0 ** m - 1.0))
             rows.append(row)
             best, prev_best = row[-1], rows[-2][-1]
-            if k >= 3 and abs(best - prev_best) <= rel_tol * max(abs(best), 1e-300):
+            if k >= 3 and abs(best - prev_best) <= _REF_REL_TOL * max(abs(best), 1e-300):
                 value = best
                 break
             rows = rows[-2:]
         if value is None:
             raise NonConvergence(
-                f"no convergence after {max_doublings} interval doublings")
+                f"no convergence after {_REF_MAX_DOUBLINGS} interval doublings")
         total = value + tail_value
-        goal = rel_tol * abs(total)
+        goal = _REF_REL_TOL * abs(total)
         if tail_err <= goal or attempt == 1:
             return total
         f, x_max, _, tail_value, tail_err, limit0 = spec.quad_problem(

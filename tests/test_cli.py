@@ -132,16 +132,6 @@ def test_ratio_rejects_n_beyond_64_bits(capsys):
     assert "below 2^63" in err
 
 
-def test_ratio_threads_keep_order(capsys):
-    argv = ["ratio", "--model", "ohmic", "--alpha", "1", "--omega-c", "1",
-            "--n-grid", "1:16:16"]
-    code, seq, _ = run(capsys, *argv)
-    assert code == 0
-    code, par, _ = run(capsys, *argv, "--threads", "4")
-    assert code == 0
-    assert par == seq
-
-
 def test_ratio_sweep_slope_quarter_power(capsys):
     import numpy as np
 
@@ -267,6 +257,16 @@ def test_numerical_failure_exit_6(capsys):
     assert code == 6
     assert out == ""
     assert err.startswith("error: seeding would need ")
+
+
+def test_missed_quadrature_contract_exit_6(capsys, monkeypatch):
+    # a tail cutoff that cannot move misses the contract at s = 4, t = 1
+    monkeypatch.setattr(dephasing, "_tail_cutoff", lambda bound, omega_max, goal: omega_max)
+    code, out, err = run(capsys, "gamma", "--model", "powerlaw", "--alpha", "1", "--s", "4",
+                         "--omega-c", "1", "--t", "1", "--route", "quad")
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error: tolerance 1e-14 not met")
 
 
 def test_numerical_failure_shows_value_and_error(capsys, monkeypatch):

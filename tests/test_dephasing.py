@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ramsey_bounds import numerics
+from ramsey_bounds import dephasing, numerics
 from ramsey_bounds.dephasing import (
     BathSpec,
     DephasingModel,
@@ -26,6 +26,7 @@ from ramsey_bounds.errors import (
     NoClosedForm,
     NoQuadraticRegime,
     NoSpectralDensity,
+    ToleranceNotMet,
 )
 from ramsey_bounds.numerics import QuadratureSettings
 
@@ -206,6 +207,14 @@ def test_short_time_coeff_finite_beta_matches_series():
                                 rel=1e-10)
 
 
+@pytest.mark.parametrize("s", [6.0, 8.0, 10.0])
+def test_short_time_coeff_finite_beta_cutoff_follows_s(s):
+    # at beta = 1e4 the thermal part is ~2/beta^(s+1) of c2, so c2 is the T = 0
+    # value (1/4) alpha wc^2 Gamma(s+1); a 40 wc cutoff drops more than 1e-11
+    got = gamma_short_time_coeff(power_law(1.0, s, 1.0, FiniteBeta(1e4)))
+    assert got == pytest.approx(0.25 * math.gamma(s + 1.0), rel=1e-11)
+
+
 def test_short_time_coeff_no_quadratic_regime():
     with pytest.raises(NoQuadraticRegime):
         gamma_short_time_coeff(generic(1.0, 1.0))
@@ -377,6 +386,47 @@ def test_dgamma_quadrature_domain():
             dgamma_quadrature(bath, t)
     with pytest.raises(NoSpectralDensity):
         dgamma_quadrature(BathSpec(GenericPowerLawDephasing(1.0, 2.0)), 1.0)
+
+
+@pytest.mark.parametrize("kernel,s", [(dgamma_quadrature, 3.0), (gamma_quadrature, 4.0)],
+                         ids=["dgamma-s3", "gamma-s4"])
+def test_quadrature_meets_contract_at_scan_start(kernel, s):
+    # the optimizer's scan starts at 1e-12 t_ref, where the tolerance is
+    # abs_tol = 1e-14; there the short-time law c2 t^2 holds
+    bath = BathSpec(PowerLawExpCutoff(1.0, s, 1.0))
+    c2 = 0.25 * math.gamma(s + 1.0)
+    for t in np.geomspace(1e-12, 1e-4, 9):
+        value, err = kernel(bath, float(t))
+        assert _within_contract(value, err)
+        law = 2.0 * c2 * t if kernel is dgamma_quadrature else c2 * t * t
+        assert value == pytest.approx(law, rel=1e-7)
+
+
+# (kernel, bath, t) where the tail bound at the first cutoff
+# wc max(40, 40/s, 10 + 5s) exceeds the tolerance abs_tol = 1e-14
+FIRST_CUTOFF_MISSES = [
+    (dgamma_quadrature, BathSpec(PowerLawExpCutoff(1.0, 4.0, 1.0)), 1.0),
+    (gamma_quadrature, BathSpec(PowerLawExpCutoff(1e6, 1.0, 1.0), HighTemperatureOhmic(1e10)),
+     1.0),
+]
+
+
+@pytest.mark.parametrize("kernel,bath,t", FIRST_CUTOFF_MISSES, ids=["dgamma", "gamma"])
+def test_power_law_cutoff_doubles_to_meet_contract(kernel, bath, t):
+    value, err = kernel(bath, t)
+    assert _within_contract(value, err)
+    closed = bath.spectral.dgamma if kernel is dgamma_quadrature else bath.spectral.gamma
+    assert abs(value - closed(bath.temperature, t)) <= 1e-14
+
+
+@pytest.mark.parametrize("kernel,bath,t", FIRST_CUTOFF_MISSES, ids=["dgamma", "gamma"])
+def test_missed_contract_raises(kernel, bath, t, monkeypatch):
+    # with a cutoff that cannot move, the estimate misses the contract and
+    # is not returned
+    monkeypatch.setattr(dephasing, "_tail_cutoff", lambda bound, omega_max, goal: omega_max)
+    with pytest.raises(ToleranceNotMet) as info:
+        kernel(bath, t)
+    assert not _within_contract(info.value.value, info.value.error)
 
 
 # --- global decoherence-function properties ---------------------------------------

@@ -33,6 +33,7 @@ from ramsey_bounds.metrology import (
     ratio_r,
     zeno_diagnostic,
 )
+from ramsey_bounds.numerics import QuadratureSettings
 
 
 def ohmic(alpha=1.0, omega_c=1.0):
@@ -138,6 +139,26 @@ def test_nonfinite_time_and_phase_rejected(fn, args):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             fn(*args)
+
+
+@pytest.mark.parametrize("fn,args", [
+    (ProbeSpec, (math.nan, 1.0)),
+    (ProbeSpec, (2.5, 1.0)),
+    (ProbeSpec, (True, 1.0)),
+    (ohmic_exact_ratio, (math.nan, 2)),
+    (ohmic_exact_ratio, (2.0, math.inf)),
+    (power_law_scaling, (math.nan, 2)),
+    (lorentzian_newton_time, (math.nan, 1.0)),
+    (lorentzian_newton_refined, (1.0, math.inf)),
+    (zeno_diagnostic, (ohmic(), 4, math.nan)),
+    (fisher_information, (math.nan, 1.0, 0.1)),
+    (QuadratureSettings, (math.nan,)),
+], ids=["probe-n-nan", "probe-n-2.5", "probe-n-bool", "ohmic-alpha-nan", "ohmic-n-inf",
+        "scaling-nu-nan", "newton-a-nan", "refined-g-inf", "zeno-omega-nan",
+        "fisher-phi-nan", "quad-rel-tol-nan"])
+def test_nonfinite_parameter_or_count_rejected(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
 
 
 def test_variance_overflow_is_inf():
@@ -328,9 +349,9 @@ def test_sweep_solves_product_root_once(monkeypatch):
     brackets = []
     solve = metrology.solve_bracketed_root
 
-    def counted(g, bracket, settings):
+    def counted(g, bracket):
         brackets.append(bracket)
-        return solve(g, bracket, settings)
+        return solve(g, bracket)
 
     monkeypatch.setattr(metrology, "solve_bracketed_root", counted)
     # Ohmic alpha = 1: t_u = 1 and t_e = 1/sqrt(2n - 1) < 0.6 for n >= 2

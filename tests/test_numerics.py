@@ -8,7 +8,6 @@ from ramsey_bounds import numerics
 from ramsey_bounds.errors import DomainError, NoSignChange, ToleranceNotMet
 from ramsey_bounds.numerics import (
     QuadratureSettings,
-    RootSettings,
     fit_power_law,
     integrate_semi_infinite,
     solve_bracketed_root,
@@ -138,10 +137,6 @@ def test_bad_cutoff_rejected():
 def test_settings_invariants():
     with pytest.raises(DomainError):
         QuadratureSettings(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureSettings(max_panels=4)
-    with pytest.raises(DomainError):
-        RootSettings(x_tol=-1.0)
 
 
 # --- solve_bracketed_root ------------------------------------------------------

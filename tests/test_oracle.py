@@ -14,7 +14,6 @@ from ramsey_bounds.dephasing import (
 from ramsey_bounds.errors import GridTooCoarse, DomainError
 from ramsey_bounds.metrology import ProbeSpec, optimal_resolution
 from ramsey_bounds.oracle import (
-    GridSpec,
     brute_force_optimum,
     gamma_consistency_draws,
     reference_gamma,
@@ -57,9 +56,8 @@ def test_grid_determinism():
 
 def test_grid_too_coarse_when_optimum_outside():
     deph = DephasingModel(BathSpec(GenericPowerLawDephasing(1.0, 1.0)))
-    grid = GridSpec(t_min=1e-6, t_max=1e-3)  # optimum at 0.5 sits far above
-    with pytest.raises(GridTooCoarse):
-        brute_force_optimum(deph, ProbeSpec(1, 1.0, "product"), grid)
+    with pytest.raises(GridTooCoarse):  # optimum at 0.5 sits far above
+        brute_force_optimum(deph, ProbeSpec(1, 1.0, "product"), t_min=1e-6, t_max=1e-3)
 
 
 def test_boundary_limited_at_total_time():
@@ -71,12 +69,9 @@ def test_boundary_limited_at_total_time():
 
 
 def test_grid_spec_validation():
+    deph = DephasingModel(BathSpec(GenericPowerLawDephasing(1.0, 1.0)))
     with pytest.raises(DomainError):
-        GridSpec(points_per_decade=5)
-    with pytest.raises(DomainError):
-        GridSpec(refine_rounds=1)
-    with pytest.raises(DomainError):
-        GridSpec(t_min=0.0)
+        brute_force_optimum(deph, ProbeSpec(1, 1.0, "product"), t_min=0.0)
 
 
 def test_reference_gamma_values():
