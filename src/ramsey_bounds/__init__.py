@@ -27,7 +27,6 @@ from .errors import (
     MaxIterations,
     NoClosedForm,
     NoFiniteOptimum,
-    NonConvergence,
     NoQuadraticRegime,
     NoSignChange,
     NoSpectralDensity,
@@ -72,8 +71,8 @@ __all__ = [
     "gamma_short_time_coeff",
     "spectral_density",
     "DegenerateSignal", "DomainError", "GridTooCoarse", "MaxIterations",
-    "NoClosedForm", "NoFiniteOptimum", "NonConvergence", "NoQuadraticRegime",
-    "NoSignChange", "NoSpectralDensity", "RamseyBoundsError", "ToleranceNotMet",
+    "NoClosedForm", "NoFiniteOptimum", "NoQuadraticRegime", "NoSignChange",
+    "NoSpectralDensity", "RamseyBoundsError", "ToleranceNotMet",
     "HighTempTimes", "Optimum", "ProbeSpec", "RatioResult",
     "fisher_information", "frequency_variance", "high_temp_entangled_time",
     "lorentzian_newton_refined", "lorentzian_newton_time",

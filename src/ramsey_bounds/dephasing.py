@@ -25,7 +25,8 @@ new route for an existing one, touches one class. A family provides:
   or on an array of times, raising :class:`NoClosedForm` where none exists;
 * ``c2(temp)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
 * ``quad_problem(temp, t, tail_goal, derivative)``: the bath integral at
-  time t set up for quadrature, or with ``derivative`` the integral of its
+  time t set up for quadrature as ``(integrand, x_max, panel_cap,
+  tail_value, tail_err)``, or with ``derivative`` the integral of its
   t-derivative, (1/2) Int J(w) W(w) sin(w t) / w dw, on the same cutoff,
   substitution and panel cap with a tail bound of its own (see
   :meth:`PowerLawExpCutoff.quad_problem`);
@@ -60,7 +61,12 @@ from .errors import (
     NoSpectralDensity,
     ToleranceNotMet,
 )
-from .numerics import QuadratureSettings, _check_fields, integrate_semi_infinite
+from .numerics import (
+    QuadratureSettings,
+    _check_fields,
+    _hurwitz_zeta,
+    integrate_semi_infinite,
+)
 
 __all__ = [
     "PowerLawExpCutoff",
@@ -124,9 +130,14 @@ class PowerLawExpCutoff:
         if isinstance(temp, ZeroTemperature):
             if self.is_ohmic:
                 return 0.5 * self.alpha * np.log1p(x * x)
+            # 1 - e^a cos b with a = -(s-1) ln(1 + x^2)/2, b = (s-1) arctan x, in
+            # the polar form -expm1(a) cos b + 2 sin^2(b/2): nothing cancels
+            # near s = 1 or at short times
             s1 = self.s - 1.0
+            b = s1 * np.arctan(x)
             return (0.5 * self.alpha * math.gamma(s1)
-                    * (1.0 - np.cos(s1 * np.arctan(x)) / (1.0 + x * x) ** (0.5 * s1)))
+                    * (-np.expm1(-0.5 * s1 * np.log1p(x * x)) * np.cos(b)
+                       + 2.0 * np.sin(0.5 * b) ** 2))
         if isinstance(temp, HighTemperatureOhmic):
             return (self.alpha / temp.beta
                     * (t * np.arctan(x) - 0.5 * np.log1p(x * x) / self.omega_c))
@@ -153,47 +164,25 @@ class PowerLawExpCutoff:
         if isinstance(temp, HighTemperatureOhmic):
             return 0.5 * self.alpha * wc / temp.beta
 
-        # finite beta: c2 = (1/4) Int J(w) coth(beta w / 2) dw
-        def f(w):
-            return 0.25 * spectral_density(self, w) * temp.weight(w)
-
-        # Past a cutoff W = x wc with x > s, the envelope
-        # w^s e^(-w/wc) <= W^s e^(-x) e^((s/x - 1)(w/wc - x)) bounds the tail
-        # by (1/4) alpha wc^2 x^s e^(-x) coth(beta W / 2) x / (x - s). W doubles
-        # until that is within half the relative goal of a lower bound on c2,
-        # (1/4) alpha wc^2 max(Gamma(s+1), 2 Gamma(s) / (beta wc)) from
-        # coth(u) >= max(1, 1/u); compared in logs, as x^s may overflow.
-        s, rel_tol = self.s, 1e-11
-        log_goal = math.log(0.5 * rel_tol) + max(
-            math.lgamma(s + 1.0), math.log(2.0 / (temp.beta * wc)) + math.lgamma(s))
-
-        def log_tail(om):
-            x = om / wc
-            if x <= s:
-                return math.inf
-            return (s * math.log(x) - x + math.log(x / (x - s))
-                    + math.log(temp.weight(om)))
-
-        sub_ohmic = s < 1.0 - OHMIC_S_TOL
-        omega_max = _tail_cutoff(log_tail, 40.0 * wc / s if sub_ohmic else 40.0 * wc,
-                                 log_goal)
-        settings = QuadratureSettings(rel_tol=rel_tol)
-        if sub_ohmic:
-            return integrate_semi_infinite(
-                _in_sqrt(f), math.sqrt(omega_max), settings)[0]
-        return integrate_semi_infinite(f, omega_max, settings)[0]
+        # finite beta: c2 = (1/4) Int J(w) coth(beta w / 2) dw with
+        # coth(beta w / 2) = 1 + 2 Sum_{k>=1} e^(-k beta w); the k-th term is
+        # the T = 0 integral times (1 + k beta wc)^-(s+1), and these sum to a
+        # Hurwitz zeta
+        bw = temp.beta * wc
+        return (0.25 * self.alpha * wc ** 2 * math.gamma(self.s + 1.0)
+                * (1.0 + 2.0 * bw ** -(self.s + 1.0)
+                   * _hurwitz_zeta(self.s + 1.0, 1.0 + 1.0 / bw)))
 
     def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
         """Build the 1-D integration problem for the bath integral at time t > 0,
         or with ``derivative`` for its t-derivative (see :func:`_integrand`).
 
-        Returns ``(integrand, x_max, panel_cap, tail_value, tail_err, endpoint)``
-        in the integration variable x. ``tail_value`` is the analytically known
-        part of the neglected tail (added to the quadrature result) and
-        ``tail_err`` bounds the remainder. For sub-Ohmic finite-beta baths
-        x = sqrt(omega) removes the integrable endpoint singularity; otherwise
-        x = omega. ``endpoint`` is the x -> 0 limit of the integrand (used by
-        trapezoid-based references).
+        Returns ``(integrand, x_max, panel_cap, tail_value, tail_err)`` in the
+        integration variable x. ``tail_value`` is the analytically known part
+        of the neglected tail (added to the quadrature result) and
+        ``tail_err`` bounds the remainder. At finite beta, and at T = 0 with
+        s < 2, x = sqrt(omega) smooths the endpoint behaviour; otherwise
+        x = omega.
         """
         s, wc = self.s, self.omega_c
         # exponential-tail envelope: integrand <= alpha*wc^(1-s)*w^(s-2)*W*2*e^(-w/wc),
@@ -222,24 +211,10 @@ class PowerLawExpCutoff:
         if (isinstance(temp, FiniteBeta)
                 or (isinstance(temp, ZeroTemperature) and s < 2.0)):
             x_max = math.sqrt(omega_max)
-            # endpoint ~ x^(2s+1) at T = 0 and ~ x^(2s-1) at finite beta
-            end0 = 0.0
-            if isinstance(temp, FiniteBeta):
-                if abs(s - 0.5) < 1e-12:
-                    end0 = self.alpha * wc ** 0.5 * t * t / temp.beta
-                elif s < 0.5:
-                    end0 = math.inf
-            return (_in_sqrt(f), x_max, math.pi / (x_max * t), 0.0, tail_err,
-                    _endpoint(end0, t, derivative))
+            return _in_sqrt(f), x_max, math.pi / (x_max * t), 0.0, tail_err
 
-        # T = 0 with s >= 2, or the Ohmic high-temperature weight, where
-        # J*W -> 2 alpha / beta at the origin
-        if isinstance(temp, ZeroTemperature):
-            limit0 = 0.0
-        else:
-            limit0 = 0.5 * self.alpha * (2.0 / temp.beta) * (t * t / 2.0)
-        return (f, omega_max, 2.0 * math.pi / t, 0.0, tail_err,
-                _endpoint(limit0, t, derivative))
+        # T = 0 with s >= 2, or the Ohmic high-temperature weight
+        return f, omega_max, 2.0 * math.pi / t, 0.0, tail_err
 
     def omega_fast(self):
         return self.omega_c
@@ -297,7 +272,6 @@ class Lorentzian:
         # until that bound meets the goal, so the panel count stays bounded
         # in gt.
         goal = max(tail_goal, 1e-300)
-        limit0 = 0.25 * a * t * t / (math.pi * g)
         if derivative:
             # Int_W^inf H1 sin(wt) dw,  H1(w) = (a g / 2 pi) / ((g^2 + w^2) w)
             def h1_val(om):
@@ -314,7 +288,7 @@ class Lorentzian:
                           - h1_der(omega_max) * math.sin(x) / (t * t))
             tail_err = abs(h1_der(omega_max)) / (t * t)
             return (_integrand(self, temp, t, derivative), omega_max, 2.0 * math.pi / t,
-                    tail_value, tail_err, _endpoint(limit0, t, derivative))
+                    tail_value, tail_err)
 
         # Int_W^inf H (1 - cos(wt)) dw,  H(w) = (a g / 2 pi) / ((g^2 + w^2) w^2):
         # a closed-form mean part and an oscillatory part -Int_W^inf H cos(wt) dw
@@ -341,7 +315,7 @@ class Lorentzian:
                       + h_der(omega_max) * math.cos(x) / (t * t))
         tail_err = 2.0 * abs(h_der(omega_max)) / (t * t)
         return (_integrand(self, temp, t), omega_max, 2.0 * math.pi / t,
-                tail_value, tail_err, limit0)
+                tail_value, tail_err)
 
     def omega_fast(self):
         # None in the static-bath limit g = 0
@@ -615,12 +589,6 @@ def _integrand(spec, temp, t, derivative=False):
     return f
 
 
-def _endpoint(limit0, t, derivative):
-    """The x -> 0 limit of the integrand from ``limit0``, that of the gamma
-    integrand: the kernels tend to t^2/2 (gamma) and to t (its derivative)."""
-    return limit0 * 2.0 / t if derivative else limit0
-
-
 def _tail_cutoff(bound, omega_max, goal):
     """The cutoff ``omega_max`` doubled until ``bound`` (the tail error at a
     cutoff, or any increasing function of it) is within ``goal``, or at most
@@ -687,13 +655,13 @@ def _bath_quadrature(bath, t, settings, derivative):
                                abs_tol=0.5 * settings.abs_tol)
     # first pass against a crude absolute goal; rebuild the cutoff once the
     # magnitude of the result is known
-    f, x_max, cap, tail_val, tail_err, _ = spec.quad_problem(
+    f, x_max, cap, tail_val, tail_err = spec.quad_problem(
         temp, t, max(settings.abs_tol, 1e-9), derivative)
     value, err = integrate_semi_infinite(f, x_max, inner, max_panel_width=cap)
     value += tail_val
     goal = max(settings.abs_tol, settings.rel_tol * abs(value))
     if tail_err > 0.5 * goal:
-        f, x_max, cap, tail_val, tail_err, _ = spec.quad_problem(
+        f, x_max, cap, tail_val, tail_err = spec.quad_problem(
             temp, t, 0.25 * goal, derivative)
         value, err = integrate_semi_infinite(f, x_max, inner, max_panel_width=cap)
         value += tail_val

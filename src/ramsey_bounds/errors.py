@@ -48,7 +48,3 @@ class NoQuadraticRegime(RamseyBoundsError):
 
 class GridTooCoarse(RamseyBoundsError):
     """Brute-force search ended on a grid edge that is not a domain boundary."""
-
-
-class NonConvergence(RamseyBoundsError):
-    """Interval-doubling integration failed to converge within the doubling budget."""

@@ -142,8 +142,8 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
     once when the error estimate is not finite (a NaN or infinite integrand),
     which no refinement can mend.
     """
-    if upper_cutoff <= 0.0:
-        raise DomainError("upper_cutoff must be > 0")
+    if not 0.0 < upper_cutoff < math.inf:
+        raise DomainError("upper_cutoff must be finite and > 0")
     lo, hi = _seed_panels(upper_cutoff, SMALL_OMEGA_CUTOFF * upper_cutoff,
                           max_panel_width, MAX_PANELS)
     val, err = _refined_panels(integrand, lo, hi)
@@ -239,8 +239,8 @@ def fit_power_law(xs, ys):
         raise DomainError("need at least 3 samples")
     if not np.all(np.diff(xs) > 0.0):
         raise DomainError("xs must be strictly increasing")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise DomainError("power-law fit needs strictly positive data")
+    if not ((0.0 < xs) & (xs < math.inf) & (0.0 < ys) & (ys < math.inf)).all():
+        raise DomainError("power-law fit needs finite, strictly positive data")
     lx, ly = np.log(xs), np.log(ys)
     lxm, lym = lx.mean(), ly.mean()
     slope = float(np.sum((lx - lxm) * (ly - lym)) / np.sum((lx - lxm) ** 2))
@@ -248,3 +248,28 @@ def fit_power_law(xs, ys):
     resid = ly - (slope * lx + intercept)
     return PowerLawFit(exponent=slope, log_prefactor=intercept,
                        residual_rms=float(np.sqrt(np.mean(resid ** 2))))
+
+
+# Terms of the Hurwitz zeta summed directly before Euler-Maclaurin, and the
+# Bernoulli numbers B_2 .. B_12 of its correction terms.
+_ZETA_TERMS = 12
+_BERNOULLI_EVEN = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+                   -691.0 / 2730.0)
+
+
+def _hurwitz_zeta(p, q):
+    """zeta(p, q) = Sum_{k>=0} (q + k)^(-p) for p > 1 and q > 0.
+
+    The first ``_ZETA_TERMS`` terms are summed; the rest is the
+    Euler-Maclaurin tail at u = q + _ZETA_TERMS, u^(1-p)/(p-1) + u^(-p)/2 +
+    Sum_j B_2j/(2j)! p(p+1)...(p+2j-2) u^(1-p-2j), through B_12.
+    """
+    head = float(np.sum((q + np.arange(_ZETA_TERMS, dtype=float)) ** -p))
+    u = q + _ZETA_TERMS
+    tail = u ** (1.0 - p) / (p - 1.0) + 0.5 * u ** -p
+    rising, fact = p, 2.0  # p(p+1)...(p+2j-2) and (2j)!
+    for j, b2j in enumerate(_BERNOULLI_EVEN, start=1):
+        tail += b2j / fact * rising * u ** (1.0 - p - 2 * j)
+        rising *= (p + 2 * j - 1) * (p + 2 * j)
+        fact *= (2 * j + 1) * (2 * j + 2)
+    return head + tail

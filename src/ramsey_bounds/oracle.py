@@ -1,10 +1,10 @@
-"""Brute-force reference implementations.
+"""Reference implementations.
 
 These deliberately avoid the solvers they are meant to check: the optimum
 search is a refined 2-D grid scan of the raw variance surface, and the
-reference decoherence integral uses interval-doubling trapezoids with
-Richardson extrapolation instead of adaptive Gauss panels. Slow but
-independent; used by the test suite and the ``validate`` CLI command.
+reference decoherence integral is built from closed forms and, at finite
+temperature, a Matsubara sum of them, with no quadrature at all. Used by the
+test suite and the ``validate`` CLI command.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ from .dephasing import (
     HighTemperatureOhmic,
     Lorentzian,
     PowerLawExpCutoff,
+    ZeroTemperature,
 )
-from .errors import DomainError, GridTooCoarse, NonConvergence
+from .errors import DomainError, GridTooCoarse, NoSpectralDensity
 from .metrology import Optimum, ProbeSpec, optimal_interrogation
+from .numerics import _hurwitz_zeta
 
 __all__ = [
     "brute_force_optimum",
@@ -33,9 +35,12 @@ __all__ = [
 
 
 # brute_force_optimum's grid (points per decade of t, fringe arguments theta,
-# zoom rounds) and reference_gamma's Romberg tolerance and doubling budget
+# zoom rounds)
 _POINTS_PER_DECADE, _PHI_POINTS, _REFINE_ROUNDS = 50, 181, 4
-_REF_REL_TOL, _REF_MAX_DOUBLINGS = 1e-10, 30
+# reference_gamma's finite-beta sum: the most Matsubara terms it sums directly
+# (about 10 t / beta are needed), and the order t^(2j), j <= _SERIES_TERMS, of
+# the short-time series that sums the rest, where every r_k wc t <= 0.1
+_MAX_MATSUBARA_TERMS, _SERIES_TERMS = 100_000, 8
 
 
 def _variance_surface(deph: DephasingModel, probe: ProbeSpec, ts, thetas):
@@ -124,63 +129,49 @@ def brute_force_optimum(deph: DephasingModel, probe: ProbeSpec, *,
 
 
 def reference_gamma(bath: BathSpec, t: float) -> float:
-    """gamma(t) by interval-doubling trapezoids with Richardson extrapolation.
+    """gamma(t), the bath integral itself, from closed forms alone.
 
-    Shares the integrand, cutoff, and analytic tail pieces with the adaptive
-    route but none of its quadrature machinery. Converges when successive
-    Romberg diagonal entries agree to a relative 1e-10; raises
-    :class:`NonConvergence` otherwise.
+    At T = 0 and in the high-temperature expansion this is the family's
+    closed form. At finite beta, coth(beta w / 2) = 1 + 2 Sum_k e^(-k beta w)
+    splits the integral into T = 0 integrals with cutoffs r_k wc, where
+    r_k = 1/(1 + k beta wc): gamma(t) = Sum_k w_k r_k^(s-1) gamma_0(r_k t),
+    with w = 1, 2, 2, ... and gamma_0 the T = 0 closed form. Terms up to
+    K = max(16, ceil((10 t - 1/wc)/beta)) are summed directly; past K, where
+    r_k wc t <= 0.1, gamma_0's short-time series is summed over k instead,
+    each power sum being a Hurwitz zeta. Raises :class:`DomainError` when K
+    exceeds ``_MAX_MATSUBARA_TERMS``.
     """
-    if t < 0.0:
-        raise DomainError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
+    if not 0.0 <= t < math.inf:
+        raise DomainError("t must be finite and >= 0")
     spec, temp = bath.spectral, bath.temperature
-    f, x_max, _, tail_value, tail_err, limit0 = spec.quad_problem(temp, t, 1e-9)
-    if not math.isfinite(limit0):
-        raise DomainError("integrand endpoint diverges; model unsupported here")
+    if isinstance(spec, GenericPowerLawDephasing):
+        raise NoSpectralDensity("no bath integral for generic power-law dephasing")
+    if isinstance(temp, HighTemperatureOhmic):
+        return float(spec.gamma(temp, t))
+    # the Ohmic closed form (alpha/2) ln(1 + wc^2 t^2) is twice the integral
+    half = 0.5 if isinstance(spec, PowerLawExpCutoff) and spec.is_ohmic else 1.0
+    if isinstance(temp, ZeroTemperature):
+        return half * float(spec.gamma(temp, t))
 
-    def eval_f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        pos = x > 0.0
-        out[pos] = np.asarray(f(x[pos]), dtype=float)
-        out[~pos] = limit0
-        return out
-
-    # refine the cutoff once against the first converged magnitude
-    n0 = 64
-    for attempt in range(2):
-        h = x_max / n0
-        xs = np.linspace(0.0, x_max, n0 + 1)
-        trap = h * (0.5 * eval_f(xs[0:1])[0] + eval_f(xs[1:-1]).sum()
-                    + 0.5 * eval_f(xs[-1:])[0])
-        rows = [[trap]]
-        value = None
-        for k in range(1, _REF_MAX_DOUBLINGS + 1):
-            h *= 0.5
-            n_now = n0 * 2 ** k
-            mids = np.linspace(h, x_max - h, n_now // 2)
-            trap = 0.5 * rows[-1][0] + h * eval_f(mids).sum()
-            row = [trap]
-            for m, prev in enumerate(rows[-1], start=1):
-                row.append(row[-1] + (row[-1] - prev) / (4.0 ** m - 1.0))
-            rows.append(row)
-            best, prev_best = row[-1], rows[-2][-1]
-            if k >= 3 and abs(best - prev_best) <= _REF_REL_TOL * max(abs(best), 1e-300):
-                value = best
-                break
-            rows = rows[-2:]
-        if value is None:
-            raise NonConvergence(
-                f"no convergence after {_REF_MAX_DOUBLINGS} interval doublings")
-        total = value + tail_value
-        goal = _REF_REL_TOL * abs(total)
-        if tail_err <= goal or attempt == 1:
-            return total
-        f, x_max, _, tail_value, tail_err, limit0 = spec.quad_problem(
-            temp, t, 0.25 * goal)
-    return total
+    s, wc, beta = spec.s, spec.omega_c, temp.beta
+    k_max = max(16, math.ceil((10.0 * t - 1.0 / wc) / beta))
+    if k_max > _MAX_MATSUBARA_TERMS:
+        raise DomainError(f"t = {t:g} needs {k_max} Matsubara terms "
+                          f"(at most {_MAX_MATSUBARA_TERMS})")
+    r = 1.0 / (1.0 + np.arange(k_max + 1.0) * (beta * wc))
+    terms = r ** (s - 1.0) * (half * spec.gamma(ZeroTemperature(), r * t))
+    value = float(terms[0] + 2.0 * terms[1:].sum())
+    # past K, the term 2 gamma_k, gamma_k = (1/2) Int J_k (1 - cos wt)/w^2 dw
+    # with J_k = alpha wc^(1-s) w^s e^(-w/w_k) and w_k = r_k wc, is in powers
+    # of t Sum_j (-1)^(j+1) alpha wc^(1-s) Gamma(p) w_k^p t^(2j) / (2j)! with
+    # p = s + 2j - 1, and Sum_{k>K} w_k^p = beta^-p zeta(p, K + 1 + 1/(beta wc))
+    q = k_max + 1.0 + 1.0 / (beta * wc)
+    for j in range(1, _SERIES_TERMS + 1):
+        p = s + 2 * j - 1
+        value += ((-1) ** (j + 1) * spec.alpha * wc ** (1.0 - s) * math.gamma(p)
+                  * beta ** -p * _hurwitz_zeta(p, q) * t ** (2 * j)
+                  / math.factorial(2 * j))
+    return value
 
 
 # --- seeded random scenarios ---------------------------------------------------
@@ -224,8 +215,8 @@ def scenario_draws(rng, trials):
 
 
 def gamma_consistency_draws(rng, trials):
-    """Deterministic (bath, t) pairs for cross-checking the two integration
-    routes, spanning all temperature modes on grids both can resolve."""
+    """Deterministic (bath, t) pairs for cross-checking the quadrature route
+    against :func:`reference_gamma`, spanning all temperature modes."""
     out = []
     for k in range(trials):
         fam = k % 4
@@ -235,8 +226,9 @@ def gamma_consistency_draws(rng, trials):
             bath = BathSpec(PowerLawExpCutoff(_log_uniform(rng, 0.3, 3.0), s, wc))
             w_fast = wc
         elif fam == 1:
-            # s = 1/2 exactly or s >= 1: endpoint stays polynomial under the
-            # sqrt substitution, which the doubling reference needs
+            # s = 1/2 or s in [1, 3]: these draws are the inputs of the
+            # benchmark's validate workload, so widening them to other
+            # sub-Ohmic s changes the benchmark
             s = 0.5 if rng.uniform() < 0.25 else float(rng.uniform(1.0, 3.0))
             wc = _log_uniform(rng, 0.3, 3.0)
             bath = BathSpec(PowerLawExpCutoff(_log_uniform(rng, 0.3, 3.0), s, wc),

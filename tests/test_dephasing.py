@@ -364,20 +364,6 @@ def test_refinement_loop_meets_contract(monkeypatch):
         assert value == pytest.approx(kernel(bath, 1.0)[0], rel=2e-9)
 
 
-@pytest.mark.parametrize("bath", [
-    BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0), FiniteBeta(2.0)),
-    BathSpec(PowerLawExpCutoff(1.0, 2.5, 1.0)),
-    BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0), HighTemperatureOhmic(2.0)),
-    BathSpec(Lorentzian(2.0, 0.5)),
-], ids=["beta-s0.5", "s2.5", "high-T", "lorentzian"])
-def test_quad_problem_endpoint_is_the_integrand_limit(bath):
-    for derivative in (False, True):
-        f, *_, endpoint = bath.spectral.quad_problem(bath.temperature, 1.3, 1e-9,
-                                                     derivative)
-        assert float(f(np.array([1e-7]))[0]) == pytest.approx(endpoint, rel=1e-6,
-                                                               abs=1e-12)
-
-
 def test_dgamma_quadrature_domain():
     bath = BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0))
     assert dgamma_quadrature(bath, 0.0) == (0.0, 0.0)

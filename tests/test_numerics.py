@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ramsey_bounds import numerics
+from ramsey_bounds.dephasing import BathSpec, PowerLawExpCutoff
 from ramsey_bounds.errors import DomainError, NoSignChange, ToleranceNotMet
 from ramsey_bounds.numerics import (
     QuadratureSettings,
@@ -12,6 +13,7 @@ from ramsey_bounds.numerics import (
     integrate_semi_infinite,
     solve_bracketed_root,
 )
+from ramsey_bounds.oracle import reference_gamma
 
 
 def bisect(f, lo, hi, tol=1e-10):
@@ -132,6 +134,19 @@ def test_seed_panels_match_loop_bit_for_bit():
 def test_bad_cutoff_rejected():
     with pytest.raises(DomainError):
         integrate_semi_infinite(lambda w: w, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reference_gamma(BathSpec(PowerLawExpCutoff(1.0, 2.0, 1.0)), math.nan),
+    lambda: reference_gamma(BathSpec(PowerLawExpCutoff(1.0, 0.7, 1.0)), math.inf),
+    lambda: integrate_semi_infinite(lambda w: np.exp(-w), math.nan),
+    lambda: integrate_semi_infinite(lambda w: np.exp(-w), math.inf),
+    lambda: fit_power_law([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+], ids=["reference-gamma-nan", "reference-gamma-inf", "cutoff-nan", "cutoff-inf",
+        "fit-nan"])
+def test_nonfinite_inputs_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_settings_invariants():

@@ -6,6 +6,7 @@ import pytest
 from ramsey_bounds.dephasing import (
     BathSpec,
     DephasingModel,
+    FiniteBeta,
     GenericPowerLawDephasing,
     Lorentzian,
     PowerLawExpCutoff,
@@ -78,6 +79,13 @@ def test_reference_gamma_values():
     bath = BathSpec(PowerLawExpCutoff(1.0, 2.0, 1.0))
     assert reference_gamma(bath, 1.0) == pytest.approx(0.25, rel=1e-9)
     assert reference_gamma(bath, 0.0) == 0.0
+
+
+def test_reference_gamma_caps_matsubara_terms():
+    # about 10 t / beta = 1e7 terms, past the cap: refused before any is summed
+    bath = BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0), FiniteBeta(1.0))
+    with pytest.raises(DomainError, match="Matsubara terms"):
+        reference_gamma(bath, 1e6)
 
 
 def test_reference_gamma_matches_adaptive_route():
