@@ -72,10 +72,7 @@ def _fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    return format(x, ".17g")
+    return format(float(x), ".17g")
 
 
 def _json_value(x) -> str:

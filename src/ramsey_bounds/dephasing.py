@@ -25,11 +25,12 @@ new route for an existing one, touches one class. A family provides:
   or on an array of times, raising :class:`NoClosedForm` where none exists;
 * ``c2(temp)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
 * ``quad_problem(temp, t, tail_goal, derivative)``: the bath integral at
-  time t set up for quadrature as ``(integrand, x_max, panel_cap,
+  time t set up for quadrature in w as ``(integrand, omega_max,
   tail_value, tail_err)``, or with ``derivative`` the integral of its
-  t-derivative, (1/2) Int J(w) W(w) sin(w t) / w dw, on the same cutoff,
-  substitution and panel cap with a tail bound of its own (see
-  :meth:`PowerLawExpCutoff.quad_problem`);
+  t-derivative, (1/2) Int J(w) W(w) sin(w t) / w dw, with a tail bound of
+  its own (see :meth:`PowerLawExpCutoff.quad_problem`). The change of
+  variable and the panel layout belong to
+  :func:`~ramsey_bounds.numerics.integrate_semi_infinite`;
 * ``omega_fast()``: the fastest bath frequency, or None;
 * ``time_scale(m)``: the characteristic time (m = 1), and the scale of the
   root of 2 m t gamma'(t) = 1 that seeds the optimizer's scan; ``m`` may be
@@ -132,12 +133,14 @@ class PowerLawExpCutoff:
                 return 0.5 * self.alpha * np.log1p(x * x)
             # 1 - e^a cos b with a = -(s-1) ln(1 + x^2)/2, b = (s-1) arctan x, in
             # the polar form -expm1(a) cos b + 2 sin^2(b/2): nothing cancels
-            # near s = 1 or at short times
+            # near s = 1 or at short times. Gamma(s - 1) < 0 for s < 1 makes
+            # gamma(0) = -0.0; adding 0.0 turns that into 0.0 and moves no
+            # other bit
             s1 = self.s - 1.0
             b = s1 * np.arctan(x)
             return (0.5 * self.alpha * math.gamma(s1)
                     * (-np.expm1(-0.5 * s1 * np.log1p(x * x)) * np.cos(b)
-                       + 2.0 * np.sin(0.5 * b) ** 2))
+                       + 2.0 * np.sin(0.5 * b) ** 2)) + 0.0
         if isinstance(temp, HighTemperatureOhmic):
             return (self.alpha / temp.beta
                     * (t * np.arctan(x) - 0.5 * np.log1p(x * x) / self.omega_c))
@@ -177,12 +180,11 @@ class PowerLawExpCutoff:
         """Build the 1-D integration problem for the bath integral at time t > 0,
         or with ``derivative`` for its t-derivative (see :func:`_integrand`).
 
-        Returns ``(integrand, x_max, panel_cap, tail_value, tail_err)`` in the
-        integration variable x. ``tail_value`` is the analytically known part
-        of the neglected tail (added to the quadrature result) and
-        ``tail_err`` bounds the remainder. At finite beta, and at T = 0 with
-        s < 2, x = sqrt(omega) smooths the endpoint behaviour; otherwise
-        x = omega.
+        Returns ``(integrand, omega_max, tail_value, tail_err)``: the integrand
+        as a function of omega, to be integrated over (0, omega_max].
+        ``tail_value`` is the analytically known part of the neglected tail
+        above omega_max (added to the quadrature result) and ``tail_err``
+        bounds the remainder.
         """
         s, wc = self.s, self.omega_c
         # exponential-tail envelope: integrand <= alpha*wc^(1-s)*w^(s-2)*W*2*e^(-w/wc),
@@ -201,20 +203,7 @@ class PowerLawExpCutoff:
 
         omega_max = _tail_cutoff(tail_bound, wc * max(40.0, 40.0 / s, 10.0 + 5.0 * s),
                                  0.25 * tail_goal)
-        tail_err = tail_bound(omega_max)
-        f = _integrand(self, temp, t, derivative)
-
-        # Fractional powers of w at the origin defeat extrapolation-based
-        # integrators, so substitute w = x^2 (integrand_x = f(x^2) 2x)
-        # whenever the endpoint behaviour w^s (T = 0, s < 2) or w^(s-1)
-        # (finite beta) is not already smooth.
-        if (isinstance(temp, FiniteBeta)
-                or (isinstance(temp, ZeroTemperature) and s < 2.0)):
-            x_max = math.sqrt(omega_max)
-            return _in_sqrt(f), x_max, math.pi / (x_max * t), 0.0, tail_err
-
-        # T = 0 with s >= 2, or the Ohmic high-temperature weight
-        return f, omega_max, 2.0 * math.pi / t, 0.0, tail_err
+        return _integrand(self, temp, t, derivative), omega_max, 0.0, tail_bound(omega_max)
 
     def omega_fast(self):
         return self.omega_c
@@ -269,8 +258,8 @@ class Lorentzian:
         # Above the cutoff W the tail is integrated by parts twice: the surface
         # terms are added exactly and the remainder is bounded by the first
         # derivative of the smooth factor at W over t^2. W is 20/t doubled
-        # until that bound meets the goal, so the panel count stays bounded
-        # in gt.
+        # until that bound meets the goal, so the number of periods of
+        # cos(wt) below W stays bounded in gt.
         goal = max(tail_goal, 1e-300)
         if derivative:
             # Int_W^inf H1 sin(wt) dw,  H1(w) = (a g / 2 pi) / ((g^2 + w^2) w)
@@ -283,12 +272,11 @@ class Lorentzian:
 
             omega_max = _tail_cutoff(lambda om: abs(h1_der(om)) / (t * t), 20.0 / t,
                                      0.25 * goal)
-            x = omega_max * t
-            tail_value = (h1_val(omega_max) * math.cos(x) / t
-                          - h1_der(omega_max) * math.sin(x) / (t * t))
+            phase = omega_max * t
+            tail_value = (h1_val(omega_max) * math.cos(phase) / t
+                          - h1_der(omega_max) * math.sin(phase) / (t * t))
             tail_err = abs(h1_der(omega_max)) / (t * t)
-            return (_integrand(self, temp, t, derivative), omega_max, 2.0 * math.pi / t,
-                    tail_value, tail_err)
+            return _integrand(self, temp, t, derivative), omega_max, tail_value, tail_err
 
         # Int_W^inf H (1 - cos(wt)) dw,  H(w) = (a g / 2 pi) / ((g^2 + w^2) w^2):
         # a closed-form mean part and an oscillatory part -Int_W^inf H cos(wt) dw
@@ -309,13 +297,12 @@ class Lorentzian:
         else:
             u_minus_atan = u - math.atan(u)
         mean_tail = 0.5 * a / (math.pi * g) * (u_minus_atan / g)
-        x = omega_max * t
+        phase = omega_max * t
         tail_value = (mean_tail
-                      + h_val(omega_max) * math.sin(x) / t
-                      + h_der(omega_max) * math.cos(x) / (t * t))
+                      + h_val(omega_max) * math.sin(phase) / t
+                      + h_der(omega_max) * math.cos(phase) / (t * t))
         tail_err = 2.0 * abs(h_der(omega_max)) / (t * t)
-        return (_integrand(self, temp, t), omega_max, 2.0 * math.pi / t,
-                tail_value, tail_err)
+        return _integrand(self, temp, t), omega_max, tail_value, tail_err
 
     def omega_fast(self):
         # None in the static-bath limit g = 0
@@ -600,14 +587,6 @@ def _tail_cutoff(bound, omega_max, goal):
     return omega_max
 
 
-def _in_sqrt(f):
-    """The integrand f(w) dw in the variable x = sqrt(w): f(x^2) 2x dx."""
-    def fx(x):
-        x = np.asarray(x, dtype=float)
-        return f(x * x) * 2.0 * x
-    return fx
-
-
 def gamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
     """gamma(t) by adaptive quadrature of the bath integral.
 
@@ -653,17 +632,19 @@ def _bath_quadrature(bath, t, settings, derivative):
     # panels run at half tolerance so the tail bound fits inside the contract
     inner = QuadratureSettings(rel_tol=0.5 * settings.rel_tol,
                                abs_tol=0.5 * settings.abs_tol)
+    # seeded panels are at most one oscillation period of cos(w t) wide
+    period = 2.0 * math.pi / t
     # first pass against a crude absolute goal; rebuild the cutoff once the
     # magnitude of the result is known
-    f, x_max, cap, tail_val, tail_err = spec.quad_problem(
+    f, omega_max, tail_val, tail_err = spec.quad_problem(
         temp, t, max(settings.abs_tol, 1e-9), derivative)
-    value, err = integrate_semi_infinite(f, x_max, inner, max_panel_width=cap)
+    value, err = integrate_semi_infinite(f, omega_max, inner, max_panel_width=period)
     value += tail_val
     goal = max(settings.abs_tol, settings.rel_tol * abs(value))
     if tail_err > 0.5 * goal:
-        f, x_max, cap, tail_val, tail_err = spec.quad_problem(
+        f, omega_max, tail_val, tail_err = spec.quad_problem(
             temp, t, 0.25 * goal, derivative)
-        value, err = integrate_semi_infinite(f, x_max, inner, max_panel_width=cap)
+        value, err = integrate_semi_infinite(f, omega_max, inner, max_panel_width=period)
         value += tail_val
     err += tail_err
     tol = max(settings.abs_tol, settings.rel_tol * abs(value))

@@ -1,5 +1,11 @@
 """Generic numerical machinery: adaptive panel quadrature on a semi-infinite
-range, safeguarded bracketed root finding, and log-log power-law fitting."""
+range, safeguarded bracketed root finding, and log-log power-law fitting.
+
+The quadrature takes an integral f(omega) d omega and integrates it in
+x = sqrt(omega), as f(x^2) 2x dx. Bath integrands go as omega^(s-1) (finite
+temperature) or omega^s (zero temperature) at the origin; in x these powers
+become x^(2s-1) and x^(2s+1), which are bounded for s >= 1/2 and smoother
+for every s, so callers never change variables themselves."""
 
 from __future__ import annotations
 
@@ -51,8 +57,9 @@ class QuadratureSettings:
 
 # Panel budget of one quadrature, seeding and refinement together.
 MAX_PANELS = 4096
-# Innermost seeded panel boundary as a fraction of the upper cutoff; below it
-# the geometric ladder covers the (regularized) origin region.
+# Innermost seeded panel boundary as a fraction of sqrt(upper cutoff), in the
+# integration variable x = sqrt(omega); below it the geometric ladder covers
+# the origin region.
 SMALL_OMEGA_CUTOFF = 1e-4
 
 # Stopping criteria of the safeguarded root solver (see solve_bracketed_root).
@@ -71,7 +78,7 @@ class PowerLawFit:
 
 
 # 16-node Gauss-Legendre rule on [-1, 1]; one panel per oscillation period is
-# enough for this order, so the panel width cap below is 2*pi/t_osc.
+# enough for this order, so callers pass 2*pi/t as the widest seeded panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # Octaves the geometric panel ladder descends below the inner seeding
@@ -97,44 +104,46 @@ def _refined_panels(f, lo, hi):
 
 
 def _seed_panels(upper_cutoff, inner_boundary, max_panel_width, max_panels):
-    """Geometric ladder of panel boundaries from below ``inner_boundary`` up to
-    the cutoff, with every rung split to the oscillation width cap."""
+    """Panel edges in x = sqrt(omega) on (0, upper_cutoff], both bounds in x:
+    a geometric ladder from below ``inner_boundary`` up to the cutoff, with
+    every rung [a, b] split into ceil((b^2 - a^2) / max_panel_width) pieces
+    equal in omega, so that no panel spans more than ``max_panel_width`` of
+    omega (up to the rounding of the square root)."""
     eps = min(inner_boundary, 0.25 * upper_cutoff) * 2.0 ** (-_LADDER_DEPTH)
     # eps * 2^j is exact, so these are the rungs that repeated doubling gives;
     # the frexp exponents bound the number of doublings below the cutoff
     doublings = math.frexp(upper_cutoff)[1] - math.frexp(eps)[1] + 2
     rungs = np.ldexp(eps, np.arange(doublings))
     rungs = np.concatenate(([0.0], rungs[rungs < upper_cutoff], [upper_cutoff]))
-    widths = np.diff(rungs)
-    if max_panel_width is None:
-        pieces = np.ones(widths.size, dtype=int)
-    else:
-        pieces = np.where(widths > max_panel_width,
-                          np.ceil(widths / max_panel_width), 1.0).astype(int)
+    squares = rungs * rungs
+    spans = np.diff(squares)
+    pieces = np.maximum(np.ceil(spans / max_panel_width), 1.0).astype(int)
     total = int(pieces.sum())
     if total > max_panels:
         raise ToleranceNotMet(
             f"seeding would need {total} panels (max_panels={max_panels})")
-    # rung r split into k equal pieces has edges i * (width / k) + lo, its
-    # last edge set to hi: the arithmetic of np.linspace(lo, hi, k + 1)
-    rung = np.repeat(np.arange(widths.size), pieces)
-    ends = np.cumsum(pieces)
-    i = np.arange(total) - np.repeat(ends - pieces, pieces)
-    step, lo = widths[rung] / pieces[rung], rungs[rung]
-    los = i * step + lo
-    his = (i + 1) * step + lo
-    his[ends - 1] = rungs[1:]
-    return los, his
+    # piece i of rung [a, b] cut into k starts at sqrt(a^2 + i * (b^2 - a^2) / k);
+    # each rung starts exactly at its edge and each panel ends where the next
+    # one starts
+    rung = np.repeat(np.arange(pieces.size), pieces)
+    starts = np.cumsum(pieces) - pieces
+    i = np.arange(total) - starts[rung]
+    step = spans / pieces
+    los = np.sqrt(squares[rung] + i * step[rung])
+    los[starts] = rungs[:-1]
+    return los, np.append(los[1:], upper_cutoff)
 
 
 def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings(),
-                            max_panel_width=None):
-    """Integrate ``integrand`` over (0, upper_cutoff] adaptively.
+                            max_panel_width=math.inf):
+    """Integrate ``integrand(omega)`` over (0, upper_cutoff] adaptively.
 
-    The caller chooses ``upper_cutoff`` so that the neglected tail is below
-    tolerance, and pre-regularizes any removable singularity at the origin.
-    ``max_panel_width`` caps the initial panel width (one oscillation period
-    for integrands containing cos(omega*t)).
+    The integral is taken in x = sqrt(omega) (see the module docstring), on a
+    geometric ladder of panels in x whose rungs are split into pieces equal in
+    omega. The caller chooses ``upper_cutoff`` so that the neglected tail is
+    below tolerance. ``max_panel_width`` caps the omega-width of the seeded
+    panels (one oscillation period 2*pi/t for integrands containing
+    cos(omega*t)).
 
     Returns ``(value, error_estimate)`` with
     ``error_estimate <= max(abs_tol, rel_tol*|value|)``; raises
@@ -144,9 +153,14 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
     """
     if not 0.0 < upper_cutoff < math.inf:
         raise DomainError("upper_cutoff must be finite and > 0")
-    lo, hi = _seed_panels(upper_cutoff, SMALL_OMEGA_CUTOFF * upper_cutoff,
-                          max_panel_width, MAX_PANELS)
-    val, err = _refined_panels(integrand, lo, hi)
+    x_max = math.sqrt(upper_cutoff)
+    lo, hi = _seed_panels(x_max, SMALL_OMEGA_CUTOFF * x_max, max_panel_width,
+                          MAX_PANELS)
+
+    def f(x):
+        return integrand(x * x) * 2.0 * x
+
+    val, err = _refined_panels(f, lo, hi)
 
     while True:
         total = float(val.sum())
@@ -170,7 +184,7 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
         mid = 0.5 * (lo[split] + hi[split])
         halves_lo = np.concatenate([lo[split], mid])
         halves_hi = np.concatenate([mid, hi[split]])
-        new_val, new_err = _refined_panels(integrand, halves_lo, halves_hi)
+        new_val, new_err = _refined_panels(f, halves_lo, halves_hi)
         lo = np.concatenate([lo[keep], halves_lo])
         hi = np.concatenate([hi[keep], halves_hi])
         val = np.concatenate([val[keep], new_val])

@@ -114,7 +114,7 @@ def test_criterion_4_figure_curve():
             ohmic_exact_ratio(1.0, n), rel=1e-8)
 
 
-@criterion(5, "quadrature vs closed forms and doubling reference")
+@criterion(5, "quadrature vs closed forms and Matsubara reference")
 def test_criterion_5_quadrature_correctness():
     ts = np.geomspace(0.01, 100.0, 100)
     for s in (0.5, 2.0, 3.0):

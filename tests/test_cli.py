@@ -33,6 +33,17 @@ def test_gamma_ohmic_row(capsys):
     assert dg == pytest.approx(0.5, rel=1e-15)
 
 
+def test_gamma_sub_ohmic_zero_time_prints_positive_zero(capsys):
+    argv = ["gamma", "--model", "powerlaw", "--alpha", "1", "--s", "0.5",
+            "--omega-c", "1", "--t", "0"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "t,gamma,dgamma_dt\n0,0,0\n"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == '{"t": 0, "gamma": 0, "dgamma_dt": 0}\n'
+
+
 def test_gamma_lorentzian_row(capsys):
     code, out, _ = run(capsys, "gamma", "--model", "lorentzian", "--a", "4",
                        "--g", "1", "--t", "1")

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from ramsey_bounds.errors import (
     ToleranceNotMet,
 )
 from ramsey_bounds.numerics import QuadratureSettings
+from ramsey_bounds.oracle import reference_gamma
 
 
 def power_law(alpha=1.0, s=1.0, omega_c=1.0, temperature=None):
@@ -132,6 +135,15 @@ def test_high_temperature_form():
 def test_gamma_zero_at_zero_everywhere():
     for model in ALL_CLOSED_MODELS:
         assert gamma_closed(model, 0.0) == 0.0
+
+
+def test_sub_ohmic_gamma_at_zero_time_is_positive_zero():
+    # Gamma(s - 1) < 0 for s < 1 would give -0.0; +0.0 is returned instead
+    for s in (0.3, 0.5, 0.999):
+        model = power_law(1.0, s, 1.0)
+        values = [gamma_closed(model, 0.0), reference_gamma(model.bath, 0.0),
+                  *gamma_closed(model, np.zeros(3))]
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
 
 
 def test_ohmic_dispatch_window():
@@ -362,6 +374,30 @@ def test_refinement_loop_meets_contract(monkeypatch):
         assert len(passes) > 1
         assert _within_contract(value, err, tight)
         assert value == pytest.approx(kernel(bath, 1.0)[0], rel=2e-9)
+
+
+def _bench_reference():
+    """bench/reference.py, the benchmark's independent closed forms."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_finite_beta_sub_ohmic_long_time_meets_contract():
+    # a seeding cap uniform in x = sqrt(w), one period wide only at the top of
+    # the range, would need more than MAX_PANELS panels here; panels one
+    # period wide in w fit the budget
+    bath = BathSpec(PowerLawExpCutoff(1.0, 0.3, 1.0), FiniteBeta(1.0))
+    want_gamma, want_dgamma = _bench_reference().powerlaw_beta(1.0, 0.3, 1.0, 1.0, 100.0)
+    value, err = gamma_quadrature(bath, 100.0)
+    assert _within_contract(value, err)
+    for want in (reference_gamma(bath, 100.0), want_gamma):
+        assert _within_contract(value, abs(value - want))
+    value, err = dgamma_quadrature(bath, 100.0)
+    assert _within_contract(value, err)
+    assert _within_contract(value, abs(value - want_dgamma))
 
 
 def test_dgamma_quadrature_domain():

@@ -79,8 +79,9 @@ def test_nonfinite_error_estimate_raises():
 
 
 def seed_panels_loop(upper_cutoff, inner_boundary, max_panel_width, max_panels):
-    """The panel ladder built rung by rung with np.linspace: the reference
-    that numerics._seed_panels must match bit for bit."""
+    """The panel ladder in x built rung by rung, each rung [a, b] cut into
+    pieces of equal omega = x^2 width: the reference that numerics._seed_panels
+    must match bit for bit."""
     eps = min(inner_boundary, 0.25 * upper_cutoff) * 2.0 ** (-numerics._LADDER_DEPTH)
     rungs = [0.0, eps]
     b = eps
@@ -88,26 +89,20 @@ def seed_panels_loop(upper_cutoff, inner_boundary, max_panel_width, max_panels):
         b = min(b * 2.0, upper_cutoff)
         rungs.append(b)
 
-    def pieces(width):
-        if max_panel_width is not None and width > max_panel_width:
-            return int(np.ceil(width / max_panel_width))
-        return 1
+    def pieces(lo, hi):
+        return max(1, math.ceil((hi * hi - lo * lo) / max_panel_width))
 
-    total = sum(pieces(w) for w in np.diff(np.asarray(rungs)))
+    total = sum(pieces(lo, hi) for lo, hi in zip(rungs[:-1], rungs[1:]))
     if total > max_panels:
         raise ToleranceNotMet(
             f"seeding would need {total} panels (max_panels={max_panels})")
-    los, his = [], []
+    los = []
     for lo, hi in zip(rungs[:-1], rungs[1:]):
-        k = pieces(hi - lo)
-        if k > 1:
-            edges = np.linspace(lo, hi, k + 1)
-            los.extend(edges[:-1])
-            his.extend(edges[1:])
-        else:
-            los.append(lo)
-            his.append(hi)
-    return np.asarray(los), np.asarray(his)
+        k = pieces(lo, hi)
+        step = (hi * hi - lo * lo) / k
+        los.append(lo)
+        los.extend(math.sqrt(lo * lo + i * step) for i in range(1, k))
+    return np.asarray(los), np.asarray(los[1:] + [upper_cutoff])
 
 
 def test_seed_panels_match_loop_bit_for_bit():
@@ -116,7 +111,7 @@ def test_seed_panels_match_loop_bit_for_bit():
     for k in range(300):
         upper = 10.0 ** rng.uniform(-3.0, 4.0)
         inner = upper * 10.0 ** rng.uniform(-8.0, 0.0)
-        cap = None if k % 10 == 0 else upper * 10.0 ** rng.uniform(-4.0, 0.5)
+        cap = math.inf if k % 10 == 0 else upper ** 2 * 10.0 ** rng.uniform(-4.0, 0.5)
         args = (upper, inner, cap, 4096)
         try:
             want = seed_panels_loop(*args)
@@ -129,6 +124,29 @@ def test_seed_panels_match_loop_bit_for_bit():
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert 0 < raised < 150
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_panels_tile_sqrt_range_within_width(seed, monkeypatch):
+    # the first panels integrate_semi_infinite evaluates tile (0, sqrt(cutoff)]
+    # in x without gaps, and none spans more than max_panel_width of omega =
+    # x^2 (up to the rounding of the square root)
+    seeded = []
+    refined = numerics._refined_panels
+    monkeypatch.setattr(numerics, "_refined_panels",
+                        lambda f, lo, hi: seeded.append((lo, hi)) or refined(f, lo, hi))
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        cutoff = 10.0 ** rng.uniform(-4.0, 5.0)
+        width = cutoff * 10.0 ** rng.uniform(-3.0, 1.0)
+        seeded.clear()
+        integrate_semi_infinite(lambda w: np.exp(-w / cutoff), cutoff,
+                                max_panel_width=width)
+        lo, hi = seeded[0]
+        assert lo[0] == 0.0 and hi[-1] == math.sqrt(cutoff)
+        assert (lo < hi).all() and (hi[:-1] == lo[1:]).all()
+        spans = hi * hi - lo * lo
+        assert (spans <= width + 4.0 * np.spacing(hi * hi)).all()
 
 
 def test_bad_cutoff_rejected():
