@@ -85,15 +85,37 @@ def _json_value(x) -> str:
     return '"' + str(x) + '"'
 
 
+def _csv_line(row) -> str:
+    """The %-format of one CSV line for values of the types in ``row``; it
+    prints what joining ``_fmt`` of each value prints, given bools as the
+    strings true and false."""
+    specs = []
+    for _, v in row:
+        if isinstance(v, (bool, str)):
+            specs.append("%s")
+        elif isinstance(v, (int, np.integer)):
+            specs.append("%d")
+        else:
+            specs.append("%.17g")
+    return ",".join(specs) + "\n"
+
+
 def _emit_rows(rows, fmt: str, stream) -> None:
-    """rows: list of (key, value) pair lists with a common key order."""
+    """rows: list of (key, value) pair lists with a common key order, and in
+    each column one type."""
     if not rows:
         return
     if fmt == "csv":
         stream.write(",".join(k for k, _ in rows[0]) + "\n")
+        line = _csv_line(rows[0])
+        bools = [i for i, (_, v) in enumerate(rows[0]) if isinstance(v, bool)]
+        out = []
         for row in rows:
-            stream.write(",".join(
-                _fmt(v) if not isinstance(v, str) else v for _, v in row) + "\n")
+            values = [v for _, v in row]
+            for i in bools:
+                values[i] = "true" if values[i] else "false"
+            out.append(line % tuple(values))
+        stream.write("".join(out))
     else:
         for row in rows:
             stream.write("{" + ", ".join(

@@ -32,9 +32,11 @@ new route for an existing one, touches one class. A family provides:
   variable and the panel layout belong to
   :func:`~ramsey_bounds.numerics.integrate_semi_infinite`;
 * ``omega_fast()``: the fastest bath frequency, or None;
-* ``time_scale(m)``: the characteristic time (m = 1), and the scale of the
-  root of 2 m t gamma'(t) = 1 that seeds the optimizer's scan; ``m`` may be
-  an array of multipliers.
+* ``time_scale()``: the characteristic time, which seeds the oracle's grid;
+* ``root_window(temp, m)``: a window ``(lo, hi)`` of times that holds every
+  root of 2 m t gamma'(t) = 1 (``hi`` may be inf), or None where the
+  family's long-time law proves there is none. For the spectral families
+  ``lo`` is 1/(2 sqrt(m c2)); the optimizer walks up from it.
 
 Temperature tags supply the thermal weight W(w) through ``weight(w)``. An
 evaluation route (closed form or quadrature) supplies ``gamma(bath, t)`` and
@@ -99,6 +101,14 @@ OHMIC_S_TOL = 1e-9
 _NO_FINITE_BETA_FORM = "finite-beta power-law baths have no closed form; use quadrature"
 _HIGH_T_OHMIC_ONLY = ("the high-temperature expansion is only valid for an Ohmic "
                       "power-law bath (s = 1)")
+
+
+def _zeno_bound(c2, m):
+    """1/(2 sqrt(m c2)): no root of 2 m t gamma'(t) = 1 lies below it, since
+    J W >= 0 bounds gamma'' by gamma''(0) = 2 c2, so 2 m t gamma' <= 4 m c2 t^2.
+    Infinite where m c2 underflows to 0."""
+    mc2 = m * c2
+    return 0.5 / math.sqrt(mc2) if mc2 > 0.0 else math.inf
 
 
 # --- spectral models ---------------------------------------------------------
@@ -205,11 +215,30 @@ class PowerLawExpCutoff:
                                  0.25 * tail_goal)
         return _integrand(self, temp, t, derivative), omega_max, 0.0, tail_bound(omega_max)
 
+    def root_window(self, temp, m):
+        lo = _zeno_bound(self.c2(temp), m)
+        if not isinstance(temp, ZeroTemperature):
+            return lo, math.inf
+        if self.is_ohmic:
+            # 2 m t gamma' rises to 2 m alpha
+            return (lo, math.inf) if 2.0 * m * self.alpha > 1.0 else None
+        if self.s < 1.0:
+            return lo, math.inf
+        # 2 m t gamma' = m alpha Gamma(s) sin(theta) sin(s theta) cos(theta)^(s-1),
+        # theta = arctan(wc t), is at most m alpha Gamma(s) (1 + wc^2 t^2)^(-(s-1)/2)
+        peak = m * self.alpha * math.gamma(self.s)
+        if peak <= 1.0:
+            return None
+        try:
+            return lo, math.sqrt(peak ** (2.0 / (self.s - 1.0)) - 1.0) / self.omega_c
+        except OverflowError:
+            return lo, math.inf
+
     def omega_fast(self):
         return self.omega_c
 
-    def time_scale(self, m=1):
-        return 1.0 / self.omega_c / np.sqrt(m)
+    def time_scale(self):
+        return 1.0 / self.omega_c
 
 
 @dataclass(frozen=True)
@@ -304,13 +333,17 @@ class Lorentzian:
         tail_err = 2.0 * abs(h_der(omega_max)) / (t * t)
         return _integrand(self, temp, t), omega_max, tail_value, tail_err
 
+    def root_window(self, temp, m):
+        # 2 m t gamma' grows without bound for g > 0; for g = 0 (gamma
+        # quadratic) the root is the lower bound itself
+        return _zeno_bound(self.c2(temp), m), math.inf
+
     def omega_fast(self):
         # None in the static-bath limit g = 0
         return self.g if self.g > 0.0 else None
 
-    def time_scale(self, m=1):
-        base = 1.0 / math.sqrt(self.a) if self.g == 0.0 else 1.0 / self.g
-        return base / np.sqrt(m)
+    def time_scale(self):
+        return 1.0 / math.sqrt(self.a) if self.g == 0.0 else 1.0 / self.g
 
 
 @dataclass(frozen=True)
@@ -358,14 +391,13 @@ class GenericPowerLawDephasing:
     def omega_fast(self):
         return None
 
-    def time_scale(self, m=1):
-        # The exact root of 2 m t gamma'(t) = 1, and the centre of the
-        # optimizer's scan grid, so its last bit picks the bracket. Python's
-        # scalar pow on each element gives that bit for an array of m as for
-        # a single m; numpy's vector pow may not.
-        p = -1.0 / self.nu
-        roots = [(2.0 * mi * self.alpha * self.nu) ** p for mi in np.ravel(m).tolist()]
-        return np.reshape(roots, np.shape(m))
+    def root_window(self, temp, m):
+        # the exact root of 2 m t gamma'(t) = 1
+        root = (2.0 * m * self.alpha * self.nu) ** (-1.0 / self.nu)
+        return root, root
+
+    def time_scale(self):
+        return self.root_window(None, 1)[0]
 
 
 SpectralModel = Union[PowerLawExpCutoff, Lorentzian, GenericPowerLawDephasing]

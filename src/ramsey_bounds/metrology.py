@@ -38,7 +38,7 @@ from .dephasing import (
     PowerLawExpCutoff,
 )
 from .errors import DegenerateSignal, DomainError, NoFiniteOptimum
-from .numerics import solve_bracketed_root
+from .numerics import ROOT_X_TOL, solve_bracketed_root
 
 __all__ = [
     "STRATEGIES",
@@ -185,13 +185,11 @@ def frequency_variance(phi, t, probe: ProbeSpec, deph: DephasingModel):
 
 # --- optimal interrogation times ----------------------------------------------
 
-# log-spaced scan used to bracket the stationarity condition; wide enough for
-# every supported model at couplings within ~20 orders of magnitude of unity
-_SCAN_DECADES = 12
-_SCAN_PER_DECADE = 25
-# multipliers scanned together: a block's scan arrays stay near 300 kB each,
-# within a core's cache, and memory does not grow with the length of a sweep
-_SCAN_LANES = 64
+# the walk's step: 25 samples a decade
+_WALK_STEP = 10.0 ** (1.0 / 25.0)
+# an unbounded window is walked at most 24 decades, so a root further above
+# the Zeno bound (a weakly coupled bath with s just below 1) counts as none
+_WALK_MAX_STEPS = 24 * 25
 
 
 def optimal_interrogation(deph: DephasingModel, m):
@@ -202,16 +200,14 @@ def optimal_interrogation(deph: DephasingModel, m):
     minimum is the smaller one and is returned. Raises
     :class:`NoFiniteOptimum` when 2 m t gamma'(t) stays below 1 for all t.
 
-    ``m`` may also be a 1-D array of multipliers, all solved in one pass:
-    the result is then an array of times, NaN where no finite optimum exists.
+    ``m`` may also be a 1-D array of multipliers: the result is then an
+    array of times, NaN where no finite optimum exists, each one the time
+    the scalar call for that multiplier returns.
     """
     ms = np.asarray(m, dtype=float)
     if ms.ndim > 1 or not ((1.0 <= ms) & (ms < math.inf)).all():
         raise DomainError("m must be finite and >= 1 (a scalar or a 1-D array)")
-    lanes = ms.reshape(-1)
-    times = np.empty(lanes.size)
-    for i in range(0, lanes.size, _SCAN_LANES):
-        times[i:i + _SCAN_LANES] = _solve_lanes(deph, lanes[i:i + _SCAN_LANES])
+    times = np.array([_solve_lane(deph, mi) for mi in ms.reshape(-1).tolist()])
     if ms.ndim:
         return times
     if math.isnan(times[0]):
@@ -219,52 +215,36 @@ def optimal_interrogation(deph: DephasingModel, m):
     return float(times[0])
 
 
-def _solve_lanes(deph: DephasingModel, ms):
-    """Optimal times for a 1-D array of multipliers, NaN where none exists.
+def _solve_lane(deph: DephasingModel, m: float) -> float:
+    """The optimal time for one multiplier, NaN where none exists.
 
-    One log grid per multiplier (a row of ``ts``) spans t_ref(m) 10^(+-12);
-    one gamma' call covers every row, and the first upward crossing of each
-    row brackets its root.
+    The family's window [lo, hi] holds every root; the walk steps up from
+    one step below lo, and its first upward crossing brackets the root. It
+    ends one step past hi, or after _WALK_MAX_STEPS when hi is infinite.
     """
-    t_ref = deph.bath.spectral.time_scale(ms)
-    ts = _log_grid(t_ref * 10.0 ** (-_SCAN_DECADES), t_ref * 10.0 ** _SCAN_DECADES,
-                   2 * _SCAN_DECADES * _SCAN_PER_DECADE + 1)
-    hv = 2.0 * ms[:, None] * ts * np.asarray(deph.dgamma_dt(ts), dtype=float) - 1.0
-    if (hv[:, 0] >= 0.0).any():
-        raise DomainError("constraint scan starts above 1; coupling out of range")
-    crossing = (hv[:, :-1] < 0.0) & (hv[:, 1:] >= 0.0)
-    first = crossing.argmax(axis=1)
-    out = np.empty(ms.size)
-    for k, m in enumerate(ms.tolist()):
-        h = _constraint(deph, m)
-        i = first[k]
-        if crossing[k, i]:
-            out[k] = solve_bracketed_root(h, (ts[k, i], ts[k, i + 1]))
-        else:
-            out[k] = _rescue_search(h, ts[k], hv[k])
-    return out
-
-
-def _log_grid(lo, hi, num):
-    """np.geomspace(lo, hi, num, axis=-1) for 1-D arrays of positive ends.
-
-    The same arithmetic (10 to the power of a linear grid of exponents, with
-    the ends set exactly), so the same bits, without geomspace's general set-up,
-    which costs more than the rest of a one-multiplier scan.
-    """
-    log_lo, log_hi = np.log10(lo), np.log10(hi)
-    exps = ((log_hi - log_lo) / (num - 1))[:, None] * np.arange(num) + log_lo[:, None]
-    exps[:, -1] = log_hi
-    ts = 10.0 ** exps
-    ts[:, 0], ts[:, -1] = lo, hi
-    return ts
+    bath = deph.bath
+    window = bath.spectral.root_window(bath.temperature, m)
+    if window is None or window[0] == math.inf:
+        return math.nan
+    lo, hi = window
+    h = _constraint(deph, m)
+    t_end = hi * _WALK_STEP
+    t = lo / _WALK_STEP
+    ts, hv = [t], [h(t)]
+    while t < t_end and len(ts) <= _WALK_MAX_STEPS:
+        t *= _WALK_STEP
+        ts.append(t)
+        hv.append(h(t))
+        if hv[-1] >= 0.0:
+            return solve_bracketed_root(h, (ts[-2], t))
+    return _rescue_search(h, ts, hv)
 
 
 def _constraint(deph: DephasingModel, m: float):
-    """h(t) = 2 m t gamma'(t) - 1 at a time t > 0 of the scan.
+    """h(t) = 2 m t gamma'(t) - 1 at a time t > 0 of the walk.
 
-    The route is called directly, on a float: the scan's times were checked
-    once, and every iterate lies inside a bracket of that scan.
+    The route is called directly, on a float: every time the walk or the
+    root solver asks for is finite and > 0.
     """
     route, bath = deph.route, deph.bath
 
@@ -274,13 +254,13 @@ def _constraint(deph: DephasingModel, m: float):
 
 
 def _rescue_search(h, ts, hv):
-    """The root of h on a scan row with no crossing, or NaN.
+    """The root of h after a walk with no crossing, or NaN.
 
-    Refines the hump maximum by ternary search, in case a narrow positive
-    window slipped between grid points.
+    Refines the hump maximum of the walked samples by ternary search, in
+    case a narrow positive window slipped between two of them.
     """
     i = int(np.argmax(hv))
-    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
+    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -314,7 +294,9 @@ def optimal_resolution(deph: DephasingModel, probe: ProbeSpec) -> Optimum:
         pass
     T = probe.total_time
     var_T = _variance(deph.gamma(T), math.pi / 2.0, probe, T)
-    if t_star is not None and t_star <= T:
+    if t_star is not None and t_star <= T * (1.0 + ROOT_X_TOL):
+        # a root the solver cannot tell from T is T
+        t_star = min(t_star, T)
         var_star = _variance(deph.gamma(t_star), math.pi / 2.0, probe, t_star)
         if var_star <= var_T:
             return Optimum(t_opt=t_star, delta_omega_sq=var_star)

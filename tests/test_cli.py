@@ -1,9 +1,11 @@
+import io
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from ramsey_bounds.cli import main
+from ramsey_bounds.cli import _emit_rows, _fmt, main
 from ramsey_bounds.dephasing import (
     FiniteBeta,
     GenericPowerLawDephasing,
@@ -96,6 +98,38 @@ def test_optimize_product(capsys):
     assert float(row["t_opt"]) == pytest.approx(1.0, rel=1e-10)
     assert float(row["delta_omega_sq"]) == pytest.approx(2.0, rel=1e-10)
     assert row["finite"] == "true" and row["boundary_limited"] == "false"
+    # t_u = 1 = T exactly: the stationary point, not the boundary, wins
+    assert out == "t_opt,delta_omega_sq,finite,boundary_limited\n1,2,true,false\n"
+
+
+def test_csv_writer_prints_the_per_value_format():
+    rng = np.random.default_rng(2)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308]
+    for _ in range(50):
+        kinds = rng.choice(["float", "int", "npint", "bool", "str"], size=6)
+        rows = []
+        for _ in range(20):
+            row = []
+            for j, kind in enumerate(kinds.tolist()):
+                if kind == "float":
+                    v = (specials[rng.integers(len(specials))] if rng.uniform() < 0.3
+                         else float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)))
+                elif kind == "int":
+                    v = int(rng.integers(-2**62, 2**62))
+                elif kind == "npint":
+                    v = np.int64(rng.integers(-1000, 1000))
+                elif kind == "bool":
+                    v = bool(rng.uniform() < 0.5)
+                else:
+                    v = str(rng.choice(["ok", "no-finite-optimum", "%s", "a%d"]))
+                row.append((f"c{j}", v))
+            rows.append(row)
+        want = ",".join(k for k, _ in rows[0]) + "\n" + "".join(
+            ",".join(_fmt(v) if not isinstance(v, str) else v for _, v in row) + "\n"
+            for row in rows)
+        out = io.StringIO()
+        _emit_rows(rows, "csv", out)
+        assert out.getvalue() == want
 
 
 def test_optimize_ghz(capsys):

@@ -7,11 +7,15 @@ import pytest
 from ramsey_bounds import metrology
 from ramsey_bounds.dephasing import (
     BathSpec,
+    ClosedForm,
     DephasingModel,
+    FiniteBeta,
     GenericPowerLawDephasing,
     HighTemperatureOhmic,
     Lorentzian,
     PowerLawExpCutoff,
+    Quadrature,
+    ZeroTemperature,
     dgamma_dt,
     gamma_closed,
     spectral_density,
@@ -209,23 +213,92 @@ def test_ohmic_general_time_formula():
                                     rel=1e-10)
 
 
-def test_rescue_search_finds_narrow_window():
+def test_rescue_search_finds_narrow_window(monkeypatch):
     # couple the bath 1e-5 above and below its threshold
     above, below = s3_near_threshold(1e-5), s3_near_threshold(-1e-5)
-    # the optimizer's log-spaced scan never crosses the narrow positive window
-    decades = metrology._SCAN_DECADES
-    t_ref = above.bath.spectral.time_scale(1)
-    ts = np.geomspace(t_ref * 10.0 ** -decades, t_ref * 10.0 ** decades,
-                      2 * decades * metrology._SCAN_PER_DECADE + 1)
-    hv = 2.0 * ts * above.dgamma_dt(ts) - 1.0
-    assert ts.size == 601
-    assert not np.any((hv[:-1] < 0.0) & (hv[1:] >= 0.0))
-    # so only the ternary refinement of the hump can find the root
+    walks = []
+    rescue = metrology._rescue_search
+
+    def recorded(h, ts, hv):
+        walks.append((ts, hv))
+        return rescue(h, ts, hv)
+
+    monkeypatch.setattr(metrology, "_rescue_search", recorded)
+    # the walk steps over the narrow positive window to the window's end ...
     t = optimal_interrogation(above, 1)
+    (ts, hv), = walks
+    spec = above.bath.spectral
+    lo, hi = spec.root_window(above.bath.temperature, 1)
+    assert ts[0] < lo and ts[-1] >= hi and len(ts) > 2
+    assert max(hv) < 0.0
+    # ... so only the ternary refinement of the hump can find the root
     assert abs(2.0 * t * above.dgamma_dt(t) - 1.0) <= 1e-10
     assert t == pytest.approx(0.62647, abs=1e-5)
     with pytest.raises(NoFiniteOptimum):
         optimal_interrogation(below, 1)
+    assert len(walks) == 2
+
+
+def test_static_bath_root_is_the_zeno_bound():
+    # gamma = a t^2 / 8 is purely quadratic: the root of 2 m t gamma' = 1
+    # is the lower end of the window, 1/(2 sqrt(m c2)) = sqrt(2/(m a))
+    for a in (0.3, 2.0, 7.5):
+        deph = DephasingModel(BathSpec(Lorentzian(a, 0.0)))
+        for m in (1, 2, 17, 1000):
+            lo, hi = deph.bath.spectral.root_window(deph.bath.temperature, m)
+            assert lo == pytest.approx(math.sqrt(2.0 / (m * a)), rel=1e-15)
+            assert optimal_interrogation(deph, m) == pytest.approx(lo, rel=1e-12)
+
+
+def test_ohmic_below_threshold_walks_nothing(monkeypatch):
+    # 2 m t gamma' rises to 2 m alpha <= 1: no root, proved without a walk
+    calls = []
+    closed = ClosedForm.dgamma
+
+    def counted(self, bath, t):
+        calls.append(t)
+        return closed(self, bath, t)
+
+    monkeypatch.setattr(ClosedForm, "dgamma", counted)
+    for alpha, m in ((0.4, 1), (0.5, 1), (0.25, 2), (1e-3, 500)):
+        with pytest.raises(NoFiniteOptimum):
+            optimal_interrogation(ohmic(alpha), m)
+    assert len(calls) <= 2
+
+
+def test_zeno_bound_beyond_float_range_is_no_optimum():
+    # m c2 underflows to 0, so the first root lies past the largest float
+    deph = DephasingModel(BathSpec(PowerLawExpCutoff(1e-200, 0.5, 1e-100)))
+    with pytest.raises(NoFiniteOptimum):
+        optimal_interrogation(deph, 1)
+    assert np.isnan(ratio_r(deph, np.arange(1, 4)).r).all()
+
+
+def test_super_ohmic_window_end():
+    # 2 m t gamma' <= m alpha Gamma(s) (1 + wc^2 t^2)^(-(s-1)/2): no root at
+    # all when m alpha Gamma(s) <= 1, and none above the window's end
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        s, wc = rng.uniform(1.05, 5.0), 10.0 ** rng.uniform(-1.0, 1.0)
+        scale = 10.0 ** rng.uniform(-0.5, 2.0)
+        spec = PowerLawExpCutoff(scale / math.gamma(s), s, wc)
+        deph = DephasingModel(BathSpec(spec))
+        window = spec.root_window(ZeroTemperature(), 1)
+        if scale <= 1.0:
+            assert window is None
+            with pytest.raises(NoFiniteOptimum):
+                optimal_interrogation(deph, 1)
+            continue
+        lo, hi = window
+        ts = hi * np.geomspace(1.0, 1e6, 2000)
+        assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all()
+        ts = np.geomspace(1e-6 * lo, lo, 2000)
+        assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all()
+    # the bound holds at the threshold itself, and its overflow is no bound
+    assert PowerLawExpCutoff(1.0, 2.0, 1.0).root_window(ZeroTemperature(), 1) is None
+    spec = PowerLawExpCutoff(2.0, 1.0 + 1e-8, 1.0)
+    assert not spec.is_ohmic
+    assert spec.root_window(ZeroTemperature(), 1)[1] == math.inf
 
 
 def test_optimal_resolution_values():
@@ -315,8 +388,8 @@ SWEEP_MODELS = {
 
 @pytest.mark.parametrize("deph", SWEEP_MODELS.values(), ids=SWEEP_MODELS.keys())
 def test_array_ratio_matches_per_n_bitwise(deph):
-    # 150 rows span three scan blocks; every row must carry the bits of the
-    # one-n-at-a-time formula and of a scalar call
+    # every one of 150 rows must carry the bits of the one-n-at-a-time
+    # formula and of a scalar call
     ns = np.arange(1, 151)
     res = ratio_r(deph, ns)
     assert res.r.shape == res.t_u.shape == res.t_e.shape == ns.shape
@@ -335,14 +408,6 @@ def test_array_ratio_matches_per_n_bitwise(deph):
         assert row == (r, t_u, t_e, factor)
         one = ratio_r(deph, n)
         assert (one.r, one.t_u, one.t_e, one.exponential_factor) == row
-
-
-def test_scan_grid_is_geomspace():
-    rng = np.random.default_rng(5)
-    lo = 10.0 ** rng.uniform(-30.0, 5.0, 300)
-    hi = lo * 10.0 ** rng.uniform(0.5, 30.0, 300)
-    assert np.array_equal(metrology._log_grid(lo, hi, 601),
-                          np.geomspace(lo, hi, 601, axis=-1))
 
 
 def test_sweep_solves_product_root_once(monkeypatch):
@@ -401,6 +466,18 @@ def test_ohmic_exact_ratio_formula():
         ohmic_exact_ratio(0.5, 4)
 
 
+def test_ohmic_sweep_matches_closed_forms():
+    for alpha, wc in ((1.0, 1.0), (0.6, 2.0), (2.7, 0.35)):
+        ns = np.arange(1, 2001)
+        res = ratio_r(ohmic(alpha, wc), ns)
+        exact = [ohmic_exact_ratio(alpha, n) for n in ns.tolist()]
+        assert np.allclose(res.r, exact, rtol=1e-11, atol=0.0)
+        assert np.allclose(res.t_e, 1.0 / (wc * np.sqrt(2.0 * ns * alpha - 1.0)),
+                           rtol=1e-11, atol=0.0)
+        assert np.allclose(res.t_u, 1.0 / (wc * math.sqrt(2.0 * alpha - 1.0)),
+                           rtol=1e-11, atol=0.0)
+
+
 def test_ohmic_exact_equals_pipeline():
     for alpha in (0.6, 1.0, 2.0):
         for n in (2, 5, 10, 50):
@@ -421,6 +498,29 @@ def test_power_law_scaling_matches_pipeline():
             res = ratio_r(generic(0.9, nu), n)
             assert res.r == pytest.approx(r_exact, rel=1e-10)
             assert res.t_u / res.t_e == pytest.approx(t_ratio, rel=1e-10)
+
+
+QUAD_OPTIMUM_BATHS = {
+    "lorentzian": BathSpec(Lorentzian(1.0, 0.5)),
+    "sub-ohmic": BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0)),
+    "high-T": BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0), HighTemperatureOhmic(2.0)),
+    "finite-beta": BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0), FiniteBeta(2.0)),
+}
+
+
+@pytest.mark.parametrize("bath", QUAD_OPTIMUM_BATHS.values(),
+                         ids=QUAD_OPTIMUM_BATHS.keys())
+def test_quadrature_route_reaches_the_optimum(bath):
+    deph = DephasingModel(bath, Quadrature())
+    res = ratio_r(deph, 4)
+    for t, m in ((res.t_u, 1), (res.t_e, 4)):
+        assert abs(2.0 * m * t * deph.dgamma_dt(t) - 1.0) <= 1e-10
+    assert 1.0 < res.r < 2.0
+    if isinstance(bath.temperature, FiniteBeta):
+        return  # no closed form to compare with
+    closed = ratio_r(DephasingModel(bath), 4)
+    for got, want in zip((res.r, res.t_u, res.t_e), (closed.r, closed.t_u, closed.t_e)):
+        assert got == pytest.approx(want, rel=1e-8)
 
 
 # --- Lorentzian bath -----------------------------------------------------------------
