@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     GridTooCoarse,
     MaxIterations,
-    NoClosedForm,
     NoFiniteOptimum,
     NoQuadraticRegime,
     NoSignChange,
@@ -71,7 +70,7 @@ __all__ = [
     "gamma_short_time_coeff",
     "spectral_density",
     "DegenerateSignal", "DomainError", "GridTooCoarse", "MaxIterations",
-    "NoClosedForm", "NoFiniteOptimum", "NoQuadraticRegime", "NoSignChange",
+    "NoFiniteOptimum", "NoQuadraticRegime", "NoSignChange",
     "NoSpectralDensity", "RamseyBoundsError", "ToleranceNotMet",
     "HighTempTimes", "Optimum", "ProbeSpec", "RatioResult",
     "fisher_information", "frequency_variance", "high_temp_entangled_time",

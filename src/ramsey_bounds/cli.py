@@ -11,9 +11,9 @@ Times and frequencies are quoted in units where the bath cutoff is 1 unless
 stated otherwise on the flags.
 
 Exit codes: 0 ok, 1 validation failure, 2 bad arguments, 3 boundary-limited
-optimum, 4 unsupported closed form, 5 file I/O error, 6 numerical failure (a
-quadrature or an iterative solver did not reach its tolerance; the message
-shows the last value and error estimate when there is one).
+optimum, 5 file I/O error, 6 numerical failure (a quadrature or an iterative
+solver did not reach its tolerance; the message shows the last value and
+error estimate when there is one). Code 4 (no closed form) is retired.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .dephasing import (
 from .errors import (
     DomainError,
     MaxIterations,
-    NoClosedForm,
     NoSpectralDensity,
     RamseyBoundsError,
     ToleranceNotMet,
@@ -57,7 +56,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_BOUNDARY = 3
-EXIT_NO_CLOSED_FORM = 4
 EXIT_IO = 5
 EXIT_NUMERICAL = 6
 
@@ -280,7 +278,7 @@ def cmd_validate(args) -> int:
                  f" max_var_dev={_fmt(max_var_dev)} tol=1e-4"
                  f" status={'ok' if good else 'FAIL'}")
 
-    # adaptive quadrature vs the closed-form and Matsubara-sum reference
+    # adaptive quadrature vs the closed-form reference
     max_gamma_dev = 0.0
     for bath, t in gamma_consistency_draws(rng, args.trials):
         ref = reference_gamma(bath, t)
@@ -354,11 +352,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NoClosedForm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CLOSED_FORM
     except (NoSpectralDensity, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:
+        # a bath constant such as Gamma(s) or omega_c^2 out of the float range
+        print(f"error: a value overflows a float ({exc})", file=sys.stderr)
         return EXIT_USAGE
     except (ToleranceNotMet, MaxIterations) as exc:
         detail = ""

@@ -22,7 +22,7 @@ new route for an existing one, touches one class. A family provides:
 * ``check_temperature(temp)``: reject temperature modes it does not support;
 * ``density(w)``: J(w) on an array of frequencies w >= 0;
 * ``gamma(temp, t)`` and ``dgamma(temp, t)``: the closed forms at a time
-  or on an array of times, raising :class:`NoClosedForm` where none exists;
+  or on an array of times; every supported temperature mode has one;
 * ``c2(temp)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
 * ``quad_problem(temp, t, tail_goal, derivative)``: the bath integral at
   time t set up for quadrature in w as ``(integrand, omega_max,
@@ -35,22 +35,23 @@ new route for an existing one, touches one class. A family provides:
 * ``time_scale()``: the characteristic time, which seeds the oracle's grid;
 * ``root_window(temp, m)``: a window ``(lo, hi)`` of times that holds every
   root of 2 m t gamma'(t) = 1 (``hi`` may be inf), or None where the
-  family's long-time law proves there is none. For the spectral families
+  family's bounds prove there is none. For the spectral families
   ``lo`` is 1/(2 sqrt(m c2)); the optimizer walks up from it.
 
 Temperature tags supply the thermal weight W(w) through ``weight(w)``. An
 evaluation route (closed form or quadrature) supplies ``gamma(bath, t)`` and
 ``dgamma(bath, t)`` on a time or an array of times, checked by the caller.
 
-Convention note: the Ohmic (s = 1) closed form used throughout,
+Convention note: the Ohmic (s = 1) closed form at T = 0,
 gamma(t) = (alpha/2) ln(1 + wc^2 t^2), is exactly twice the integral above,
-so the quadrature route reproduces it up to the constant factor 1/2. For
-every other family the two routes agree identically. Metrological ratios
-computed from a single route are unaffected.
+so the quadrature route reproduces it up to the constant factor 1/2. Every
+other closed form is the integral itself. Metrological ratios computed from
+a single route are unaffected.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -59,17 +60,11 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    NoClosedForm,
     NoQuadraticRegime,
     NoSpectralDensity,
     ToleranceNotMet,
 )
-from .numerics import (
-    QuadratureSettings,
-    _check_fields,
-    _hurwitz_zeta,
-    integrate_semi_infinite,
-)
+from .numerics import QuadratureSettings, _check_fields, integrate_semi_infinite
 
 __all__ = [
     "PowerLawExpCutoff",
@@ -98,7 +93,6 @@ __all__ = [
 # (the general expression has a Gamma(s-1) pole at s = 1).
 OHMIC_S_TOL = 1e-9
 
-_NO_FINITE_BETA_FORM = "finite-beta power-law baths have no closed form; use quadrature"
 _HIGH_T_OHMIC_ONLY = ("the high-temperature expansion is only valid for an Ohmic "
                       "power-law bath (s = 1)")
 
@@ -109,6 +103,65 @@ def _zeno_bound(c2, m):
     Infinite where m c2 underflows to 0."""
     mc2 = m * c2
     return 0.5 / math.sqrt(mc2) if mc2 > 0.0 else math.inf
+
+
+# --- the power-law kernel ----------------------------------------------------
+#
+# I_p(Om, t) = Int_0^inf w^(p-2) e^(-w/Om) (1 - cos w t) dw, p > -1, is
+# Gamma(p + 1) Om^(p-1) K_p(x), and dI_p/dt is Gamma(p + 1) Om^p D_p(x), with
+# x = Om t, theta = arctan x, q = 1 - p, L = ln(1 + x^2),
+#   K_p = B / (p (p - 1)),  B = 1 - (1 + x^2)^(q/2) cos(q theta),
+#   D_p = theta sinc(p theta) (1 + x^2)^(-p/2).
+# T = 0 is p = s, high-T Ohmic p = 0. B vanishes at both poles p = 0 and 1.
+# With F(c) = -(L/2) exprel(c L/2) cos(c theta) + theta sin(c theta/2) sinc(c theta/2),
+# B/q = F(q) for p >= 1/2 and B/p = -F(-p) - x theta sinc(p theta) e^(-p L/2)
+# below, so nothing cancels near a pole, at short times or at long times.
+
+def _exprel(u):
+    return math.expm1(u) / u if u else 1.0
+
+
+def _sinc(u):
+    return math.sin(u) / u if u else 1.0
+
+
+def _half_log(x):
+    """ln(1 + x^2) / 2 for x >= 0, also where x^2 overflows."""
+    return 0.5 * math.log1p(x * x) if x < 1e150 else math.log(x)
+
+
+def _kernel(p, x):
+    """K_p(x), the power-law kernel I_p(Om, t) over Gamma(p + 1) Om^(p-1)."""
+    th, hl = math.atan(x), _half_log(x)
+    c = 1.0 - p if p >= 0.5 else -p
+    f = (-hl * _exprel(c * hl) * math.cos(c * th)
+         + th * math.sin(0.5 * c * th) * _sinc(0.5 * c * th))
+    if p >= 0.5:
+        return -f / p
+    return (f + x * th * _sinc(p * th) * math.exp(-p * hl)) / (1.0 - p)
+
+
+def _kernel_dt(p, x):
+    """D_p(x), the kernel's t-derivative over Gamma(p + 1) Om^p."""
+    if x <= 1.0 or not p:
+        th = math.atan(x)
+        return th * _sinc(p * th) * math.exp(-p * _half_log(x))
+    # p theta = k pi + f pi - p arctan(1/x) with k = round(p/2) and f = p/2 - k
+    # exact, so sin(p theta) keeps its digits where p theta nears k pi
+    k = round(0.5 * p)
+    sin_pt = math.sin(math.pi * (0.5 * p - k) - p * math.atan(1.0 / x))
+    return (-sin_pt if k % 2 else sin_pt) / p * math.exp(-p * _half_log(x))
+
+
+# Finite beta: coth(beta w / 2) = 1 + 2 Sum_{k>=1} e^(-k beta w). Terms
+# k <= K = _MATSUBARA_TERMS are T = 0 kernels with cutoffs 1/(1/wc + k beta);
+# the rest is e^(-(K+1) beta w) / (1 - e^(-beta w)), and term n of
+# 1/(1 - e^-y) = Sum_n B_n^+ y^(n-1) / n! is the kernel at p = s + n - 1 with
+# the cutoff of k = K + 1. Below, (n, B_n^+ / n!) for n <= 16 (B_1^+ = +1/2).
+_MATSUBARA_TERMS = 8
+_BERNOULLI_TERMS = ((0, 1.0), (1, 0.5), (2, 1 / 12), (4, -1 / 720), (6, 1 / 30240),
+                    (8, -1 / 1209600), (10, 1 / 47900160), (12, -691 / 1307674368000),
+                    (14, 1 / 74724249600), (16, -3617 / 10670622842880000))
 
 
 # --- spectral models ---------------------------------------------------------
@@ -154,7 +207,9 @@ class PowerLawExpCutoff:
         if isinstance(temp, HighTemperatureOhmic):
             return (self.alpha / temp.beta
                     * (t * np.arctan(x) - 0.5 * np.log1p(x * x) / self.omega_c))
-        raise NoClosedForm(_NO_FINITE_BETA_FORM)
+        terms, wc = self._thermal_terms(temp.beta), self.omega_c
+        return _each(lambda ti: math.fsum(a * _kernel(p, r * wc * ti)
+                                          for a, p, r in terms), t)
 
     def dgamma(self, temp, t):
         x = self.omega_c * t
@@ -166,25 +221,55 @@ class PowerLawExpCutoff:
                     * np.sin(s * np.arctan(x)) / (1.0 + x * x) ** (0.5 * s))
         if isinstance(temp, HighTemperatureOhmic):
             return self.alpha / temp.beta * np.arctan(x)
-        raise NoClosedForm(_NO_FINITE_BETA_FORM)
+        terms, wc = self._thermal_terms(temp.beta), self.omega_c
+        return _each(lambda ti: wc * math.fsum(a * r * _kernel_dt(p, r * wc * ti)
+                                               for a, p, r in terms), t)
 
     def c2(self, temp):
         wc = self.omega_c
-        if isinstance(temp, ZeroTemperature):
-            if self.is_ohmic:
-                return 0.5 * self.alpha * wc ** 2
-            return 0.25 * self.alpha * wc ** 2 * math.gamma(self.s + 1.0)
-        if isinstance(temp, HighTemperatureOhmic):
-            return 0.5 * self.alpha * wc / temp.beta
+        try:
+            if isinstance(temp, ZeroTemperature):
+                if self.is_ohmic:
+                    c2 = 0.5 * self.alpha * wc ** 2
+                else:
+                    c2 = 0.25 * self.alpha * wc ** 2 * math.gamma(self.s + 1.0)
+            elif isinstance(temp, HighTemperatureOhmic):
+                c2 = 0.5 * self.alpha * wc / temp.beta
+            else:
+                # each kernel goes as Gamma(p + 1) Om^(p + 1) t^2 / 2 at short times
+                c2 = 0.5 * wc ** 2 * math.fsum(
+                    a * r * r for a, p, r in self._thermal_terms(temp.beta))
+        except OverflowError:
+            c2 = math.inf
+        if c2 < math.inf:
+            return c2
+        raise DomainError(f"the short-time coefficient c2 overflows a float for {self} at {temp}")
 
-        # finite beta: c2 = (1/4) Int J(w) coth(beta w / 2) dw with
-        # coth(beta w / 2) = 1 + 2 Sum_{k>=1} e^(-k beta w); the k-th term is
-        # the T = 0 integral times (1 + k beta wc)^-(s+1), and these sum to a
-        # Hurwitz zeta
-        bw = temp.beta * wc
-        return (0.25 * self.alpha * wc ** 2 * math.gamma(self.s + 1.0)
-                * (1.0 + 2.0 * bw ** -(self.s + 1.0)
-                   * _hurwitz_zeta(self.s + 1.0, 1.0 + 1.0 / bw)))
+    @functools.lru_cache(maxsize=32)
+    def _thermal_terms(self, beta):
+        """``(a, p, r)`` with finite-beta gamma(t) = Sum a K_p(r wc t); cached,
+        as the optimizer asks for one time at a time."""
+        s, bw = self.s, beta * self.omega_c
+        # (weight, n, r) for the kernel at p = s + n - 1, cutoff r wc: the
+        # Matsubara terms have n = 1
+        terms = [(1.0 if k == 0 else 2.0, 1, 1.0 / (1.0 + k * bw))
+                 for k in range(_MATSUBARA_TERMS + 1)]
+        r = 1.0 / (1.0 + (_MATSUBARA_TERMS + 1) * bw)
+        terms += [(2.0 * b, n, r) for n, b in _BERNOULLI_TERMS]
+        # a = (alpha w / 2) Gamma(s + n) r^(s-1) (beta wc r)^(n-1), in logs, as
+        # Gamma(s + n) alone overflows for s near 170 where a does not
+        out = []
+        for w, n, r in terms:
+            try:
+                a = 0.5 * self.alpha * w * math.exp(
+                    math.lgamma(s + n) + (s - 1.0) * math.log(r) + (n - 1) * math.log(bw * r))
+            except (OverflowError, ValueError):  # log(0.0) where beta wc overflows
+                a = math.inf
+            if not abs(a) < math.inf:
+                raise DomainError(f"alpha * Gamma(p + 1) times the weight of term "
+                                  f"p = {s + n - 1:g} overflows a float for {self}")
+            out.append((a, s + n - 1.0, r))
+        return tuple(out)
 
     def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
         """Build the 1-D integration problem for the bath integral at time t > 0,
@@ -217,6 +302,37 @@ class PowerLawExpCutoff:
 
     def root_window(self, temp, m):
         lo = _zeno_bound(self.c2(temp), m)
+        if isinstance(temp, FiniteBeta) and self.s >= 2.0:
+            bw = temp.beta * self.omega_c
+            if self.s == 2.0:
+                # 2 m t gamma' = m alpha x Int psi(u) sin(u x) du, x = wc t, with
+                # psi = u coth(bw u/2) e^(-u), tends to m alpha psi(0) = 2 m alpha/bw;
+                # past 1 a root exists. Else every root lies where 2 m t gamma'
+                # exceeds its limit. Integrating by parts three times,
+                # x Int psi sin = psi(0) - psi''(0)/x^2 + Int psi'''' sin(u x) du/x^3
+                # with psi''(0) = bw/3 + 2/bw, and from the derivatives of
+                # v coth v (Int |G'''| = 2/3, Int |G''''| < 0.68),
+                # Int |psi''''| <= 0.17 bw^2 + 4 bw/3 + 11 + 2/bw: past the x where
+                # that meets psi''(0) x, 2 m t gamma' stays below its limit
+                if 2.0 * m * self.alpha > bw:
+                    return lo, math.inf
+                hi = ((0.17 * bw * bw + 4.0 * bw / 3.0 + 11.0 + 2.0 / bw)
+                      / ((bw / 3.0 + 2.0 / bw) * self.omega_c))
+                return (lo, hi) if lo <= hi else None
+            # Matsubara term k is the T = 0 form at cutoff r_k wc, r_k =
+            # 1/(1 + k beta wc), times 2 r_k^(s-1). With x = wc t its share of
+            # 2 m t gamma' is at most m alpha Gamma(s) 2 x (r_k / sqrt(1 + r_k^2 x^2))^s,
+            # which falls with k, so the terms k >= 1 sum to at most their
+            # integral over k, 2 C x^(2-s) / (beta wc) with
+            # C = Int_0^inf u^(s-2) (1 + u^2)^(-s/2) du. For x >= 1 then
+            # 2 m t gamma' <= m alpha Gamma(s) (1 + 2 C / (beta wc)) x^(2-s).
+            s = self.s
+            c = 0.5 * math.sqrt(math.pi) * math.gamma(0.5 * (s - 1.0)) / math.gamma(0.5 * s)
+            peak = m * self.alpha * math.gamma(s) * (1.0 + 2.0 * c / bw)
+            try:
+                return lo, max(1.0, peak ** (1.0 / (s - 2.0))) / self.omega_c
+            except OverflowError:
+                return lo, math.inf
         if not isinstance(temp, ZeroTemperature):
             return lo, math.inf
         if self.is_ohmic:
@@ -552,10 +668,10 @@ def spectral_density(model: SpectralModel, omega):
 def gamma_closed(deph: DephasingModel, t):
     """Closed-form gamma(t).
 
-    Supported pairs: power-law cutoff bath at T = 0 (general s and the
-    Ohmic logarithmic limit), Lorentzian at T = 0, Ohmic bath in the
-    high-temperature expansion, and the generic power law at any
-    temperature tag. Finite-beta power-law baths raise :class:`NoClosedForm`.
+    Every supported pair has one: the power-law cutoff bath at T = 0
+    (general s and the Ohmic logarithmic limit) and at finite beta,
+    Lorentzian at T = 0, Ohmic bath in the high-temperature expansion, and
+    the generic power law at any temperature tag.
 
     Parameters
     ----------
@@ -584,7 +700,7 @@ def gamma_short_time_coeff(deph: DephasingModel) -> float:
     """Exact coefficient c2 of the universal short-time law gamma(t) ~ c2 t^2.
 
     For spectral baths c2 = (1/4) Int J(w) W(w) dw evaluated against the
-    model's own convention (the Ohmic closed form carries its factor 2);
+    model's own convention (the Ohmic T = 0 closed form carries its factor 2);
     the generic power law supports this only at nu = 2.
     """
     return deph.bath.spectral.c2(deph.bath.temperature)

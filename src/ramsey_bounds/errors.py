@@ -13,10 +13,6 @@ class NoSpectralDensity(RamseyBoundsError):
     """The model is defined directly at the decoherence-function level and has no J(omega)."""
 
 
-class NoClosedForm(RamseyBoundsError):
-    """No closed-form decoherence function exists for this bath/temperature pair; use quadrature."""
-
-
 class ToleranceNotMet(RamseyBoundsError):
     """Adaptive integration exhausted its panel budget above the requested tolerance."""
 

@@ -263,27 +263,3 @@ def fit_power_law(xs, ys):
     return PowerLawFit(exponent=slope, log_prefactor=intercept,
                        residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
-
-# Terms of the Hurwitz zeta summed directly before Euler-Maclaurin, and the
-# Bernoulli numbers B_2 .. B_12 of its correction terms.
-_ZETA_TERMS = 12
-_BERNOULLI_EVEN = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
-                   -691.0 / 2730.0)
-
-
-def _hurwitz_zeta(p, q):
-    """zeta(p, q) = Sum_{k>=0} (q + k)^(-p) for p > 1 and q > 0.
-
-    The first ``_ZETA_TERMS`` terms are summed; the rest is the
-    Euler-Maclaurin tail at u = q + _ZETA_TERMS, u^(1-p)/(p-1) + u^(-p)/2 +
-    Sum_j B_2j/(2j)! p(p+1)...(p+2j-2) u^(1-p-2j), through B_12.
-    """
-    head = float(np.sum((q + np.arange(_ZETA_TERMS, dtype=float)) ** -p))
-    u = q + _ZETA_TERMS
-    tail = u ** (1.0 - p) / (p - 1.0) + 0.5 * u ** -p
-    rising, fact = p, 2.0  # p(p+1)...(p+2j-2) and (2j)!
-    for j, b2j in enumerate(_BERNOULLI_EVEN, start=1):
-        tail += b2j / fact * rising * u ** (1.0 - p - 2 * j)
-        rising *= (p + 2 * j - 1) * (p + 2 * j)
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return head + tail

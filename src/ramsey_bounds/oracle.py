@@ -2,9 +2,10 @@
 
 These deliberately avoid the solvers they are meant to check: the optimum
 search is a refined 2-D grid scan of the raw variance surface, and the
-reference decoherence integral is built from closed forms and, at finite
-temperature, a Matsubara sum of them, with no quadrature at all. Used by the
-test suite and the ``validate`` CLI command.
+reference decoherence integral is the family's closed form, with no
+quadrature at all, so that checking the quadrature against it compares two
+methods that share no code. Used by the test suite and the ``validate`` CLI
+command.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .dephasing import (
 )
 from .errors import DomainError, GridTooCoarse, NoSpectralDensity
 from .metrology import Optimum, ProbeSpec, optimal_interrogation
-from .numerics import _hurwitz_zeta
 
 __all__ = [
     "brute_force_optimum",
@@ -37,10 +37,6 @@ __all__ = [
 # brute_force_optimum's grid (points per decade of t, fringe arguments theta,
 # zoom rounds)
 _POINTS_PER_DECADE, _PHI_POINTS, _REFINE_ROUNDS = 50, 181, 4
-# reference_gamma's finite-beta sum: the most Matsubara terms it sums directly
-# (about 10 t / beta are needed), and the order t^(2j), j <= _SERIES_TERMS, of
-# the short-time series that sums the rest, where every r_k wc t <= 0.1
-_MAX_MATSUBARA_TERMS, _SERIES_TERMS = 100_000, 8
 
 
 def _variance_surface(deph: DephasingModel, probe: ProbeSpec, ts, thetas):
@@ -129,49 +125,16 @@ def brute_force_optimum(deph: DephasingModel, probe: ProbeSpec, *,
 
 
 def reference_gamma(bath: BathSpec, t: float) -> float:
-    """gamma(t), the bath integral itself, from closed forms alone.
-
-    At T = 0 and in the high-temperature expansion this is the family's
-    closed form. At finite beta, coth(beta w / 2) = 1 + 2 Sum_k e^(-k beta w)
-    splits the integral into T = 0 integrals with cutoffs r_k wc, where
-    r_k = 1/(1 + k beta wc): gamma(t) = Sum_k w_k r_k^(s-1) gamma_0(r_k t),
-    with w = 1, 2, 2, ... and gamma_0 the T = 0 closed form. Terms up to
-    K = max(16, ceil((10 t - 1/wc)/beta)) are summed directly; past K, where
-    r_k wc t <= 0.1, gamma_0's short-time series is summed over k instead,
-    each power sum being a Hurwitz zeta. Raises :class:`DomainError` when K
-    exceeds ``_MAX_MATSUBARA_TERMS``.
-    """
+    """gamma(t), the bath integral itself: the family's closed form, halved
+    for the Ohmic bath at T = 0, where (alpha/2) ln(1 + wc^2 t^2) is twice it."""
     if not 0.0 <= t < math.inf:
         raise DomainError("t must be finite and >= 0")
     spec, temp = bath.spectral, bath.temperature
     if isinstance(spec, GenericPowerLawDephasing):
         raise NoSpectralDensity("no bath integral for generic power-law dephasing")
-    if isinstance(temp, HighTemperatureOhmic):
-        return float(spec.gamma(temp, t))
-    # the Ohmic closed form (alpha/2) ln(1 + wc^2 t^2) is twice the integral
-    half = 0.5 if isinstance(spec, PowerLawExpCutoff) and spec.is_ohmic else 1.0
-    if isinstance(temp, ZeroTemperature):
-        return half * float(spec.gamma(temp, t))
-
-    s, wc, beta = spec.s, spec.omega_c, temp.beta
-    k_max = max(16, math.ceil((10.0 * t - 1.0 / wc) / beta))
-    if k_max > _MAX_MATSUBARA_TERMS:
-        raise DomainError(f"t = {t:g} needs {k_max} Matsubara terms "
-                          f"(at most {_MAX_MATSUBARA_TERMS})")
-    r = 1.0 / (1.0 + np.arange(k_max + 1.0) * (beta * wc))
-    terms = r ** (s - 1.0) * (half * spec.gamma(ZeroTemperature(), r * t))
-    value = float(terms[0] + 2.0 * terms[1:].sum())
-    # past K, the term 2 gamma_k, gamma_k = (1/2) Int J_k (1 - cos wt)/w^2 dw
-    # with J_k = alpha wc^(1-s) w^s e^(-w/w_k) and w_k = r_k wc, is in powers
-    # of t Sum_j (-1)^(j+1) alpha wc^(1-s) Gamma(p) w_k^p t^(2j) / (2j)! with
-    # p = s + 2j - 1, and Sum_{k>K} w_k^p = beta^-p zeta(p, K + 1 + 1/(beta wc))
-    q = k_max + 1.0 + 1.0 / (beta * wc)
-    for j in range(1, _SERIES_TERMS + 1):
-        p = s + 2 * j - 1
-        value += ((-1) ** (j + 1) * spec.alpha * wc ** (1.0 - s) * math.gamma(p)
-                  * beta ** -p * _hurwitz_zeta(p, q) * t ** (2 * j)
-                  / math.factorial(2 * j))
-    return value
+    ohmic_t0 = (isinstance(temp, ZeroTemperature) and isinstance(spec, PowerLawExpCutoff)
+                and spec.is_ohmic)
+    return (0.5 if ohmic_t0 else 1.0) * float(spec.gamma(temp, t))
 
 
 # --- seeded random scenarios ---------------------------------------------------

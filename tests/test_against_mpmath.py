@@ -1,16 +1,20 @@
-"""Closed forms, the reference integral and the Hurwitz zeta against mpmath.
+"""Closed forms, the power-law kernel and the reference integral against mpmath.
 
-The bath integral (1/2) Int J(w) W(w) (1 - cos wt) / w^2 dw is taken by mpmath
-quadrature in 20-digit arithmetic. For J ~ w^s it is integrated in x = w^s,
+The bath integral (1/2) Int J(w) W(w) (1 - cos wt) / w^2 dw, and its
+t-derivative (1/2) Int J(w) W(w) sin(wt) / w dw, are taken by mpmath
+quadrature in 20-digit arithmetic. For J ~ w^s they are integrated in x = w^s,
 that is w = x^(1/s), which makes the integrand smooth at the origin at every
-temperature.
+temperature. The kernel is checked against its uncancelled closed form in
+60-digit arithmetic.
 """
 
 import math
 
 import pytest
 
-from ramsey_bounds import numerics
+import numpy as np
+
+from ramsey_bounds import dephasing
 from ramsey_bounds.dephasing import (
     BathSpec,
     DephasingModel,
@@ -18,6 +22,7 @@ from ramsey_bounds.dephasing import (
     HighTemperatureOhmic,
     Lorentzian,
     PowerLawExpCutoff,
+    dgamma_dt,
     gamma_closed,
     gamma_short_time_coeff,
 )
@@ -26,8 +31,9 @@ from ramsey_bounds.oracle import reference_gamma
 mpmath = pytest.importorskip("mpmath")
 
 
-def powerlaw_integral(alpha, s, wc, t, weight):
-    """The bath integral of J = alpha wc^(1-s) w^s e^(-w/wc) with weight W."""
+def powerlaw_integral(alpha, s, wc, t, weight, derivative=False):
+    """The bath integral of J = alpha wc^(1-s) w^s e^(-w/wc) with weight W, or
+    with ``derivative`` the integral of its t-derivative."""
     with mpmath.workdps(20):
         s = mpmath.mpf(s)
 
@@ -35,12 +41,16 @@ def powerlaw_integral(alpha, s, wc, t, weight):
             if x == 0:
                 return mpmath.mpf(0)
             w = x ** (1 / s)
-            kern = 2 * mpmath.sin(w * t / 2) ** 2 / w ** 2
+            if derivative:
+                kern = mpmath.sin(w * t) / w
+            else:
+                kern = 2 * mpmath.sin(w * t / 2) ** 2 / w ** 2
             return (alpha * wc ** (1 - s) * w ** s * mpmath.exp(-w / wc) * weight(w)
                     * kern * w / (2 * s * x))
 
-        top = (80 * wc) ** s
-        return float(mpmath.quad(f, list(mpmath.linspace(0, top, 24)) + [mpmath.inf]))
+        # cuts equally spaced in w, so that none spans many periods of w t
+        cuts = [w ** s for w in mpmath.linspace(0, 80 * wc, 24)]
+        return float(mpmath.quad(f, cuts + [mpmath.inf]))
 
 
 def lorentzian_integral(a, g, t):
@@ -67,12 +77,43 @@ def rel(got, want):
     return abs(got / want - 1.0)
 
 
+def kernel_closed(p, x):
+    """I_p(1, x) = Gamma(p - 1) [1 - Re (1 - i x)^(1-p)] and its derivative
+    Gamma(p) Im (1 - i x)^(-p), in 60 digits; at the poles p = 0 and p = 1
+    their limits x arctan x - ln(1 + x^2)/2 and ln(1 + x^2)/2."""
+    with mpmath.workdps(60):
+        p, x = mpmath.mpf(p), mpmath.mpf(x)
+        z = 1 - 1j * x
+        if p == 0:
+            value = x * mpmath.atan(x) - mpmath.log(1 + x * x) / 2
+            return float(value), float(mpmath.atan(x))
+        if p == 1:
+            value = mpmath.log(1 + x * x) / 2
+        else:
+            value = mpmath.gamma(p - 1) * (1 - mpmath.re(z ** (1 - p)))
+        return float(value), float(mpmath.gamma(p) * mpmath.im(z ** -p))
+
+
+SINGULAR_P = [-0.5, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 17.0]
+
+
+@pytest.mark.parametrize("p", SINGULAR_P)
+def test_kernel_is_its_closed_form(p):
+    # I_p(Om, t) = Gamma(p + 1) Om^(p-1) K_p(Om t) and its t-derivative
+    # Gamma(p + 1) Om^p D_p(Om t), here at Om = 1: nothing cancels at the
+    # poles p = 0 and p = 1, nor where p arctan x nears a multiple of pi
+    for x in np.geomspace(1e-3, 1e3, 61).tolist():
+        want, want_dt = kernel_closed(p, x)
+        assert rel(math.gamma(p + 1.0) * dephasing._kernel(p, x), want) <= 1e-13, x
+        assert rel(math.gamma(p + 1.0) * dephasing._kernel_dt(p, x), want_dt) <= 1e-13, x
+
+
 @pytest.mark.parametrize("t", [0.05, 1.3, 12.0])
 def test_reference_gamma_is_the_bath_integral(t):
     alpha, wc = 1.3, 0.7
     cases = [(BathSpec(PowerLawExpCutoff(alpha, s, wc)), s, lambda w: 1)
              for s in (0.3, 1.0 - 1e-6, 1.0 + 1e-6, 2.5)]
-    for s in (0.3, 0.5, 2.0):
+    for s in (0.05, 0.3, 0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0, 6.0):
         for beta_wc in (0.2, 5.0):
             beta = beta_wc / wc
             cases.append((BathSpec(PowerLawExpCutoff(alpha, s, wc), FiniteBeta(beta)), s,
@@ -87,6 +128,16 @@ def test_reference_gamma_is_the_bath_integral(t):
     assert rel(reference_gamma(BathSpec(Lorentzian(1.2, 0.3)), t), want) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [0.05, 12.0])
+def test_finite_beta_dgamma_is_the_bath_integral(t):
+    alpha, wc, beta = 1.3, 0.7, 1.0 / 0.7
+    for s in (0.05, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0, 6.0):
+        deph = DephasingModel(BathSpec(PowerLawExpCutoff(alpha, s, wc), FiniteBeta(beta)))
+        want = powerlaw_integral(alpha, s, wc, t, lambda w: mpmath.coth(beta * w / 2),
+                                 derivative=True)
+        assert rel(dgamma_dt(deph, t), want) <= 1e-12, s
+
+
 @pytest.mark.parametrize("ds", [2e-9, -2e-9, 1e-7, 1e-3, -0.7])
 def test_closed_form_near_ohmic_at_short_times(ds):
     # 1 - cos((s-1) theta) / (1 + x^2)^((s-1)/2) loses every digit near s = 1
@@ -95,14 +146,6 @@ def test_closed_form_near_ohmic_at_short_times(ds):
     deph = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, s, 1.0)))
     want = powerlaw_integral(1.0, s, 1.0, 1e-3, lambda w: 1)
     assert rel(gamma_closed(deph, 1e-3), want) <= 1e-13
-
-
-@pytest.mark.parametrize("p,q", [(1.0001, 1.0), (1.05, 1.2), (1.3, 17.5),
-                                 (7.0, 1.0001), (18.0, 30.0)])
-def test_hurwitz_zeta(p, q):
-    with mpmath.workdps(40):
-        want = float(mpmath.zeta(p, q))
-    assert rel(numerics._hurwitz_zeta(p, q), want) <= 1e-14
 
 
 @pytest.mark.parametrize("beta_wc", [0.2, 5.0])

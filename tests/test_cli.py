@@ -7,11 +7,14 @@ import pytest
 
 from ramsey_bounds.cli import _emit_rows, _fmt, main
 from ramsey_bounds.dephasing import (
+    BathSpec,
+    DephasingModel,
     FiniteBeta,
     GenericPowerLawDephasing,
     HighTemperatureOhmic,
     Lorentzian,
     PowerLawExpCutoff,
+    Quadrature,
 )
 from ramsey_bounds import dephasing
 from ramsey_bounds.errors import DomainError, ToleranceNotMet
@@ -288,11 +291,68 @@ def test_nonfinite_input_rejected(capsys, build, argv):
     assert err.startswith("error: ")
 
 
-def test_closed_route_unsupported_exit_4(capsys):
-    code, _, err = run(capsys, "gamma", "--model", "powerlaw", "--alpha", "1",
-                       "--s", "2", "--omega-c", "1", "--temp", "beta=1",
-                       "--t", "1", "--route", "closed")
-    assert code == 4
+def test_closed_route_finite_beta_exit_0(capsys):
+    code, out, err = run(capsys, "gamma", "--model", "powerlaw", "--alpha", "1",
+                         "--s", "2", "--omega-c", "1", "--temp", "beta=1",
+                         "--t", "1", "--route", "closed")
+    assert code == 0 and err == ""
+    t, g, dg = (float(v) for v in out.splitlines()[1].split(","))
+    quad = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 2.0, 1.0), FiniteBeta(1.0)),
+                          Quadrature())
+    assert t == 1.0
+    assert g == pytest.approx(quad.gamma(1.0), rel=1e-8)
+    assert dg == pytest.approx(quad.dgamma_dt(1.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratio", "--model", "ohmic", "--alpha", "1e300", "--omega-c", "1e300",
+     "--n-grid", "1:3:3"],
+    ["optimize", "--model", "powerlaw", "--alpha", "1", "--s", "0.5", "--omega-c",
+     "1e200", "--n", "1", "--total-time", "1", "--strategy", "product"],
+    ["gamma", "--model", "powerlaw", "--alpha", "1", "--s", "200", "--omega-c", "1",
+     "--temp", "beta=1", "--t", "1"],
+    # Gamma(s - 1) in the T = 0 closed form
+    ["gamma", "--model", "powerlaw", "--alpha", "1", "--s", "200", "--omega-c", "1",
+     "--t", "1"],
+])
+def test_overflowing_bath_constant_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "overflows a float" in err
+    assert err.count("\n") == 1
+
+
+def test_overflowing_zero_temperature_gamma_exit_2(capsys):
+    # omega_c^2 overflows inside the T = 0 closed form, after numpy's own
+    # overflow warning for (omega_c t)^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(capsys, "gamma", "--model", "ohmic", "--alpha", "1",
+                             "--omega-c", "1e200", "--t", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: a value overflows a float")
+    assert err.count("\n") == 1
+
+
+def test_finite_beta_ratio_closed_route(capsys):
+    code, out, err = run(capsys, "ratio", "--model", "powerlaw", "--alpha", "1",
+                         "--s", "0.5", "--omega-c", "1", "--temp", "beta=2",
+                         "--n-grid", "1:4:4")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok"] * 4
+    assert all(1.0 <= float(row[1]) <= math.sqrt(float(row[0])) for row in rows)
+
+
+@pytest.mark.parametrize("route", ["closed", "quad"])
+def test_finite_beta_s2_no_optimum_exit_3(capsys, route):
+    code, out, _ = run(capsys, "ratio", "--model", "powerlaw", "--alpha", "1",
+                       "--s", "2", "--omega-c", "1", "--temp", "beta=2",
+                       "--route", route, "--n-grid", "1:4:4")
+    assert code == 3
+    assert out.splitlines()[1] == "1,nan,nan,nan,1,1,no-finite-optimum"
 
 
 def test_numerical_failure_exit_6(capsys):

@@ -25,7 +25,6 @@ from ramsey_bounds.dephasing import (
 )
 from ramsey_bounds.errors import (
     DomainError,
-    NoClosedForm,
     NoQuadraticRegime,
     NoSpectralDensity,
     ToleranceNotMet,
@@ -155,12 +154,82 @@ def test_ohmic_dispatch_window():
     assert outside == pytest.approx(0.25 * math.log(2.0), rel=1e-4)
 
 
-def test_no_closed_form_for_finite_beta_power_law():
+def test_finite_beta_power_law_has_a_closed_form():
     model = power_law(1.0, 2.0, 1.0, FiniteBeta(1.0))
-    with pytest.raises(NoClosedForm):
+    want_gamma, want_dgamma = _bench_reference().powerlaw_beta(1.0, 2.0, 1.0, 1.0, 1.0)
+    assert abs(gamma_closed(model, 1.0) / want_gamma - 1.0) <= 1e-13
+    assert abs(dgamma_dt(model, 1.0) / want_dgamma - 1.0) <= 1e-13
+
+
+def test_kernel_is_every_closed_form():
+    # T = 0 is the kernel at p = s, high T at p = 0; the Ohmic T = 0 closed
+    # form is twice the bath integral. The bound is 2e-14 because the T = 0
+    # polar form is itself off by 1.1e-14 at s = 0.05 and wc t ~ 1e3 (the
+    # kernel by 7e-16; see tests/test_against_mpmath.py)
+    alpha, wc = 1.3, 0.7
+    ts = np.geomspace(1e-3, 1e3, 61) / wc
+    for s in (0.05, 0.3, 0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.5, 2.0, 2.5, 6.0):
+        spec = PowerLawExpCutoff(alpha, s, wc)
+        closed = spec.gamma(ZeroTemperature(), ts) * (0.5 if spec.is_ohmic else 1.0)
+        kernel = [0.5 * alpha * math.gamma(s + 1.0) * dephasing._kernel(s, wc * t)
+                  for t in ts.tolist()]
+        assert np.max(np.abs(kernel / closed - 1.0)) <= 2e-14, s
+    beta = 2.0
+    spec = PowerLawExpCutoff(alpha, 1.0, wc)
+    temp = HighTemperatureOhmic(beta)
+    for t in ts.tolist():
+        x = wc * t
+        assert alpha / (beta * wc) * dephasing._kernel(0.0, x) == pytest.approx(
+            spec.gamma(temp, t), rel=1e-14)
+        assert alpha / beta * dephasing._kernel_dt(0.0, x) == pytest.approx(
+            spec.dgamma(temp, t), rel=1e-14)
+
+
+def test_finite_beta_limits():
+    alpha, wc, t = 1.3, 0.7, 2.0
+    # beta -> inf: the T = 0 bath integral
+    for s in (0.5, 1.0, 2.5):
+        want = reference_gamma(BathSpec(PowerLawExpCutoff(alpha, s, wc)), t)
+        got = reference_gamma(BathSpec(PowerLawExpCutoff(alpha, s, wc),
+                                       FiniteBeta(1e8 / wc)), t)
+        assert got == pytest.approx(want, rel=1e-10), s
+    # beta wc -> 0 at s = 1: the high-temperature form, whose next term is
+    # of relative order (beta wc)^2
+    spec = PowerLawExpCutoff(alpha, 1.0, wc)
+    for beta_wc in (1e-2, 1e-3, 1e-4):
+        beta = beta_wc / wc
+        got = spec.gamma(FiniteBeta(beta), t)
+        want = spec.gamma(HighTemperatureOhmic(beta), t)
+        assert got == pytest.approx(want, rel=beta_wc ** 2)
+    # gamma rises as beta falls
+    for s in (0.05, 1.0, 2.0, 6.0):
+        spec = PowerLawExpCutoff(alpha, s, wc)
+        values = [float(spec.gamma(FiniteBeta(b), t)) for b in np.geomspace(1e2, 1e-2, 13)]
+        assert all(a < b for a, b in zip(values, values[1:])), s
+
+
+def test_overflowing_power_law_constant_is_a_domain_error():
+    # alpha wc^2 raising, alpha wc^2 rounding to inf, Gamma(s + 1) wc^2, alpha wc/beta
+    for model in (power_law(1e300, 1.0, 1e300), power_law(1e300, 1.0, 1e10),
+                  power_law(1.0, 0.5, 1e200),
+                  power_law(1e300, 1.0, 1e300, HighTemperatureOhmic(1e-300))):
+        with pytest.raises(DomainError, match="c2 overflows a float"):
+            gamma_short_time_coeff(model)
+    # the Matsubara terms need Gamma(s + 1), which overflows past s = 170
+    model = power_law(1.0, 200.0, 1.0, FiniteBeta(1.0))
+    with pytest.raises(DomainError, match="Gamma\\(p \\+ 1\\)"):
         gamma_closed(model, 1.0)
-    with pytest.raises(NoClosedForm):
+    with pytest.raises(DomainError):
         dgamma_dt(model, 1.0)
+    with pytest.raises(DomainError):
+        gamma_short_time_coeff(model)
+    # the tail terms' Gamma(s + 16) overflows at s = 160, their weights do not
+    model = power_law(1.0, 160.0, 1.0, FiniteBeta(1.0))
+    for value in (gamma_closed(model, 1.0), dgamma_dt(model, 1.0),
+                  gamma_short_time_coeff(model)):
+        assert math.isfinite(value)
+    # an arbitrary beta wc, not only 1, keeps c2 finite there
+    assert math.isfinite(gamma_short_time_coeff(power_law(1.0, 160.0, 1.0, FiniteBeta(0.1))))
 
 
 def test_negative_time_rejected():

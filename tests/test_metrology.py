@@ -301,6 +301,65 @@ def test_super_ohmic_window_end():
     assert spec.root_window(ZeroTemperature(), 1)[1] == math.inf
 
 
+@pytest.mark.parametrize("route", [ClosedForm(), Quadrature()],
+                         ids=["closed", "quad"])
+def test_finite_beta_s2_threshold(route):
+    # at s = 2, 2 m t gamma' tends to 2 m alpha / (beta wc): above 2 m alpha =
+    # beta wc a root exists; at or below it the window ends where 2 m t gamma'
+    # falls below its limit for good. At beta wc = 2 the hump never rises
+    # above the limit, at beta wc = 10 it does: alpha = 3 has a root below wc t = 1
+    for alpha, beta, limit in ((0.9, 2.0, -0.1), (1.0, 2.0, 0.0), (1.1, 2.0, 0.1),
+                               (3.0, 10.0, -0.4)):
+        bath = BathSpec(PowerLawExpCutoff(alpha, 2.0, 1.0), FiniteBeta(beta))
+        deph = DephasingModel(bath, route)
+        if isinstance(route, ClosedForm):
+            assert 2.0 * 1e7 * deph.dgamma_dt(1e7) - 1.0 == pytest.approx(limit, abs=1e-6)
+        lo, hi = bath.spectral.root_window(bath.temperature, 1)
+        assert hi == math.inf if limit > 0.0 else hi < 20.0
+        if alpha <= 1.0:
+            with pytest.raises(NoFiniteOptimum):
+                optimal_interrogation(deph, 1)
+        else:
+            t = optimal_interrogation(deph, 1)
+            assert lo <= t <= hi and (beta == 2.0 or t < 1.0)
+            assert abs(2.0 * t * deph.dgamma_dt(t) - 1.0) <= 1e-10
+
+
+def test_finite_beta_s2_window_end():
+    # past the window's end 2 t gamma' stays below its limit 2 alpha/(beta wc),
+    # so with 2 alpha <= beta wc no root lies there; the hump below it may
+    # cross 1 or not
+    for beta_wc in np.geomspace(1e-2, 1e2, 17):
+        wc = 0.7
+        spec = PowerLawExpCutoff(0.5 * beta_wc, 2.0, wc)
+        temp = FiniteBeta(beta_wc / wc)
+        lo, hi = spec.root_window(temp, 1)
+        deph = DephasingModel(BathSpec(spec, temp))
+        ts = hi * np.geomspace(1.0, 1e4, 300)
+        assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all(), beta_wc
+
+
+def test_finite_beta_window_end():
+    # for s > 2 and wc t >= 1, 2 m t gamma' <= m alpha Gamma(s) (1 + 2 C/(beta wc))
+    # (wc t)^(2-s): no root above the window's end, nor below its start
+    rng = np.random.default_rng(12)
+    for _ in range(12):
+        s, wc = rng.uniform(2.05, 5.0), 10.0 ** rng.uniform(-1.0, 1.0)
+        beta = 10.0 ** rng.uniform(-2.0, 2.0) / wc
+        spec = PowerLawExpCutoff(10.0 ** rng.uniform(-1.0, 2.0), s, wc)
+        deph = DephasingModel(BathSpec(spec, FiniteBeta(beta)))
+        lo, hi = spec.root_window(FiniteBeta(beta), 1)
+        assert lo < math.inf and hi >= 1.0 / wc
+        if hi < math.inf:
+            ts = hi * np.geomspace(1.0, 1e6, 200)
+            assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all()
+        ts = np.geomspace(1e-6 * lo, lo, 200)
+        assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all()
+    # the end overflows close to s = 2
+    spec = PowerLawExpCutoff(10.0, 2.0 + 1e-6, 1.0)
+    assert spec.root_window(FiniteBeta(1.0), 1)[1] == math.inf
+
+
 def test_optimal_resolution_values():
     res = optimal_resolution(ohmic(1.0), ProbeSpec(1, 1.0, "product"))
     assert res.t_opt == pytest.approx(1.0, rel=1e-10)
@@ -516,8 +575,6 @@ def test_quadrature_route_reaches_the_optimum(bath):
     for t, m in ((res.t_u, 1), (res.t_e, 4)):
         assert abs(2.0 * m * t * deph.dgamma_dt(t) - 1.0) <= 1e-10
     assert 1.0 < res.r < 2.0
-    if isinstance(bath.temperature, FiniteBeta):
-        return  # no closed form to compare with
     closed = ratio_r(DephasingModel(bath), 4)
     for got, want in zip((res.r, res.t_u, res.t_e), (closed.r, closed.t_u, closed.t_e)):
         assert got == pytest.approx(want, rel=1e-8)

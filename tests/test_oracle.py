@@ -81,11 +81,21 @@ def test_reference_gamma_values():
     assert reference_gamma(bath, 0.0) == 0.0
 
 
-def test_reference_gamma_caps_matsubara_terms():
-    # about 10 t / beta = 1e7 terms, past the cap: refused before any is summed
-    bath = BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0), FiniteBeta(1.0))
-    with pytest.raises(DomainError, match="Matsubara terms"):
-        reference_gamma(bath, 1e6)
+@pytest.mark.parametrize("t", [1e6, 1e12])
+def test_reference_gamma_at_long_times(t):
+    # a direct Matsubara sum would need about 10 t / beta terms; the kernel's
+    # terms, each taken in 60-digit arithmetic from its uncancelled closed
+    # form Gamma(p - 1) Om^(p-1) [1 - Re (1 - i Om t)^(1-p)], give the same sum
+    mpmath = pytest.importorskip("mpmath")
+    spec = PowerLawExpCutoff(1.0, 0.5, 1.0)
+    got = reference_gamma(BathSpec(spec, FiniteBeta(1.0)), t)
+    with mpmath.workdps(60):
+        want = mpmath.fsum(
+            a / math.gamma(p + 1.0) * mpmath.gamma(mpmath.mpf(p) - 1)
+            * (1 - mpmath.re((1 - 1j * mpmath.mpf(r) * t) ** (1 - mpmath.mpf(p))))
+            for a, p, r in spec._thermal_terms(1.0))
+    assert math.isfinite(got)
+    assert abs(got / float(want) - 1.0) <= 1e-13
 
 
 def test_reference_gamma_matches_adaptive_route():
