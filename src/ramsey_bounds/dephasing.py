@@ -105,6 +105,31 @@ def _zeno_bound(c2, m):
     return 0.5 / math.sqrt(mc2) if mc2 > 0.0 else math.inf
 
 
+# x * x overflows a float past x = 1.3e154. From x = _BIG_X on, 1 + x^2 is x^2
+# to 1e-300, and the T = 0 and high-T closed forms of the power-law family
+# are written with x^2 in its place (``_gamma_far``, ``_dgamma_far``).
+_BIG_X = 1e150
+
+
+def _past_square(x):
+    """Whether x, or the largest element of an array x, is at least _BIG_X."""
+    if isinstance(x, np.ndarray):
+        return x.max(initial=0.0) >= _BIG_X
+    return x >= _BIG_X
+
+
+def _split(x, t, near, far):
+    """near(t) on the times with x = wc t below _BIG_X and far(t) on the rest,
+    for times t past it somewhere; each form sees only its own times."""
+    if not isinstance(x, np.ndarray):
+        return far(t)
+    big = x >= _BIG_X
+    out = np.empty_like(x)
+    out[~big] = near(t[~big])
+    out[big] = far(t[big])
+    return out
+
+
 # --- the power-law kernel ----------------------------------------------------
 #
 # I_p(Om, t) = Int_0^inf w^(p-2) e^(-w/Om) (1 - cos w t) dw, p > -1, is
@@ -127,7 +152,7 @@ def _sinc(u):
 
 def _half_log(x):
     """ln(1 + x^2) / 2 for x >= 0, also where x^2 overflows."""
-    return 0.5 * math.log1p(x * x) if x < 1e150 else math.log(x)
+    return 0.5 * math.log1p(x * x) if x < _BIG_X else math.log(x)
 
 
 def _kernel(p, x):
@@ -191,6 +216,9 @@ class PowerLawExpCutoff:
 
     def gamma(self, temp, t):
         x = self.omega_c * t
+        if not isinstance(temp, FiniteBeta) and _past_square(x):
+            return _split(x, t, lambda t: self.gamma(temp, t),
+                          lambda t: self._gamma_far(temp, t))
         if isinstance(temp, ZeroTemperature):
             if self.is_ohmic:
                 return 0.5 * self.alpha * np.log1p(x * x)
@@ -214,6 +242,9 @@ class PowerLawExpCutoff:
     def dgamma(self, temp, t):
         x = self.omega_c * t
         if isinstance(temp, ZeroTemperature):
+            # the optimizer's walk asks for one float at a time: one comparison
+            if x >= _BIG_X if x.__class__ is float else _past_square(x):
+                return _split(x, t, lambda t: self.dgamma(temp, t), self._dgamma_far)
             if self.is_ohmic:
                 return self.alpha * self.omega_c ** 2 * t / (1.0 + x * x)
             s = self.s
@@ -224,6 +255,34 @@ class PowerLawExpCutoff:
         terms, wc = self._thermal_terms(temp.beta), self.omega_c
         return _each(lambda ti: wc * math.fsum(a * r * _kernel_dt(p, r * wc * ti)
                                                for a, p, r in terms), t)
+
+    def _gamma_far(self, temp, t):
+        """gamma at T = 0 or high T where wc t >= _BIG_X: the closed forms
+        with ln(1 + x^2) = 2 ln x."""
+        x = self.omega_c * t
+        log_x = np.log(x)
+        if isinstance(temp, HighTemperatureOhmic):
+            return self.alpha / temp.beta * (t * np.arctan(x) - log_x / self.omega_c)
+        if self.is_ohmic:
+            return self.alpha * log_x
+        # 1 - x^(-s1) by expm1 near s = 1, else by pow, which keeps the digits
+        # that e^(-s1 ln x) loses to the rounding of ln x ~ 700
+        s1 = self.s - 1.0
+        a = -s1 * log_x
+        b = s1 * np.arctan(x)
+        return (0.5 * self.alpha * math.gamma(s1)
+                * (np.where(abs(a) < 1.0, -np.expm1(a), 1.0 - x ** -s1) * np.cos(b)
+                   + 2.0 * np.sin(0.5 * b) ** 2))
+
+    def _dgamma_far(self, t):
+        """dgamma/dt at T = 0 where wc t >= _BIG_X: the closed forms with
+        1 + x^2 = x^2."""
+        x = self.omega_c * t
+        if self.is_ohmic:
+            return self.alpha * self.omega_c ** 2 * (t / x) / x
+        s = self.s
+        return (0.5 * self.alpha * self.omega_c * math.gamma(s)
+                * np.sin(s * np.arctan(x)) * x ** -s)
 
     def c2(self, temp):
         wc = self.omega_c
@@ -628,7 +687,8 @@ class DephasingModel:
         return self.bath.spectral.omega_fast()
 
     def time_scale(self) -> float:
-        """Characteristic time used to seed searches and sweep grids."""
+        """Characteristic time that seeds the oracle's grid
+        (:func:`~ramsey_bounds.oracle.brute_force_optimum`)."""
         return float(self.bath.spectral.time_scale())
 
 

@@ -9,6 +9,7 @@ temperature. The kernel is checked against its uncancelled closed form in
 """
 
 import math
+import sys
 
 import pytest
 
@@ -160,3 +161,31 @@ def test_short_time_coeff_finite_beta_is_the_zeta_series(beta_wc):
         deph = DephasingModel(BathSpec(PowerLawExpCutoff(alpha, s, wc),
                                        FiniteBeta(beta_wc / wc)))
         assert rel(gamma_short_time_coeff(deph), want) <= 1e-14, s
+
+
+@pytest.mark.parametrize("x", [1e150, 1e160, 1e300])
+def test_closed_forms_past_the_square_overflow(x):
+    # (wc t)^2 overflows a float past wc t = 1.3e154; there the T = 0 and
+    # high-T forms are the same closed forms with 1 + x^2 = x^2. At wc = 1
+    # they are alpha/2 I_s (alpha I_1 for the Ohmic log form, alpha/beta I_0
+    # at high T) and the same multiples of the kernel's t-derivative
+    alpha, beta = 1.3, 0.8
+    cases = [(BathSpec(PowerLawExpCutoff(alpha, s, 1.0)), s, 0.5 * alpha)
+             for s in (0.05, 0.3, 0.5, 1.0 - 1e-7, 1.0 + 1e-7, 1.5, 2.0, 6.0)]
+    cases.append((BathSpec(PowerLawExpCutoff(alpha, 1.0, 1.0)), 1.0, alpha))
+    cases.append((BathSpec(PowerLawExpCutoff(alpha, 1.0, 1.0), HighTemperatureOhmic(beta)),
+                  0.0, alpha / beta))
+    for bath, p, scale in cases:
+        deph = DephasingModel(bath)
+        want, want_dt = (scale * v for v in kernel_closed(p, x))
+        assert rel(gamma_closed(deph, x), want) <= 1e-13, bath
+        got_dt = dgamma_dt(deph, x)
+        if abs(want_dt) >= sys.float_info.min:
+            assert rel(got_dt, want_dt) <= 1e-13, bath
+        else:
+            assert abs(got_dt) < sys.float_info.min, bath
+        # in an array, the times below 1e150 keep the bits they have without x
+        ts = np.array([0.5, x, 2.0])
+        got = gamma_closed(deph, ts)
+        assert got[[0, 2]].tolist() == gamma_closed(deph, ts[[0, 2]]).tolist()
+        assert rel(got[1], want) <= 1e-13, bath

@@ -324,16 +324,32 @@ def test_overflowing_bath_constant_exit_2(capsys, argv):
 
 
 def test_overflowing_zero_temperature_gamma_exit_2(capsys):
-    # omega_c^2 overflows inside the T = 0 closed form, after numpy's own
-    # overflow warning for (omega_c t)^2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, out, err = run(capsys, "gamma", "--model", "ohmic", "--alpha", "1",
-                             "--omega-c", "1e200", "--t", "1")
+    # omega_c^2 overflows inside the T = 0 dgamma/dt; gamma itself, at
+    # omega_c t = 1e200 where (omega_c t)^2 overflows, warns of nothing (a
+    # RuntimeWarning is an error under the suite's warning filter)
+    code, out, err = run(capsys, "gamma", "--model", "ohmic", "--alpha", "1",
+                         "--omega-c", "1e200", "--t", "1")
     assert code == 2
     assert out == ""
     assert err.startswith("error: a value overflows a float")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, want", [
+    (["--model", "ohmic", "--omega-c", "1"], (368.41361487904731, 1e-160)),
+    (["--model", "powerlaw", "--s", "0.5", "--omega-c", "1"], (1.2533141373155003e80,
+                                                              6.2665706865775013e-81)),
+    (["--model", "ohmic", "--omega-c", "1", "--temp", "high-t=1"], (1.5707963267948966e160,
+                                                                  1.5707963267948966)),
+])
+def test_gamma_past_the_square_overflow(capsys, args, want):
+    # (omega_c t)^2 overflows a float at t = 1e160: the closed forms still
+    # give their values (from mpmath), with no warning
+    code, out, err = run(capsys, "gamma", "--alpha", "1", *args, "--t", "1e160")
+    assert code == 0 and err == ""
+    t, g, dg = (float(v) for v in out.splitlines()[1].split(","))
+    assert g == pytest.approx(want[0], rel=1e-13)
+    assert dg == pytest.approx(want[1], rel=1e-13)
 
 
 def test_finite_beta_ratio_closed_route(capsys):

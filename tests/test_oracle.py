@@ -12,8 +12,9 @@ from ramsey_bounds.dephasing import (
     PowerLawExpCutoff,
     gamma_quadrature,
 )
+from ramsey_bounds import oracle
 from ramsey_bounds.errors import GridTooCoarse, DomainError
-from ramsey_bounds.metrology import ProbeSpec, optimal_resolution
+from ramsey_bounds.metrology import Optimum, ProbeSpec, optimal_resolution
 from ramsey_bounds.oracle import (
     brute_force_optimum,
     gamma_consistency_draws,
@@ -112,3 +113,127 @@ def test_scenario_draws_are_deterministic_and_span_models():
     assert [(d.bath, p) for d, p in a] == [(d.bath, p) for d, p in b]
     kinds = {type(d.bath.spectral).__name__ for d, _ in a}
     assert kinds == {"PowerLawExpCutoff", "Lorentzian", "GenericPowerLawDephasing"}
+
+
+# --- bit for bit with the oracle as first written ------------------------------
+
+def _allocating_surface(deph, probe, ts, thetas):
+    gam = np.asarray(deph.gamma(ts), dtype=float)
+    n = probe.n
+    if probe.strategy == "product":
+        decay = np.exp(-2.0 * gam)
+        shots = n * probe.total_time * ts
+    else:
+        decay = np.exp(-2.0 * n * gam)
+        shots = n * n * probe.total_time * ts
+    c2 = np.cos(thetas) ** 2
+    num = 1.0 - c2[None, :] * decay[:, None]
+    den = (shots * decay)[:, None] * (1.0 - c2)[None, :]
+    with np.errstate(divide="ignore", over="ignore"):
+        return num / den
+
+
+def _allocating_brute_force_optimum(deph, probe, *, t_min=None, t_max=None,
+                                    with_theta=False):
+    """brute_force_optimum as first written, with np.geomspace,
+    np.clip(np.linspace) and a surface that allocates every temporary: the
+    oracle must give its results, bit for bit, and raise where it raises."""
+    for name, value in (("t_min", t_min), ("t_max", t_max)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and > 0")
+    t_ref = deph.time_scale()
+    t_lo = t_min if t_min is not None else 1e-4 * t_ref
+    t_hi = t_max if t_max is not None else 1e4 * t_ref
+    t_hi = min(t_hi, probe.total_time)
+    if not t_hi > t_lo:
+        raise DomainError("empty time grid after the total-time cap")
+    n_t = max(int(round(math.log10(t_hi / t_lo) * 50)) + 1, 16)
+    ts = np.geomspace(t_lo, t_hi, n_t)
+    thetas = np.pi * np.arange(1, 182) / 182
+    var = _allocating_surface(deph, probe, ts, thetas)
+    i, j = np.unravel_index(np.argmin(var), var.shape)
+    t_best, th_best, v_best = ts[i], thetas[j], var[i, j]
+    dlog = math.log10(ts[1] / ts[0])
+    dth = thetas[1] - thetas[0]
+    for _ in range(4):
+        lo = max(t_best * 10.0 ** (-2.0 * dlog), t_lo)
+        hi = min(t_best * 10.0 ** (2.0 * dlog), t_hi)
+        ts_r = np.geomspace(lo, hi, 41)
+        th_r = np.clip(np.linspace(th_best - 2.0 * dth, th_best + 2.0 * dth, 41),
+                       1e-9, math.pi - 1e-9)
+        var = _allocating_surface(deph, probe, ts_r, th_r)
+        i, j = np.unravel_index(np.argmin(var), var.shape)
+        if var[i, j] < v_best:
+            t_best, th_best, v_best = ts_r[i], th_r[j], var[i, j]
+        dlog /= 10.0
+        dth /= 10.0
+    edge_tol = 10.0 ** (2.0 * dlog * 10.0)
+    at_high_edge = t_hi / t_best < edge_tol
+    if t_best / t_lo < edge_tol:
+        raise GridTooCoarse("minimum sits at the lower time edge of the grid")
+    if at_high_edge and t_hi != probe.total_time:
+        raise GridTooCoarse("minimum sits at the upper time edge of the grid")
+    result = Optimum(t_opt=float(t_best), delta_omega_sq=float(v_best),
+                     boundary_limited=bool(at_high_edge))
+    return (result, float(th_best)) if with_theta else result
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return repr(f(*args, **kwargs))
+    except Exception as exc:  # the type is the outcome
+        return type(exc).__name__
+
+
+def _same_as_allocating(deph, probe, **kwargs):
+    got = _outcome(brute_force_optimum, deph, probe, **kwargs)
+    assert got == _outcome(_allocating_brute_force_optimum, deph, probe, **kwargs)
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_oracle_is_bit_for_bit_on_scenario_draws(seed):
+    for deph, probe in scenario_draws(np.random.default_rng(seed), 150):
+        _same_as_allocating(deph, probe)
+
+
+def test_oracle_is_bit_for_bit_on_special_cases():
+    ohmic = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0)))
+    markov = DephasingModel(BathSpec(GenericPowerLawDephasing(1.0, 1.0)))
+    probe = ProbeSpec(1, 1.0, "product")
+    for deph, p in [(ohmic, ProbeSpec(3, 5.0, "ghz")), (markov, probe)]:
+        assert "(Optimum(" in _same_as_allocating(deph, p, with_theta=True)
+        assert "Optimum(" in _same_as_allocating(deph, p, t_min=1e-3, t_max=3.0)
+    # boundary-limited: below the Ohmic threshold the variance falls up to T
+    weak = DephasingModel(BathSpec(PowerLawExpCutoff(0.4, 1.0, 1.0)))
+    assert "boundary_limited=True" in _same_as_allocating(weak, ProbeSpec(1, 50.0, "product"))
+    # decay underflows to 0 at long times: those entries are 1/0 = inf
+    strong = DephasingModel(BathSpec(PowerLawExpCutoff(50.0, 1.0, 1.0)))
+    assert "Optimum(" in _same_as_allocating(strong, ProbeSpec(4, 1e4, "ghz"))
+    assert _same_as_allocating(markov, probe, t_min=1e-6, t_max=1e-3) == "GridTooCoarse"
+    assert _same_as_allocating(markov, probe, t_min=0.0) == "DomainError"
+    assert _same_as_allocating(markov, probe, t_min=2.0) == "DomainError"
+    # a time scale so small that 1e-4 of it rounds to 0, which the grid's
+    # decade count divides by
+    tiny = DephasingModel(BathSpec(GenericPowerLawDephasing(5e32, 0.1)))
+    assert _same_as_allocating(tiny, probe) == "ZeroDivisionError"
+
+
+def test_grids_are_numpys():
+    rng = np.random.default_rng(20)
+    ramp = oracle._ZOOM_STEPS
+    for k in range(10_000):
+        lo = 10.0 ** rng.uniform(-300.0, 300.0)
+        hi = lo * 10.0 ** rng.uniform(-6.0, 6.0)
+        assert np.array_equal(oracle._geom(lo, hi, ramp), np.geomspace(lo, hi, 41))
+        if k % 10 == 0:  # the coarse grid's lengths
+            n = int(rng.integers(16, 1000))
+            assert np.array_equal(oracle._geom(lo, hi, np.arange(float(n))),
+                                  np.geomspace(lo, hi, n))
+        th = rng.uniform(-0.1, math.pi + 0.1)
+        dth = math.pi / 182 * 10.0 ** -rng.integers(0, 5)
+        lin = oracle._lin(th - 2.0 * dth, th + 2.0 * dth, ramp)
+        want = np.linspace(th - 2.0 * dth, th + 2.0 * dth, 41)
+        assert np.array_equal(lin, want)
+        np.minimum(np.maximum(lin, 1e-9, out=lin), math.pi - 1e-9, out=lin)
+        assert np.array_equal(lin, np.clip(want, 1e-9, math.pi - 1e-9))
