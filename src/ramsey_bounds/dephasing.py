@@ -810,9 +810,13 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
     Returns
     -------
     (value, error_estimate):
-        The integral and a conservative error estimate including the
-        truncated tail, with error_estimate <= max(abs_tol, rel_tol*|value|);
-        :class:`ToleranceNotMet` (with both) is raised where that fails.
+        The integral and its error estimate, with
+        error_estimate <= max(abs_tol, rel_tol*|value|);
+        :class:`ToleranceNotMet` (with both) is raised where that fails. The
+        estimate is the sum over panels of |G16 - K33| (the Gauss-Kronrod
+        16/33 pair) and of ``numerics.ROUNDING_FACTOR`` eps Int |integrand|
+        (the rounding of the value itself), plus the bound on the truncated
+        tail.
     """
     return _bath_quadrature(bath, t, settings, derivative=False)
 

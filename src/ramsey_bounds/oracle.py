@@ -123,6 +123,9 @@ def brute_force_optimum(deph: DephasingModel, probe: ProbeSpec, *,
     t_lo = t_min if t_min is not None else 1e-4 * t_ref
     t_hi = t_max if t_max is not None else 1e4 * t_ref
     t_hi = min(t_hi, probe.total_time)
+    if not t_lo > 0.0:
+        raise DomainError("empty time grid: 1e-4 of the model's time scale "
+                          "underflows to 0")
     if not t_hi > t_lo:
         raise DomainError("empty time grid after the total-time cap")
 

@@ -24,7 +24,9 @@ from ramsey_bounds.dephasing import (
     Lorentzian,
     PowerLawExpCutoff,
     dgamma_dt,
+    dgamma_quadrature,
     gamma_closed,
+    gamma_quadrature,
     gamma_short_time_coeff,
 )
 from ramsey_bounds.oracle import reference_gamma
@@ -137,6 +139,28 @@ def test_finite_beta_dgamma_is_the_bath_integral(t):
         want = powerlaw_integral(alpha, s, wc, t, lambda w: mpmath.coth(beta * w / 2),
                                  derivative=True)
         assert rel(dgamma_dt(deph, t), want) <= 1e-12, s
+
+
+@pytest.mark.parametrize("t", [0.05, 12.0])
+def test_quadrature_error_estimate_bounds_its_error(t):
+    # the estimate, |G16 - K33| plus the rounding term, is at least the true
+    # error, here mostly the rounding of the value itself; at T = 0, s = 0.3
+    # is taken at the short times 1e-3 t and 1e-2 t
+    alpha, wc, beta = 1.3, 0.7, 1.0 / 0.7
+    cases = [(BathSpec(PowerLawExpCutoff(alpha, 0.3, wc)), 0.3, lambda w: 1, tt)
+             for tt in (1e-3 * t, 1e-2 * t)]
+    for s in (0.5, 2.0, 3.0):
+        cases.append((BathSpec(PowerLawExpCutoff(alpha, s, wc), FiniteBeta(beta)), s,
+                      lambda w: mpmath.coth(beta * w / 2), t))
+    for bath, s, weight, tt in cases:
+        for kernel in (gamma_quadrature, dgamma_quadrature):
+            value, err = kernel(bath, tt)
+            want = powerlaw_integral(alpha, s, wc, tt, weight,
+                                     derivative=kernel is dgamma_quadrature)
+            assert abs(value - want) <= err, (bath, tt, kernel.__name__)
+
+    value, err = gamma_quadrature(BathSpec(Lorentzian(1.2, 0.3)), t)
+    assert abs(value - lorentzian_integral(1.2, 0.3, t)) <= err
 
 
 @pytest.mark.parametrize("ds", [2e-9, -2e-9, 1e-7, 1e-3, -0.7])

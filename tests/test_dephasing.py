@@ -428,6 +428,36 @@ def test_finite_beta_dgamma_matches_difference_of_gamma(s):
         assert abs((g_hi - g_lo) / (2.0 * h) - value) <= (e_hi + e_lo) / (2.0 * h)
 
 
+# super-Ohmic dgamma/dt at omega_c t = 30 whose value (~1e-5) is far below
+# Int |integrand| (1.4 to 3.2), so the tolerance abs_tol is only 7-16 eps of
+# it; the benchmark's quad-gamma workload draws them (seed 7 op 623, seed 23
+# op 623, seed 30 ops 623/647/671, seed 34 op 503)
+NEAR_ROUNDING_DERIVATIVES = [
+    (PowerLawExpCutoff(1.2568992994131252, 3.052679145458476, 2.9247005205099685),
+     FiniteBeta(1.7095767463836502), 10.257460478301901),
+    (PowerLawExpCutoff(1.2643683964867507, 3.033046144572999, 1.6589210143850146),
+     FiniteBeta(3.014007271379084), 18.084043628274504),
+    (PowerLawExpCutoff(0.9638417651156606, 3.043872065656969, 2.291379279404158),
+     FiniteBeta(2.1820918278095722), 13.092550966857434),
+    (PowerLawExpCutoff(0.9638417651156606, 3.043872065656969, 2.291379279404158),
+     FiniteBeta(0.43641836556191443), 13.092550966857434),
+    (PowerLawExpCutoff(0.9638417651156606, 3.043872065656969, 2.291379279404158),
+     FiniteBeta(0.21820918278095722), 13.092550966857434),
+    (PowerLawExpCutoff(2.996560109918333, 2.0442183310611775, 2.4437782380722077),
+     ZeroTemperature(), 12.276072981018817),
+]
+
+
+@pytest.mark.parametrize("spectral,temp,t", NEAR_ROUNDING_DERIVATIVES,
+                         ids=["seed7-623", "seed23-623", "seed30-623", "seed30-647",
+                              "seed30-671", "seed34-503"])
+def test_derivative_near_rounding_meets_contract(spectral, temp, t):
+    bath = BathSpec(spectral, temp)
+    value, err = dgamma_quadrature(bath, t)
+    assert _within_contract(value, err)
+    assert _within_contract(value, abs(value - dgamma_dt(DephasingModel(bath), t)))
+
+
 def test_refinement_loop_meets_contract(monkeypatch):
     # finite beta, s = 0.3, at rel_tol = 1e-13 is not met by the seeded
     # panels, so the panel-splitting loop must run for both kernels

@@ -78,6 +78,97 @@ def test_nonfinite_error_estimate_raises():
     assert info.value.error == math.inf
 
 
+# --- the Gauss-Kronrod 16/33 rule ----------------------------------------------
+
+def kronrod_extension_of_g16(mpmath):
+    """(nodes, Kronrod weights, Gauss weights) of the 16/33 rule for x >= 0,
+    from 0 up, recomputed in 45-digit arithmetic: the Stieltjes polynomial
+    E_17 orthogonal to x^j P_16 for j <= 16, its roots, then the weights that
+    integrate P_0 .. P_32 exactly."""
+    with mpmath.workdps(45):
+        def moment(k):  # Int_-1^1 x^k dx
+            return mpmath.mpf(2) / (k + 1) if k % 2 == 0 else mpmath.mpf(0)
+
+        p16 = mpmath.taylor(lambda x: mpmath.legendre(16, x), 0, 16)
+
+        def against_p16(k):  # Int_-1^1 P_16(x) x^k dx
+            return sum(c * moment(i + k) for i, c in enumerate(p16))
+
+        # E_17 = x^17 + sum of c_k x^k over odd k is odd, as P_16 is even, so
+        # orthogonality to x^j P_16 holds by parity for even j; the odd j give
+        # eight equations for the eight c_k
+        odd = range(1, 17, 2)
+        coef = mpmath.lu_solve(
+            mpmath.matrix([[against_p16(j + k) for k in odd] for j in odd]),
+            mpmath.matrix([-against_p16(j + 17) for j in odd]))
+
+        def roots_in_square(poly_in_u):  # the roots x >= 0 of a polynomial in u = x^2
+            return sorted(mpmath.sqrt(mpmath.re(u)) for u in
+                          mpmath.polyroots(poly_in_u, maxsteps=200, extraprec=200))
+
+        # E_17 / x and P_16 as polynomials in u = x^2, highest power first
+        kronrod = [mpmath.mpf(0)] + roots_in_square([1] + list(coef)[::-1])
+        gauss = roots_in_square(p16[::-2])
+        nodes = sorted(kronrod + gauss)
+        # symmetric weights: each node x > 0 stands for +-x
+        mult = [1] + [2] * 16
+        weights = mpmath.lu_solve(
+            mpmath.matrix([[m * mpmath.legendre(2 * k, x) for m, x in zip(mult, nodes)]
+                           for k in range(17)]),
+            mpmath.matrix([2] + [0] * 16))
+        gauss_weights = [2 / ((1 - x * x) * mpmath.diff(lambda y: mpmath.legendre(16, y), x) ** 2)
+                         for x in gauss]
+        return ([float(x) for x in nodes], [float(w) for w in weights],
+                [float(w) for w in gauss_weights])
+
+
+def test_stored_rule_is_the_kronrod_extension_of_g16():
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights, gauss_weights = kronrod_extension_of_g16(mpmath)
+    np.testing.assert_allclose(numerics._GK_X, nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(numerics._GK_WK, weights, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(numerics._GK_WG, gauss_weights, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(numerics._GK_NODES[16:], nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(numerics._GK_NODES[:16], -np.array(nodes[:0:-1]),
+                               rtol=0.0, atol=1e-15)
+
+
+def test_gauss_half_is_leggauss():
+    x, w = np.polynomial.legendre.leggauss(16)
+    np.testing.assert_allclose(numerics._GK_NODES[1::2], x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(numerics._GAUSS[1::2], w, rtol=0.0, atol=1e-15)
+    assert (numerics._GAUSS[::2] == 0.0).all()
+
+
+def test_every_weight_is_positive():
+    assert (numerics._KRONROD > 0.0).all()
+    assert (numerics._GAUSS[1::2] > 0.0).all()
+
+
+def test_kronrod_rule_is_exact_to_degree_49():
+    x = numerics._GK_NODES
+    for k in range(50):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs((x ** k) @ numerics._KRONROD - want) <= 1e-14, k
+        if k < 32:
+            assert abs((x ** k) @ numerics._GAUSS - want) <= 1e-14, k
+
+
+def test_one_integrand_call_per_pass():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.cos(x)
+
+    lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])
+    value, err = numerics._refined_panels(f, lo, hi)
+    assert calls == [66]
+    np.testing.assert_allclose(value, np.sin(hi) - np.sin(lo), rtol=0.0, atol=1e-15)
+    # smooth panels: the estimate is the rounding term
+    assert (err >= numerics._ROUNDING * np.abs(value)).all()
+
+
 def seed_panels_loop(upper_cutoff, inner_boundary, max_panel_width, max_panels):
     """The panel ladder in x built rung by rung, each rung [a, b] cut into
     pieces of equal omega = x^2 width: the reference that numerics._seed_panels

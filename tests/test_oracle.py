@@ -213,10 +213,12 @@ def test_oracle_is_bit_for_bit_on_special_cases():
     assert _same_as_allocating(markov, probe, t_min=1e-6, t_max=1e-3) == "GridTooCoarse"
     assert _same_as_allocating(markov, probe, t_min=0.0) == "DomainError"
     assert _same_as_allocating(markov, probe, t_min=2.0) == "DomainError"
-    # a time scale so small that 1e-4 of it rounds to 0, which the grid's
-    # decade count divides by
+    # a time scale so small that 1e-4 of it rounds to 0: the grid is empty,
+    # where the allocating reference divides by the grid's decade count
     tiny = DephasingModel(BathSpec(GenericPowerLawDephasing(5e32, 0.1)))
-    assert _same_as_allocating(tiny, probe) == "ZeroDivisionError"
+    with pytest.raises(DomainError, match="empty time grid"):
+        brute_force_optimum(tiny, probe)
+    assert _outcome(_allocating_brute_force_optimum, tiny, probe) == "ZeroDivisionError"
 
 
 def test_grids_are_numpys():
