@@ -10,7 +10,9 @@ beta, and 2/(beta*w) in the high-temperature expansion. Three spectral
 families are supported, each with closed forms where they exist and a
 quadrature route everywhere a spectral density is defined:
 
-* power law with exponential cutoff, J(w) = alpha * wc^(1-s) * w^s * e^(-w/wc)
+* power law with exponential cutoff, J(w) = alpha * wc^(1-s) * w^s * e^(-w/wc),
+  whose closed form in every temperature mode is one sum of a pole-free
+  kernel (see ``PowerLawExpCutoff._terms``)
 * Lorentzian, J(w) = (1/pi) * a * g / (g^2 + w^2)
 * a generic power-law decoherence function gamma(t) = alpha * t^nu with no
   underlying J (nu = 1 is Markovian dephasing, nu = 2 a static bath).
@@ -44,9 +46,10 @@ evaluation route (closed form or quadrature) supplies ``gamma(bath, t)`` and
 
 Convention note: the Ohmic (s = 1) closed form at T = 0,
 gamma(t) = (alpha/2) ln(1 + wc^2 t^2), is exactly twice the integral above,
-so the quadrature route reproduces it up to the constant factor 1/2. Every
-other closed form is the integral itself. Metrological ratios computed from
-a single route are unaffected.
+so the quadrature route reproduces it up to the constant factor 1/2. That
+factor is one constant, in the T = 0 term of ``PowerLawExpCutoff._terms``;
+every other closed form is the integral itself. Metrological ratios computed
+from a single route are unaffected.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -89,8 +93,8 @@ __all__ = [
     "OHMIC_S_TOL",
 ]
 
-# |s - 1| below this is dispatched to the Ohmic logarithmic closed form
-# (the general expression has a Gamma(s-1) pole at s = 1).
+# |s - 1| below this counts as Ohmic: the T = 0 closed form then carries the
+# factor 2 of the Ohmic convention, and the high-temperature expansion holds.
 OHMIC_S_TOL = 1e-9
 
 _HIGH_T_OHMIC_ONLY = ("the high-temperature expansion is only valid for an Ohmic "
@@ -105,49 +109,28 @@ def _zeno_bound(c2, m):
     return 0.5 / math.sqrt(mc2) if mc2 > 0.0 else math.inf
 
 
-# x * x overflows a float past x = 1.3e154. From x = _BIG_X on, 1 + x^2 is x^2
-# to 1e-300, and the T = 0 and high-T closed forms of the power-law family
-# are written with x^2 in its place (``_gamma_far``, ``_dgamma_far``).
-_BIG_X = 1e150
-
-
-def _past_square(x):
-    """Whether x, or the largest element of an array x, is at least _BIG_X."""
-    if isinstance(x, np.ndarray):
-        return x.max(initial=0.0) >= _BIG_X
-    return x >= _BIG_X
-
-
-def _split(x, t, near, far):
-    """near(t) on the times with x = wc t below _BIG_X and far(t) on the rest,
-    for times t past it somewhere; each form sees only its own times."""
-    if not isinstance(x, np.ndarray):
-        return far(t)
-    big = x >= _BIG_X
-    out = np.empty_like(x)
-    out[~big] = near(t[~big])
-    out[big] = far(t[big])
-    return out
-
-
 # --- the power-law kernel ----------------------------------------------------
 #
 # I_p(Om, t) = Int_0^inf w^(p-2) e^(-w/Om) (1 - cos w t) dw, p > -1, is
 # Gamma(p + 1) Om^(p-1) K_p(x), and dI_p/dt is Gamma(p + 1) Om^p D_p(x), with
 # x = Om t, theta = arctan x, q = 1 - p, L = ln(1 + x^2),
 #   K_p = B / (p (p - 1)),  B = 1 - (1 + x^2)^(q/2) cos(q theta),
-#   D_p = theta sinc(p theta) (1 + x^2)^(-p/2).
+#   D_p = sin(p theta) (1 + x^2)^(-p/2) / p.
 # T = 0 is p = s, high-T Ohmic p = 0. B vanishes at both poles p = 0 and 1.
-# With F(c) = -(L/2) exprel(c L/2) cos(c theta) + theta sin(c theta/2) sinc(c theta/2),
-# B/q = F(q) for p >= 1/2 and B/p = -F(-p) - x theta sinc(p theta) e^(-p L/2)
-# below, so nothing cancels near a pole, at short times or at long times.
+# With c = q for p >= 1/2 and c = -p below, P = (1 + x^2)^(c/2) and
+#   F(c) = (2 sin^2(c theta/2) - (P - 1) cos(c theta)) / c, -L/2 at c = 0,
+# B/q = F(q) for p >= 1/2 and B/p = -F(-p) - x sin(p theta) P / p below, so
+# nothing cancels near a pole, at short times or at long times. P is
+# hypot(1, x)^c, and P - 1 is expm1(c L/2) where c L/2 < 1: the rounding of L
+# would grow c L/2-fold in e^(c L/2), and that of the power grows with c alone.
+#
+# Each kernel is written once, for a float x with ``m = _FLOATS`` (``math``)
+# and for an array with ``m = _ARRAYS`` (numpy): the optimizer's walk asks for
+# one float at a time, where a numpy call costs several times the kernel.
 
-def _exprel(u):
-    return math.expm1(u) / u if u else 1.0
-
-
-def _sinc(u):
-    return math.sin(u) / u if u else 1.0
+# x * x overflows a float past x = 1.3e154. From x = _BIG_X on, 1 + x^2 is x^2
+# to 1e-300.
+_BIG_X = 1e150
 
 
 def _half_log(x):
@@ -155,27 +138,57 @@ def _half_log(x):
     return 0.5 * math.log1p(x * x) if x < _BIG_X else math.log(x)
 
 
-def _kernel(p, x):
+def _half_log_array(x):
+    y = np.minimum(x, _BIG_X)
+    return np.log(x, out=0.5 * np.log1p(y * y), where=x >= _BIG_X)
+
+
+def _sin_p_atan(p, x):
+    """sin(p arctan x). Past x = 1, p arctan x = k pi + f pi - p arctan(1/x)
+    with k the integer nearest p/2 and f = p/2 - k exact, so it keeps its
+    digits where p arctan x nears k pi."""
+    if x <= 1.0:
+        return math.sin(p * math.atan(x))
+    k = math.floor(0.5 * p + 0.5)
+    sign = -1.0 if k % 2 else 1.0
+    return math.sin(sign * math.pi * (0.5 * p - k) - sign * p * math.atan2(1.0, x))
+
+
+def _sin_p_atan_array(p, x):
+    k = math.floor(0.5 * p + 0.5)
+    sign = -1.0 if k % 2 else 1.0
+    far = np.sin(sign * math.pi * (0.5 * p - k) - sign * p * np.arctan2(1.0, x))
+    return np.where(x <= 1.0, np.sin(p * np.arctan(x)), far)
+
+
+_FLOATS = SimpleNamespace(atan=math.atan, sin=math.sin, cos=math.cos, expm1=math.expm1,
+                          hypot=math.hypot, where=lambda cond, a, b: a if cond else b,
+                          half_log=_half_log, sin_p_atan=_sin_p_atan)
+_ARRAYS = SimpleNamespace(atan=np.arctan, sin=np.sin, cos=np.cos, expm1=np.expm1,
+                          hypot=np.hypot, where=np.where, half_log=_half_log_array,
+                          sin_p_atan=_sin_p_atan_array)
+
+
+def _kernel(p, x, m=_FLOATS):
     """K_p(x), the power-law kernel I_p(Om, t) over Gamma(p + 1) Om^(p-1)."""
-    th, hl = math.atan(x), _half_log(x)
+    th, hl = m.atan(x), m.half_log(x)
     c = 1.0 - p if p >= 0.5 else -p
-    f = (-hl * _exprel(c * hl) * math.cos(c * th)
-         + th * math.sin(0.5 * c * th) * _sinc(0.5 * c * th))
+    if c:
+        u = c * hl
+        e = m.expm1(u) if c < 0.0 else m.where(u < 1.0, m.expm1(u), m.hypot(1.0, x) ** c - 1.0)
+        f = (2.0 * m.sin(0.5 * c * th) ** 2 - e * m.cos(c * th)) / c
+    else:
+        f = -hl
     if p >= 0.5:
-        return -f / p
-    return (f + x * th * _sinc(p * th) * math.exp(-p * hl)) / (1.0 - p)
+        return f / -p
+    return (f + x * ((m.sin(p * th) / p if p else th) * m.hypot(1.0, x) ** -p)) / (1.0 - p)
 
 
-def _kernel_dt(p, x):
+def _kernel_dt(p, x, m=_FLOATS):
     """D_p(x), the kernel's t-derivative over Gamma(p + 1) Om^p."""
-    if x <= 1.0 or not p:
-        th = math.atan(x)
-        return th * _sinc(p * th) * math.exp(-p * _half_log(x))
-    # p theta = k pi + f pi - p arctan(1/x) with k = round(p/2) and f = p/2 - k
-    # exact, so sin(p theta) keeps its digits where p theta nears k pi
-    k = round(0.5 * p)
-    sin_pt = math.sin(math.pi * (0.5 * p - k) - p * math.atan(1.0 / x))
-    return (-sin_pt if k % 2 else sin_pt) / p * math.exp(-p * _half_log(x))
+    if not p:
+        return m.atan(x)
+    return m.sin_p_atan(p, x) / p * m.hypot(1.0, x) ** -p
 
 
 # Finite beta: coth(beta w / 2) = 1 + 2 Sum_{k>=1} e^(-k beta w). Terms
@@ -187,6 +200,19 @@ _MATSUBARA_TERMS = 8
 _BERNOULLI_TERMS = ((0, 1.0), (1, 0.5), (2, 1 / 12), (4, -1 / 720), (6, 1 / 30240),
                     (8, -1 / 1209600), (10, 1 / 47900160), (12, -691 / 1307674368000),
                     (14, 1 / 74724249600), (16, -3617 / 10670622842880000))
+
+
+# (-1)^k / k! for k = 10 down to 2: u + expm1(-u) = u^2 Sum_k (-1)^k u^(k-2) / k!
+_EXPM1_TAIL = tuple((-1.0) ** k / math.factorial(k) for k in range(10, 1, -1))
+
+
+def _expm1_tail(u):
+    """u + expm1(-u) for 0 <= u < 0.1 by its Taylor series through u^10, whose
+    remainder is below 1e-16 of the value there."""
+    series = 0.0
+    for coef in _EXPM1_TAIL:
+        series = series * u + coef
+    return u * u * series
 
 
 # --- spectral models ---------------------------------------------------------
@@ -215,94 +241,53 @@ class PowerLawExpCutoff:
                 * w ** self.s * np.exp(-w / self.omega_c))
 
     def gamma(self, temp, t):
-        x = self.omega_c * t
-        if not isinstance(temp, FiniteBeta) and _past_square(x):
-            return _split(x, t, lambda t: self.gamma(temp, t),
-                          lambda t: self._gamma_far(temp, t))
-        if isinstance(temp, ZeroTemperature):
-            if self.is_ohmic:
-                return 0.5 * self.alpha * np.log1p(x * x)
-            # 1 - e^a cos b with a = -(s-1) ln(1 + x^2)/2, b = (s-1) arctan x, in
-            # the polar form -expm1(a) cos b + 2 sin^2(b/2): nothing cancels
-            # near s = 1 or at short times. Gamma(s - 1) < 0 for s < 1 makes
-            # gamma(0) = -0.0; adding 0.0 turns that into 0.0 and moves no
-            # other bit
-            s1 = self.s - 1.0
-            b = s1 * np.arctan(x)
-            return (0.5 * self.alpha * math.gamma(s1)
-                    * (-np.expm1(-0.5 * s1 * np.log1p(x * x)) * np.cos(b)
-                       + 2.0 * np.sin(0.5 * b) ** 2)) + 0.0
-        if isinstance(temp, HighTemperatureOhmic):
-            return (self.alpha / temp.beta
-                    * (t * np.arctan(x) - 0.5 * np.log1p(x * x) / self.omega_c))
-        terms, wc = self._thermal_terms(temp.beta), self.omega_c
-        return _each(lambda ti: math.fsum(a * _kernel(p, r * wc * ti)
-                                          for a, p, r in terms), t)
+        # + 0.0 turns the -0.0 of a kernel at t = 0 into 0.0 and moves no other bit
+        return self._sum(temp, t, _kernel, False) + 0.0
 
     def dgamma(self, temp, t):
-        x = self.omega_c * t
-        if isinstance(temp, ZeroTemperature):
-            # the optimizer's walk asks for one float at a time: one comparison
-            if x >= _BIG_X if x.__class__ is float else _past_square(x):
-                return _split(x, t, lambda t: self.dgamma(temp, t), self._dgamma_far)
-            if self.is_ohmic:
-                return self.alpha * self.omega_c ** 2 * t / (1.0 + x * x)
-            s = self.s
-            return (0.5 * self.alpha * self.omega_c * math.gamma(s)
-                    * np.sin(s * np.arctan(x)) / (1.0 + x * x) ** (0.5 * s))
-        if isinstance(temp, HighTemperatureOhmic):
-            return self.alpha / temp.beta * np.arctan(x)
-        terms, wc = self._thermal_terms(temp.beta), self.omega_c
-        return _each(lambda ti: wc * math.fsum(a * r * _kernel_dt(p, r * wc * ti)
-                                               for a, p, r in terms), t)
-
-    def _gamma_far(self, temp, t):
-        """gamma at T = 0 or high T where wc t >= _BIG_X: the closed forms
-        with ln(1 + x^2) = 2 ln x."""
-        x = self.omega_c * t
-        log_x = np.log(x)
-        if isinstance(temp, HighTemperatureOhmic):
-            return self.alpha / temp.beta * (t * np.arctan(x) - log_x / self.omega_c)
-        if self.is_ohmic:
-            return self.alpha * log_x
-        # 1 - x^(-s1) by expm1 near s = 1, else by pow, which keeps the digits
-        # that e^(-s1 ln x) loses to the rounding of ln x ~ 700
-        s1 = self.s - 1.0
-        a = -s1 * log_x
-        b = s1 * np.arctan(x)
-        return (0.5 * self.alpha * math.gamma(s1)
-                * (np.where(abs(a) < 1.0, -np.expm1(a), 1.0 - x ** -s1) * np.cos(b)
-                   + 2.0 * np.sin(0.5 * b) ** 2))
-
-    def _dgamma_far(self, t):
-        """dgamma/dt at T = 0 where wc t >= _BIG_X: the closed forms with
-        1 + x^2 = x^2."""
-        x = self.omega_c * t
-        if self.is_ohmic:
-            return self.alpha * self.omega_c ** 2 * (t / x) / x
-        s = self.s
-        return (0.5 * self.alpha * self.omega_c * math.gamma(s)
-                * np.sin(s * np.arctan(x)) * x ** -s)
+        return self.omega_c * self._sum(temp, t, _kernel_dt, True)
 
     def c2(self, temp):
-        wc = self.omega_c
+        # each kernel goes as Gamma(p + 1) Om^(p + 1) t^2 / 2 at short times;
+        # wc enters twice, not squared, which alone could overflow
         try:
-            if isinstance(temp, ZeroTemperature):
-                if self.is_ohmic:
-                    c2 = 0.5 * self.alpha * wc ** 2
-                else:
-                    c2 = 0.25 * self.alpha * wc ** 2 * math.gamma(self.s + 1.0)
-            elif isinstance(temp, HighTemperatureOhmic):
-                c2 = 0.5 * self.alpha * wc / temp.beta
-            else:
-                # each kernel goes as Gamma(p + 1) Om^(p + 1) t^2 / 2 at short times
-                c2 = 0.5 * wc ** 2 * math.fsum(
-                    a * r * r for a, p, r in self._thermal_terms(temp.beta))
+            c2 = (0.5 * self.omega_c * math.fsum(a * r * r for a, p, r in self._terms(temp))
+                  * self.omega_c)
         except OverflowError:
             c2 = math.inf
         if c2 < math.inf:
             return c2
         raise DomainError(f"the short-time coefficient c2 overflows a float for {self} at {temp}")
+
+    def _sum(self, temp, t, kernel, times_r):
+        """Sum a kernel(p, r wc t) over the terms (a, p, r) of ``temp``, with a
+        times r if ``times_r``: on a float by the ``math`` kernel, exactly
+        rounded, and on an array by the numpy one."""
+        terms, wc = self._terms(temp), self.omega_c
+        if isinstance(t, np.ndarray) and t.ndim:
+            parts = [(a * r if times_r else a) * kernel(p, r * wc * t, _ARRAYS)
+                     for a, p, r in terms]
+            return sum(parts[1:], parts[0])
+        if len(terms) == 1:
+            (a, p, r), = terms
+            return (a * r if times_r else a) * kernel(p, r * wc * t)
+        return math.fsum((a * r if times_r else a) * kernel(p, r * wc * t) for a, p, r in terms)
+
+    def _terms(self, temp):
+        """``(a, p, r)`` with gamma(t) = Sum a K_p(r wc t) in temperature mode
+        ``temp``: the one place the power-law family tells the modes apart."""
+        if isinstance(temp, ZeroTemperature):
+            return self._zero_temperature_terms
+        if isinstance(temp, HighTemperatureOhmic):
+            return ((self.alpha / (temp.beta * self.omega_c), 0.0, 1.0),)
+        return self._thermal_terms(temp.beta)
+
+    @functools.cached_property
+    def _zero_temperature_terms(self):
+        # the Ohmic closed form is twice the bath integral: this factor k is the
+        # whole of that convention (ROADMAP F1 makes it 2 at every s)
+        k = 2.0 if self.is_ohmic else 1.0
+        return ((0.5 * self.alpha * math.gamma(self.s + 1.0) * k, self.s, 1.0),)
 
     @functools.lru_cache(maxsize=32)
     def _thermal_terms(self, beta):
@@ -438,10 +423,18 @@ class Lorentzian:
         return (self.a * self.g / np.pi) / (self.g ** 2 + w ** 2)
 
     def gamma(self, temp, t):
-        g = self.g
+        a, g = self.a, self.g
         if g == 0.0:
-            return self.a * t * t / 8.0
-        return self.a / (4.0 * g) * (np.expm1(-g * t) / g + t)
+            return a * t * t / 8.0
+        # a/(4 g^2) (u + expm1(-u)) with u = g t; its two terms cancel as u
+        # falls, so below u = 0.1 it is their Taylor series
+        out = a / (4.0 * g) * (np.expm1(-g * t) / g + t)
+        short = g * t < 0.1
+        if not isinstance(short, np.ndarray) or not short.ndim:
+            return a / (4.0 * g * g) * _expm1_tail(g * t) if short else out
+        if short.any():
+            out[short] = a / (4.0 * g * g) * _expm1_tail(g * t[short])
+        return out
 
     def dgamma(self, temp, t):
         if self.g == 0.0:
@@ -670,8 +663,7 @@ class DephasingModel:
 
     def gamma(self, t):
         """gamma(t) via the declared route."""
-        out = self.route.gamma(self.bath, _times(t))
-        return out if out.ndim else float(out)
+        return _on_times(self.route.gamma, self.bath, t)
 
     def dgamma_dt(self, t):
         """dgamma/dt via the declared route."""
@@ -702,6 +694,13 @@ def _times(t):
     return t_arr
 
 
+def _on_times(f, arg, t):
+    """f(arg, t) at the checked time t: on a float, returning a float, where t
+    is a scalar, else on its array."""
+    t = _times(t)
+    return f(arg, t) if t.ndim else float(f(arg, float(t)))
+
+
 def _each(f, t):
     """f(ti) for every time ti of t (a float or an array), keeping its shape."""
     t = np.asarray(t, dtype=float)
@@ -728,10 +727,10 @@ def spectral_density(model: SpectralModel, omega):
 def gamma_closed(deph: DephasingModel, t):
     """Closed-form gamma(t).
 
-    Every supported pair has one: the power-law cutoff bath at T = 0
-    (general s and the Ohmic logarithmic limit) and at finite beta,
-    Lorentzian at T = 0, Ohmic bath in the high-temperature expansion, and
-    the generic power law at any temperature tag.
+    Every supported pair has one: the power-law cutoff bath at T = 0, at
+    finite beta and (Ohmic) in the high-temperature expansion, each a sum of
+    one pole-free kernel; the Lorentzian at T = 0; and the generic power law
+    at any temperature tag.
 
     Parameters
     ----------
@@ -740,9 +739,7 @@ def gamma_closed(deph: DephasingModel, t):
     t:
         Time, scalar or array, finite and >= 0.
     """
-    bath = deph.bath
-    out = bath.spectral.gamma(bath.temperature, _times(t))
-    return out if out.ndim else float(out)
+    return _on_times(deph.bath.spectral.gamma, deph.bath.temperature, t)
 
 
 def dgamma_dt(deph: DephasingModel, t):
@@ -752,8 +749,7 @@ def dgamma_dt(deph: DephasingModel, t):
     Analytic for every closed form; on the quadrature route the integral
     (1/2) Int J(w) W(w) sin(w t) / w dw (:func:`dgamma_quadrature`).
     """
-    out = deph.route.dgamma(deph.bath, _times(t))
-    return out if out.ndim else float(out)
+    return _on_times(deph.route.dgamma, deph.bath, t)
 
 
 def gamma_short_time_coeff(deph: DephasingModel) -> float:

@@ -58,22 +58,27 @@ def powerlaw_integral(alpha, s, wc, t, weight, derivative=False):
 
 def lorentzian_integral(a, g, t):
     """The bath integral of J = (a g / pi) / (g^2 + w^2) at T = 0, with
-    H(w) = J(w) / (2 w^2): half periods of cos(wt) up to W = 20 max(g, 1/t),
-    then Int_W^inf H minus mpmath's oscillatory Int_W^inf H cos(wt)."""
+    H(w) = J(w) / (2 w^2): decades of g below the first half period of
+    cos(wt), where J's peak is narrow against it at short times, and half
+    periods up to W = 20 max(g, 1/t), then Int_W^inf H minus mpmath's
+    oscillatory Int_W^inf H cos(wt). mpmath stops on an absolute error, so
+    H is taken over the integral's size, t^2 at short times and t/g at long."""
+    scale = t * min(t, 1 / g)
     with mpmath.workdps(20):
         def h(w):
-            return (a * g / (2 * mpmath.pi)) / ((g * g + w * w) * w * w)
+            return (a * g / (2 * mpmath.pi)) / ((g * g + w * w) * w * w) / scale
 
         def f(w):
             return h(w) * 2 * mpmath.sin(w * t / 2) ** 2
 
         top = 20 * max(g, 1 / t)
-        cuts = [0] + [j * mpmath.pi / t for j in range(1, int(top * t / math.pi) + 1)]
+        cuts = ([0] + [g * 10.0 ** k for k in range(-1, 30) if g * 10.0 ** k < math.pi / t]
+                + [j * mpmath.pi / t for j in range(1, int(top * t / math.pi) + 1)])
         body = mpmath.quad(f, [c for c in cuts if c < top] + [top])
         tail = (mpmath.quad(h, [top, mpmath.inf])
                 - mpmath.quadosc(lambda w: h(w) * mpmath.cos(w * t), [top, mpmath.inf],
                                  omega=t))
-        return float(body + tail)
+        return float((body + tail) * scale)
 
 
 def rel(got, want):
@@ -163,10 +168,22 @@ def test_quadrature_error_estimate_bounds_its_error(t):
     assert abs(value - lorentzian_integral(1.2, 0.3, t)) <= err
 
 
+@pytest.mark.parametrize("gt", [1e-12, 1e-9, 1e-6, 1e-3, 0.0999, 0.1, 2.0])
+def test_lorentzian_gamma_at_short_times(gt):
+    # a/(4g) (t - (1 - e^(-gt))/g) loses its digits as gt falls (9.7e-6 at
+    # gt = 1e-11); below gt = 0.1 the closed form is the Taylor series of
+    # gt + expm1(-gt), above it that expression, on floats and arrays alike
+    a, g = 0.3, 0.1
+    deph = DephasingModel(BathSpec(Lorentzian(a, g)))
+    want = lorentzian_integral(a, g, gt / g)
+    assert rel(gamma_closed(deph, gt / g), want) <= 1e-14
+    assert rel(gamma_closed(deph, np.array([gt / g]))[0], want) <= 1e-14
+
+
 @pytest.mark.parametrize("ds", [2e-9, -2e-9, 1e-7, 1e-3, -0.7])
 def test_closed_form_near_ohmic_at_short_times(ds):
     # 1 - cos((s-1) theta) / (1 + x^2)^((s-1)/2) loses every digit near s = 1
-    # at wc t = 1e-3; the polar form keeps them
+    # at wc t = 1e-3; the kernel keeps them
     s = 1.0 + ds
     deph = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, s, 1.0)))
     want = powerlaw_integral(1.0, s, 1.0, 1e-3, lambda w: 1)
@@ -189,10 +206,10 @@ def test_short_time_coeff_finite_beta_is_the_zeta_series(beta_wc):
 
 @pytest.mark.parametrize("x", [1e150, 1e160, 1e300])
 def test_closed_forms_past_the_square_overflow(x):
-    # (wc t)^2 overflows a float past wc t = 1.3e154; there the T = 0 and
-    # high-T forms are the same closed forms with 1 + x^2 = x^2. At wc = 1
-    # they are alpha/2 I_s (alpha I_1 for the Ohmic log form, alpha/beta I_0
-    # at high T) and the same multiples of the kernel's t-derivative
+    # (wc t)^2 overflows a float past wc t = 1.3e154; there the kernel takes
+    # ln(1 + x^2)/2 as ln x. At wc = 1 the T = 0 and high-T forms are
+    # alpha/2 I_s (alpha I_1 for the Ohmic bath, with its factor 2, and
+    # alpha/beta I_0 at high T) and the same multiples of its t-derivative
     alpha, beta = 1.3, 0.8
     cases = [(BathSpec(PowerLawExpCutoff(alpha, s, 1.0)), s, 0.5 * alpha)
              for s in (0.05, 0.3, 0.5, 1.0 - 1e-7, 1.0 + 1e-7, 1.5, 2.0, 6.0)]

@@ -311,7 +311,7 @@ def test_closed_route_finite_beta_exit_0(capsys):
      "1e200", "--n", "1", "--total-time", "1", "--strategy", "product"],
     ["gamma", "--model", "powerlaw", "--alpha", "1", "--s", "200", "--omega-c", "1",
      "--temp", "beta=1", "--t", "1"],
-    # Gamma(s - 1) in the T = 0 closed form
+    # Gamma(s + 1) in the T = 0 kernel term
     ["gamma", "--model", "powerlaw", "--alpha", "1", "--s", "200", "--omega-c", "1",
      "--t", "1"],
 ])
@@ -324,15 +324,39 @@ def test_overflowing_bath_constant_exit_2(capsys, argv):
 
 
 def test_overflowing_zero_temperature_gamma_exit_2(capsys):
-    # omega_c^2 overflows inside the T = 0 dgamma/dt; gamma itself, at
-    # omega_c t = 1e200 where (omega_c t)^2 overflows, warns of nothing (a
-    # RuntimeWarning is an error under the suite's warning filter)
+    # the T = 0 kernel never squares omega_c: at omega_c t = 1e200, where
+    # (omega_c t)^2 overflows, gamma = ln(omega_c t) and dgamma/dt = 1/t, with
+    # no warning (a RuntimeWarning is an error under the suite's warning filter)
     code, out, err = run(capsys, "gamma", "--model", "ohmic", "--alpha", "1",
                          "--omega-c", "1e200", "--t", "1")
+    assert code == 0 and err == ""
+    t, g, dg = (float(v) for v in out.splitlines()[1].split(","))
+    assert g == pytest.approx(460.51701859880916, rel=1e-14)
+    assert dg == pytest.approx(1.0, rel=1e-14)
+    # Gamma(s + 1) still overflows at s = 200, and exits 2
+    code, out, err = run(capsys, "gamma", "--model", "powerlaw", "--alpha", "1",
+                         "--s", "200", "--omega-c", "1", "--t", "1")
     assert code == 2
     assert out == ""
     assert err.startswith("error: a value overflows a float")
     assert err.count("\n") == 1
+
+
+def test_zero_temperature_dgamma_keeps_its_digits_at_long_times(capsys):
+    # dgamma/dt = alpha wc x / (1 + x^2)^2 at s = 2, x = wc t: sin(s arctan x)
+    # nears sin(pi) there, and the kernel reduces that angle exactly
+    code, out, err = run(capsys, "gamma", "--model", "powerlaw", "--alpha", "1", "--s", "2",
+                         "--omega-c", "1", "--t", "1e12")
+    assert code == 0 and err == ""
+    t, g, dg = (float(v) for v in out.splitlines()[1].split(","))
+    assert abs(dg / 1e-36 - 1.0) <= 4e-15
+    # at s = 2.5, (1 + x^2)^(s/2) alone overflows from x ~ 1e124 on; the
+    # kernel takes (1 + x^2)^(-s/2), which underflows quietly
+    code, out, err = run(capsys, "gamma", "--model", "powerlaw", "--alpha", "1.3",
+                         "--s", "2.5", "--omega-c", "0.7",
+                         "--t-grid", "0.001:1e140:3000:log")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 3001
 
 
 @pytest.mark.parametrize("args, want", [
@@ -348,8 +372,8 @@ def test_gamma_past_the_square_overflow(capsys, args, want):
     code, out, err = run(capsys, "gamma", "--alpha", "1", *args, "--t", "1e160")
     assert code == 0 and err == ""
     t, g, dg = (float(v) for v in out.splitlines()[1].split(","))
-    assert g == pytest.approx(want[0], rel=1e-13)
-    assert dg == pytest.approx(want[1], rel=1e-13)
+    assert g == pytest.approx(want[0], rel=1e-13, abs=0.0)
+    assert dg == pytest.approx(want[1], rel=1e-13, abs=0.0)
 
 
 def test_finite_beta_ratio_closed_route(capsys):

@@ -137,7 +137,7 @@ def test_gamma_zero_at_zero_everywhere():
 
 
 def test_sub_ohmic_gamma_at_zero_time_is_positive_zero():
-    # Gamma(s - 1) < 0 for s < 1 would give -0.0; +0.0 is returned instead
+    # the kernel gives -0.0 at t = 0 for 1/2 < s < 1; +0.0 is returned instead
     for s in (0.3, 0.5, 0.999):
         model = power_law(1.0, s, 1.0)
         values = [gamma_closed(model, 0.0), reference_gamma(model.bath, 0.0),
@@ -146,7 +146,7 @@ def test_sub_ohmic_gamma_at_zero_time_is_positive_zero():
 
 
 def test_ohmic_dispatch_window():
-    # within the window the logarithmic form is used; outside, the general one
+    # within the window the T = 0 term carries the Ohmic factor 2; outside, not
     inside = gamma_closed(power_law(1.0, 1.0 + 1e-10, 1.0), 1.0)
     outside = gamma_closed(power_law(1.0, 1.0 + 1e-6, 1.0), 1.0)
     assert inside == pytest.approx(0.5 * math.log(2.0), rel=1e-9)
@@ -161,28 +161,31 @@ def test_finite_beta_power_law_has_a_closed_form():
     assert abs(dgamma_dt(model, 1.0) / want_dgamma - 1.0) <= 1e-13
 
 
-def test_kernel_is_every_closed_form():
-    # T = 0 is the kernel at p = s, high T at p = 0; the Ohmic T = 0 closed
-    # form is twice the bath integral. The bound is 2e-14 because the T = 0
-    # polar form is itself off by 1.1e-14 at s = 0.05 and wc t ~ 1e3 (the
-    # kernel by 7e-16; see tests/test_against_mpmath.py)
-    alpha, wc = 1.3, 0.7
-    ts = np.geomspace(1e-3, 1e3, 61) / wc
-    for s in (0.05, 0.3, 0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.5, 2.0, 2.5, 6.0):
+def test_array_gamma_is_the_scalar_gamma():
+    # every power-law mode is one kernel sum, taken by the math kernel on a
+    # float and by the numpy one on an array: the two agree within a few ulps,
+    # dgamma within a few ulps of its envelope Sum |a r| theta (1 + x^2)^(-p/2),
+    # as it crosses zero. The finite-beta term n = 0 has p = s - 1 < 0 for s < 1
+    alpha, wc, ulps = 1.3, 0.7, 8 * np.finfo(float).eps
+    x_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61), [1e12]])
+    modes = [(s, ZeroTemperature(), 1e200)
+             for s in (0.05, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 2.5, 6.0)]
+    modes.append((1.0, HighTemperatureOhmic(2.0), 1e200))
+    modes += [(s, FiniteBeta(beta_wc / wc), None)
+              for s in (0.05, 0.5, 1.0, 2.5, 6.0) for beta_wc in (0.2, 5.0)]
+    for s, temp, far in modes:
         spec = PowerLawExpCutoff(alpha, s, wc)
-        closed = spec.gamma(ZeroTemperature(), ts) * (0.5 if spec.is_ohmic else 1.0)
-        kernel = [0.5 * alpha * math.gamma(s + 1.0) * dephasing._kernel(s, wc * t)
-                  for t in ts.tolist()]
-        assert np.max(np.abs(kernel / closed - 1.0)) <= 2e-14, s
-    beta = 2.0
-    spec = PowerLawExpCutoff(alpha, 1.0, wc)
-    temp = HighTemperatureOhmic(beta)
-    for t in ts.tolist():
-        x = wc * t
-        assert alpha / (beta * wc) * dephasing._kernel(0.0, x) == pytest.approx(
-            spec.gamma(temp, t), rel=1e-14)
-        assert alpha / beta * dephasing._kernel_dt(0.0, x) == pytest.approx(
-            spec.dgamma(temp, t), rel=1e-14)
+        ts = (x_grid if far is None else np.append(x_grid, far)) / wc
+        gam, dgam = spec.gamma(temp, ts), spec.dgamma(temp, ts)
+        assert gam[0] == 0.0 and math.copysign(1.0, gam[0]) == 1.0, (s, temp)
+        assert dgam[0] == 0.0, (s, temp)
+        for t, g, dg in zip(ts.tolist(), gam.tolist(), dgam.tolist()):
+            g_one, dg_one = spec.gamma(temp, t), spec.dgamma(temp, t)
+            envelope = wc * sum(abs(a * r) * math.atan(r * wc * t)
+                                * math.hypot(1.0, r * wc * t) ** -p
+                                for a, p, r in spec._terms(temp))
+            assert abs(g - g_one) <= ulps * g_one, (s, temp, t)
+            assert abs(dg - dg_one) <= ulps * envelope, (s, temp, t)
 
 
 def test_finite_beta_limits():
