@@ -33,6 +33,12 @@ new route for an existing one, touches one class. A family provides:
   its own (see :meth:`PowerLawExpCutoff.quad_problem`). The change of
   variable and the panel layout belong to
   :func:`~ramsey_bounds.numerics.integrate_semi_infinite`;
+* ``head_bound(temp, t, derivative)``: terms ``(c, p)`` of a bound
+  Sum c E^p on Int_0^E |integrand| dw for every E > 0, the integral of an
+  envelope that the integrand of gamma (never negative) reaches at least
+  0.15-fold on [0, w*], w* = min(1/t, ``omega_fast()``). The quadrature cuts
+  the head of the integral where this bound meets its share of the goal, as
+  ``quad_problem`` cuts the tail;
 * ``omega_fast()``: the fastest bath frequency, or None;
 * ``time_scale()``: the characteristic time, which seeds the oracle's grid;
 * ``root_window(temp, m)``: a window ``(lo, hi)`` of times that holds every
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Union
@@ -68,7 +75,12 @@ from .errors import (
     NoSpectralDensity,
     ToleranceNotMet,
 )
-from .numerics import QuadratureSettings, _check_fields, integrate_semi_infinite
+from .numerics import (
+    INNER_NODE_FRACTION,
+    QuadratureSettings,
+    _check_fields,
+    integrate_semi_infinite,
+)
 
 __all__ = [
     "PowerLawExpCutoff",
@@ -238,7 +250,7 @@ class PowerLawExpCutoff:
 
     def density(self, w):
         return (self.alpha * self.omega_c ** (1.0 - self.s)
-                * w ** self.s * np.exp(-w / self.omega_c))
+                * w ** self.s * np.exp(w / -self.omega_c))
 
     def gamma(self, temp, t):
         # + 0.0 turns the -0.0 of a kernel at t = 0 into 0.0 and moves no other bit
@@ -344,6 +356,18 @@ class PowerLawExpCutoff:
                                  0.25 * tail_goal)
         return _integrand(self, temp, t, derivative), omega_max, 0.0, tail_bound(omega_max)
 
+    def head_bound(self, temp, t: float, derivative=False):
+        """Terms ``(c, p)`` of the bound Sum c E^p on Int_0^E of the integrand:
+        1 - cos u <= u^2/2 (|sin u|/u <= 1 for the derivative), e^(-w/wc) <= 1
+        and W <= a0 + a1/w give c1 E^(s+1) + c0 E^s, without c0 at T = 0 and
+        c1 at high T. Up to w* = min(1/t, wc), 1 - cos u >= (11/24) u^2,
+        e^(-w/wc) >= 1/e and W is at least half its bound, so the integrand
+        of gamma is at least 11/(24 e) > 0.15 of the bounding envelope."""
+        s = self.s
+        a0, a1 = temp.weight_bound()
+        scale = 0.5 * self.alpha * self.omega_c ** (1.0 - s) * (t if derivative else 0.5 * t * t)
+        return tuple((scale * a / q, p) for a, q, p in ((a0, s + 1.0, s + 1.0), (a1, s, s)) if a)
+
     def root_window(self, temp, m):
         lo = _zeno_bound(self.c2(temp), m)
         if isinstance(temp, FiniteBeta) and self.s >= 2.0:
@@ -444,14 +468,23 @@ class Lorentzian:
     def c2(self, temp):
         return self.a / 8.0
 
-    def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
-        """The bath integral at time t > 0, or its t-derivative; see
-        :meth:`PowerLawExpCutoff.quad_problem`."""
-        a, g = self.a, self.g
-        if g == 0.0:
+    def _quad_g(self):
+        if self.g == 0.0:
             raise DomainError(
                 "Lorentzian quadrature needs g > 0 (g = 0 is the static-bath "
                 "limit; use the closed form)")
+        return self.g
+
+    def head_bound(self, temp, t: float, derivative=False):
+        """c E from J <= a/(pi g) (see :meth:`PowerLawExpCutoff.head_bound`);
+        up to w* = min(1/t, g), J >= a/(2 pi g)."""
+        return ((0.5 * self.a / (math.pi * self._quad_g()) * (t if derivative else 0.5 * t * t),
+                 1.0),)
+
+    def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
+        """The bath integral at time t > 0, or its t-derivative; see
+        :meth:`PowerLawExpCutoff.quad_problem`."""
+        a, g = self.a, self._quad_g()
         # Above the cutoff W the tail is integrated by parts twice: the surface
         # terms are added exactly and the remainder is bounded by the first
         # derivative of the smooth factor at W over t^2. W is 20/t doubled
@@ -556,6 +589,9 @@ class GenericPowerLawDephasing:
     def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
         raise NoSpectralDensity("no bath integral for generic power-law dephasing")
 
+    def head_bound(self, temp, t: float, derivative=False):
+        raise NoSpectralDensity("no bath integral for generic power-law dephasing")
+
     def omega_fast(self):
         return None
 
@@ -580,6 +616,10 @@ class ZeroTemperature:
     def weight(self, w):
         return 1.0
 
+    def weight_bound(self):
+        """``(a0, a1)`` with W(w) <= a0 + a1 / w."""
+        return 1.0, 0.0
+
 
 @dataclass(frozen=True)
 class FiniteBeta:
@@ -593,6 +633,11 @@ class FiniteBeta:
     def weight(self, w):
         return 1.0 / np.tanh(0.5 * self.beta * w)
 
+    def weight_bound(self):
+        # coth y <= 1 + 1/y at y = beta w / 2, and coth y >= max(1, 1/y) is at
+        # least half of that
+        return 1.0, 2.0 / self.beta
+
 
 @dataclass(frozen=True)
 class HighTemperatureOhmic:
@@ -605,6 +650,9 @@ class HighTemperatureOhmic:
 
     def weight(self, w):
         return 2.0 / (self.beta * w)
+
+    def weight_bound(self):
+        return 0.0, 2.0 / self.beta
 
 
 Temperature = Union[ZeroTemperature, FiniteBeta, HighTemperatureOhmic]
@@ -703,6 +751,8 @@ def _on_times(f, arg, t):
 
 def _each(f, t):
     """f(ti) for every time ti of t (a float or an array), keeping its shape."""
+    if isinstance(t, float):
+        return f(t)
     t = np.asarray(t, dtype=float)
     return np.array([f(ti) for ti in t.ravel().tolist()]).reshape(t.shape)
 
@@ -773,10 +823,13 @@ def _integrand(spec, temp, t, derivative=False):
             return 0.5 * spectral_density(spec, w) * temp.weight(w) * kern
         return f
 
+    half_t = 0.5 * t
+
     def f(w):
-        # 2 sin^2(wt/2) / w^2, stable for all w > 0 (no cancellation)
-        kern = 2.0 * (np.sin(0.5 * w * t) / w) ** 2
-        return 0.5 * spectral_density(spec, w) * temp.weight(w) * kern
+        # (1 - cos(wt)) / w^2 = 2 sin^2(wt/2) / w^2, stable for all w > 0 (no
+        # cancellation); its 2 cancels the 1/2 in front
+        u = np.sin(half_t * w) / w
+        return spectral_density(spec, w) * temp.weight(w) * (u * u)
     return f
 
 
@@ -791,7 +844,18 @@ def _tail_cutoff(bound, omega_max, goal):
     return omega_max
 
 
-def gamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
+# The default settings, and the panels' half of them, built once.
+_SETTINGS = QuadratureSettings()
+
+
+def _halved(settings):
+    return QuadratureSettings(rel_tol=0.5 * settings.rel_tol, abs_tol=0.5 * settings.abs_tol)
+
+
+_HALF_SETTINGS = _halved(_SETTINGS)
+
+
+def gamma_quadrature(bath: BathSpec, t: float, settings=_SETTINGS):
     """gamma(t) by adaptive quadrature of the bath integral.
 
     Parameters
@@ -811,13 +875,16 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
         :class:`ToleranceNotMet` (with both) is raised where that fails. The
         estimate is the sum over panels of |G16 - K33| (the Gauss-Kronrod
         16/33 pair) and of ``numerics.ROUNDING_FACTOR`` eps Int |integrand|
-        (the rounding of the value itself), plus the bound on the truncated
-        tail.
+        (the rounding of the value itself), plus the bounds on the head below
+        the lower cutoff and on the tail above the upper one.
+        :class:`DomainError` is raised before integrating where the head
+        cutoff that meets the goal lies below the floats (sub-Ohmic finite
+        beta at s below about 0.035 where alpha = beta = wc = t = 1).
     """
     return _bath_quadrature(bath, t, settings, derivative=False)
 
 
-def dgamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
+def dgamma_quadrature(bath: BathSpec, t: float, settings=_SETTINGS):
     """dgamma/dt by adaptive quadrature of its own bath integral,
     (1/2) Int_0^inf J(w) W(w) sin(w t) / w dw.
 
@@ -829,35 +896,64 @@ def dgamma_quadrature(bath: BathSpec, t: float, settings=QuadratureSettings()):
 
 def _bath_quadrature(bath, t, settings, derivative):
     """Both quadratures: the bath's problem for gamma or for its derivative,
-    integrated against half the tolerance, with the tail cut again once the
-    magnitude of the result is known."""
+    integrated against half the tolerance, with its head and its tail each
+    cut at a quarter of a goal. The goal is rel_tol * 0.15 times the head
+    bound at w* (see the module docstring), for gamma a lower bound on the
+    tolerance; where the result still misses the contract (gamma' may be
+    smaller), the cuts are made again against a quarter of its tolerance."""
     # a NaN time would make every panel's error NaN, which never refines
     if not 0.0 <= t < math.inf:
         raise DomainError("t must be finite and >= 0")
     if t == 0.0:
         return 0.0, 0.0
     spec, temp = bath.spectral, bath.temperature
-    # panels run at half tolerance so the tail bound fits inside the contract
-    inner = QuadratureSettings(rel_tol=0.5 * settings.rel_tol,
-                               abs_tol=0.5 * settings.abs_tol)
-    # seeded panels are at most one oscillation period of cos(w t) wide
-    period = 2.0 * math.pi / t
-    # first pass against a crude absolute goal; rebuild the cutoff once the
-    # magnitude of the result is known
-    f, omega_max, tail_val, tail_err = spec.quad_problem(
-        temp, t, max(settings.abs_tol, 1e-9), derivative)
-    value, err = integrate_semi_infinite(f, omega_max, inner, max_panel_width=period)
-    value += tail_val
-    goal = max(settings.abs_tol, settings.rel_tol * abs(value))
-    if tail_err > 0.5 * goal:
-        f, omega_max, tail_val, tail_err = spec.quad_problem(
-            temp, t, 0.25 * goal, derivative)
-        value, err = integrate_semi_infinite(f, omega_max, inner, max_panel_width=period)
-        value += tail_val
-    err += tail_err
+    # panels run at half tolerance so the head and tail bounds fit inside it
+    inner = _HALF_SETTINGS if settings is _SETTINGS else _halved(settings)
+    head = spec.head_bound(temp, t, derivative)
+    w_star = min(1.0 / t, spec.omega_fast())
+    goal = max(settings.abs_tol,
+               settings.rel_tol * 0.15 * math.fsum(c * w_star ** p for c, p in head))
+    value, err = _cut_and_integrate(bath, t, derivative, head, w_star, goal, inner)
     tol = max(settings.abs_tol, settings.rel_tol * abs(value))
     if err > tol:
+        value, err = _cut_and_integrate(bath, t, derivative, head, w_star, 0.25 * tol, inner)
+        tol = max(settings.abs_tol, settings.rel_tol * abs(value))
+    if err > tol:
         raise ToleranceNotMet(
-            f"tolerance {tol:g} not met: panel and tail error {err:g}",
+            f"tolerance {tol:g} not met: panel, head and tail error {err:g}",
             value=value, error=err)
     return value, err
+
+
+def _cut_and_integrate(bath, t, derivative, head, w_star, goal, inner):
+    """The bath integral with its tail and its head each cut at a quarter of
+    ``goal``, the head at most at ``w_star``: ``(value, error estimate)``,
+    the estimate the panels' plus the head and tail bounds."""
+    spec, temp = bath.spectral, bath.temperature
+    f, omega_max, tail_val, tail_err = spec.quad_problem(temp, t, goal, derivative)
+    omega_min = _head_cutoff(head, 0.25 * goal, w_star, bath)
+    head_err = math.fsum(c * omega_min ** p for c, p in head)
+    # seeded panels are at most one oscillation period of cos(w t) wide
+    value, err = integrate_semi_infinite(f, omega_max, inner, max_panel_width=2.0 * math.pi / t,
+                                         lower_cutoff=omega_min)
+    return value + tail_val, err + tail_err + head_err
+
+
+# ln of the smallest normal float
+_LOG_TINY = math.log(sys.float_info.min)
+
+
+def _head_cutoff(head, goal, w_star, bath):
+    """The largest E up to ``w_star`` at which each term c E^p of the head
+    bound is within its share of ``goal``, taken in logarithms, where E alone
+    may underflow. :class:`DomainError` where the innermost quadrature node
+    below E would fall below the smallest normal float."""
+    share = math.log(goal / len(head))
+    log_e = min(math.log(w_star), *((share - math.log(c)) / p for c, p in head if c))
+    if log_e + math.log(INNER_NODE_FRACTION) < _LOG_TINY:
+        bound = " + ".join(f"{c:.3g} E^{p:.3g}" for c, p in head)
+        raise DomainError(
+            f"the quadrature of {bath.spectral} at {bath.temperature} would cut its head "
+            f"at E = 1e{log_e / math.log(10.0):.0f}, where its nodes fall below the smallest "
+            f"normal float, for its bound {bound} on Int_0^E to meet {goal:.3g}")
+    return math.exp(log_e)

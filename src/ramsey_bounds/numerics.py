@@ -5,7 +5,11 @@ The quadrature takes an integral f(omega) d omega and integrates it in
 x = sqrt(omega), as f(x^2) 2x dx. Bath integrands go as omega^(s-1) (finite
 temperature) or omega^s (zero temperature) at the origin; in x these powers
 become x^(2s-1) and x^(2s+1), which are bounded for s >= 1/2 and smoother
-for every s, so callers never change variables themselves.
+for every s, so callers never change variables themselves. The seeded
+panels are one panel [0, sqrt(lower cutoff)], a geometric ladder in x that
+starts at the caller's lower cutoff, and pieces of equal omega width above
+the ladder. The caller picks both cutoffs, so that the part below the lower
+one and the tail above the upper one are within its goal, and bounds both.
 
 Each panel is integrated by the Gauss-Kronrod 16/33 rule: one integrand call
 per pass gives the 33-point Kronrod value and, from the same values, the
@@ -62,10 +66,10 @@ class QuadratureSettings:
 
 # Panel budget of one quadrature, seeding and refinement together.
 MAX_PANELS = 4096
-# Innermost seeded panel boundary as a fraction of sqrt(upper cutoff), in the
-# integration variable x = sqrt(omega); below it the geometric ladder covers
-# the origin region.
-SMALL_OMEGA_CUTOFF = 1e-4
+# The lower cutoff in omega, as a fraction of the upper one, of a caller that
+# names none: the first rung of the panel ladder then sits at 1e-18 of
+# sqrt(upper cutoff) in x.
+LOWER_CUTOFF_FRACTION = 1e-36
 
 # Stopping criteria of the safeguarded root solver (see solve_bracketed_root).
 ROOT_X_TOL = 1e-12
@@ -130,10 +134,10 @@ _GK_WEIGHTS = np.column_stack((_KRONROD, _KRONROD - _GAUSS))
 # it; at 4 every estimate is at least 1.7 times it.
 ROUNDING_FACTOR = 4.0
 _ROUNDING = ROUNDING_FACTOR * np.finfo(float).eps
-
-# Octaves the geometric panel ladder descends below the inner seeding
-# boundary; the first panel then contributes negligibly for bounded kernels.
-_LADDER_DEPTH = 48
+# The innermost node of the panel [0, sqrt(lower cutoff)] lies at this
+# fraction of the lower cutoff in omega: where that is below the smallest
+# normal float, the integrand is evaluated on subnormal frequencies.
+INNER_NODE_FRACTION = (0.5 * (1.0 - _GK_X[-1])) ** 2
 
 
 def _refined_panels(f, lo, hi):
@@ -147,47 +151,49 @@ def _refined_panels(f, lo, hi):
     return half * kronrod, half * (np.abs(diff) + _ROUNDING * (np.abs(y) @ _KRONROD))
 
 
-def _seed_panels(upper_cutoff, inner_boundary, max_panel_width, max_panels):
+def _seed_panels(upper_cutoff, lower_edge, max_panel_width, max_panels):
     """Panel edges in x = sqrt(omega) on (0, upper_cutoff], both bounds in x:
-    a geometric ladder from below ``inner_boundary`` up to the cutoff, with
-    every rung [a, b] split into ceil((b^2 - a^2) / max_panel_width) pieces
-    equal in omega, so that no panel spans more than ``max_panel_width`` of
-    omega (up to the rounding of the square root)."""
-    eps = min(inner_boundary, 0.25 * upper_cutoff) * 2.0 ** (-_LADDER_DEPTH)
-    # eps * 2^j is exact, so these are the rungs that repeated doubling gives;
-    # the frexp exponents bound the number of doublings below the cutoff
-    doublings = math.frexp(upper_cutoff)[1] - math.frexp(eps)[1] + 2
-    rungs = np.ldexp(eps, np.arange(doublings))
-    rungs = np.concatenate(([0.0], rungs[rungs < upper_cutoff], [upper_cutoff]))
+    the panel [0, lower_edge], a geometric ladder that doubles from
+    ``lower_edge`` while its rungs span at most ``max_panel_width`` of omega,
+    and above it pieces equal in omega, as few as keep each within
+    ``max_panel_width`` (up to the rounding of the square root)."""
+    # lower_edge * 2^j is exact, so these are the rungs that repeated doubling
+    # gives; with m 2^e the frexp of each bound, they lie below the cutoff
+    # for j < e_up - e_lo, and at j = e_up - e_lo where m_lo < m_up
+    m_lo, e_lo = math.frexp(lower_edge)
+    m_up, e_up = math.frexp(upper_cutoff)
+    rungs = np.ldexp(lower_edge, np.arange(max(e_up - e_lo + (m_lo < m_up), 0)))
     squares = rungs * rungs
-    spans = np.diff(squares)
-    pieces = np.maximum(np.ceil(spans / max_panel_width), 1.0).astype(int)
-    total = int(pieces.sum())
+    # the omega spans of [0, r_0], [r_0, r_1], ... grow, so the rungs within
+    # the width are a prefix
+    ladder = (np.count_nonzero(squares[1:] - squares[:-1] <= max_panel_width) + 1
+              if rungs.size and lower_edge * lower_edge <= max_panel_width else 0)
+    base = rungs[ladder - 1] if ladder else 0.0
+    span = upper_cutoff * upper_cutoff - base * base
+    pieces = max(math.ceil(span / max_panel_width), 1)
+    total = ladder + pieces
     if total > max_panels:
         raise ToleranceNotMet(
             f"seeding would need {total} panels (max_panels={max_panels})")
-    # piece i of rung [a, b] cut into k starts at sqrt(a^2 + i * (b^2 - a^2) / k);
-    # each rung starts exactly at its edge and each panel ends where the next
-    # one starts
-    rung = np.repeat(np.arange(pieces.size), pieces)
-    starts = np.cumsum(pieces) - pieces
-    i = np.arange(total) - starts[rung]
-    step = spans / pieces
-    los = np.sqrt(squares[rung] + i * step[rung])
-    los[starts] = rungs[:-1]
-    return los, np.append(los[1:], upper_cutoff)
+    # piece i above the ladder starts at sqrt(base^2 + i * span / pieces)
+    los = np.concatenate(([0.0], rungs[:ladder], np.sqrt(
+        base * base + np.arange(1.0, pieces) * (span / pieces))))
+    return los, np.concatenate((los[1:], [upper_cutoff]))
 
 
 def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings(),
-                            max_panel_width=math.inf):
+                            max_panel_width=math.inf, lower_cutoff=None):
     """Integrate ``integrand(omega)`` over (0, upper_cutoff] adaptively.
 
-    The integral is taken in x = sqrt(omega) (see the module docstring), on a
-    geometric ladder of panels in x whose rungs are split into pieces equal in
-    omega. The caller chooses ``upper_cutoff`` so that the neglected tail is
-    below tolerance. ``max_panel_width`` caps the omega-width of the seeded
-    panels (one oscillation period 2*pi/t for integrands containing
-    cos(omega*t)).
+    The integral is taken in x = sqrt(omega) (see the module docstring): one
+    panel on [0, sqrt(lower_cutoff)], then a geometric ladder of panels in x
+    up from there, then pieces equal in omega up to the cutoff.
+    ``max_panel_width`` caps the omega-width of the seeded panels (one
+    oscillation period 2*pi/t for integrands containing cos(omega*t)). The
+    caller chooses ``upper_cutoff`` so that the neglected tail is below
+    tolerance, and ``lower_cutoff`` (by default ``LOWER_CUTOFF_FRACTION``
+    times ``upper_cutoff``) so that the first panel's share is; an integrand
+    singular at the origin is only as good there as that choice.
 
     Returns ``(value, error_estimate)``: the sum of the panels' K33 values and
     of their estimates (see the module docstring), with
@@ -198,9 +204,12 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
     """
     if not 0.0 < upper_cutoff < math.inf:
         raise DomainError("upper_cutoff must be finite and > 0")
-    x_max = math.sqrt(upper_cutoff)
-    lo, hi = _seed_panels(x_max, SMALL_OMEGA_CUTOFF * x_max, max_panel_width,
-                          MAX_PANELS)
+    if lower_cutoff is None:
+        lower_cutoff = LOWER_CUTOFF_FRACTION * upper_cutoff
+    if not 0.0 < lower_cutoff < math.inf:
+        raise DomainError("lower_cutoff must be finite and > 0")
+    lo, hi = _seed_panels(math.sqrt(upper_cutoff), math.sqrt(lower_cutoff),
+                          max_panel_width, MAX_PANELS)
 
     def f(x):
         return integrand(x * x) * 2.0 * x

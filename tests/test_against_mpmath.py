@@ -168,6 +168,19 @@ def test_quadrature_error_estimate_bounds_its_error(t):
     assert abs(value - lorentzian_integral(1.2, 0.3, t)) <= err
 
 
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.2])
+def test_sub_ohmic_finite_beta_quadrature_meets_contract(s):
+    # the integrand goes as w^(s-1) at the origin: the head below the lower
+    # cutoff is bounded and counted in the estimate, so error <= estimate <=
+    # tolerance at alpha = beta = wc = t = 1 for both kernels
+    bath = BathSpec(PowerLawExpCutoff(1.0, s, 1.0), FiniteBeta(1.0))
+    for kernel in (gamma_quadrature, dgamma_quadrature):
+        value, err = kernel(bath, 1.0)
+        want = powerlaw_integral(1.0, s, 1.0, 1.0, lambda w: mpmath.coth(w / 2),
+                                 derivative=kernel is dgamma_quadrature)
+        assert abs(value - want) <= err <= 1e-9 * abs(value), kernel.__name__
+
+
 @pytest.mark.parametrize("gt", [1e-12, 1e-9, 1e-6, 1e-3, 0.0999, 0.1, 2.0])
 def test_lorentzian_gamma_at_short_times(gt):
     # a/(4g) (t - (1 - e^(-gt))/g) loses its digits as gt falls (9.7e-6 at

@@ -424,6 +424,20 @@ def test_numerical_failure_shows_value_and_error(capsys, monkeypatch):
     assert err == "error: tolerance not met (value=0.25, error=0.001)\n"
 
 
+def test_head_below_the_floats_exit_2(capsys):
+    # sub-Ohmic finite beta at s = 0.01: the head cut lies below the floats,
+    # which is one error line and exit 2, with no overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "gamma", "--model", "powerlaw", "--alpha", "1",
+                             "--s", "0.01", "--omega-c", "1", "--temp", "beta=1", "--t", "1",
+                             "--route", "quad")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "s=0.01" in err and "below the smallest normal float" in err
+
+
 def test_quad_route_on_generic_exit_2(capsys):
     code, _, err = run(capsys, "gamma", "--model", "powerlaw-dephasing",
                        "--alpha", "1", "--nu", "2", "--t", "1",

@@ -462,12 +462,20 @@ def test_derivative_near_rounding_meets_contract(spectral, temp, t):
 
 
 def test_refinement_loop_meets_contract(monkeypatch):
-    # finite beta, s = 0.3, at rel_tol = 1e-13 is not met by the seeded
-    # panels, so the panel-splitting loop must run for both kernels
+    # finite beta, s = 0.3, at rel_tol = 1e-13 is not met by seeded panels
+    # four times as coarse (every fourth edge kept), so the panel-splitting
+    # loop must run for both kernels; the seeding itself meets it at once
     passes = []
     refined = numerics._refined_panels
     monkeypatch.setattr(numerics, "_refined_panels",
                         lambda *args: passes.append(1) or refined(*args))
+    seed = numerics._seed_panels
+
+    def coarse(upper, *args):
+        lo = seed(upper, *args)[0][::4]
+        return lo, np.append(lo[1:], upper)
+
+    monkeypatch.setattr(numerics, "_seed_panels", coarse)
     bath = BathSpec(PowerLawExpCutoff(1.0, 0.3, 1.0), FiniteBeta(1.0))
     tight = QuadratureSettings(rel_tol=1e-13)
     for kernel in (gamma_quadrature, dgamma_quadrature):
@@ -476,6 +484,34 @@ def test_refinement_loop_meets_contract(monkeypatch):
         assert len(passes) > 1
         assert _within_contract(value, err, tight)
         assert value == pytest.approx(kernel(bath, 1.0)[0], rel=2e-9)
+
+
+@pytest.mark.parametrize("a,g", [(0.3, 0.1), (1.0, 0.5), (3.0, 2.0)])
+def test_lorentzian_quadrature_integrates_once(a, g, monkeypatch):
+    # the first tail goal comes from the head bound at w* = min(1/t, g), a
+    # lower bound on the tolerance, so no time of the benchmark's grid
+    # (g t from 1e-2 to 30) integrates twice
+    calls = []
+    integrate = dephasing.integrate_semi_infinite
+    monkeypatch.setattr(dephasing, "integrate_semi_infinite",
+                        lambda *args, **kwargs: calls.append(1) or integrate(*args, **kwargs))
+    bath = BathSpec(Lorentzian(a, g))
+    for t in (np.geomspace(1e-2, 30.0, 12) / g).tolist():
+        for kernel in (gamma_quadrature, dgamma_quadrature):
+            calls.clear()
+            value, err = kernel(bath, t)
+            assert len(calls) == 1, (kernel.__name__, t)
+            assert _within_contract(value, err)
+
+
+def test_head_below_the_floats_raises_domain_error(monkeypatch):
+    # at s = 0.01 the head bound c0 E^s meets its goal only at E ~ 1e-1072;
+    # the error names s and the bound, before any integration
+    monkeypatch.setattr(dephasing, "integrate_semi_infinite", None)
+    bath = BathSpec(PowerLawExpCutoff(1.0, 0.01, 1.0), FiniteBeta(1.0))
+    for kernel in (gamma_quadrature, dgamma_quadrature):
+        with pytest.raises(DomainError, match=r"s=0\.01.*below the smallest normal float.*E\^0\.01"):
+            kernel(bath, 1.0)
 
 
 def _bench_reference():

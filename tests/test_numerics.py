@@ -169,41 +169,38 @@ def test_one_integrand_call_per_pass():
     assert (err >= numerics._ROUNDING * np.abs(value)).all()
 
 
-def seed_panels_loop(upper_cutoff, inner_boundary, max_panel_width, max_panels):
-    """The panel ladder in x built rung by rung, each rung [a, b] cut into
-    pieces of equal omega = x^2 width: the reference that numerics._seed_panels
-    must match bit for bit."""
-    eps = min(inner_boundary, 0.25 * upper_cutoff) * 2.0 ** (-numerics._LADDER_DEPTH)
-    rungs = [0.0, eps]
-    b = eps
-    while b < upper_cutoff:
-        b = min(b * 2.0, upper_cutoff)
-        rungs.append(b)
-
-    def pieces(lo, hi):
-        return max(1, math.ceil((hi * hi - lo * lo) / max_panel_width))
-
-    total = sum(pieces(lo, hi) for lo, hi in zip(rungs[:-1], rungs[1:]))
+def seed_panels_loop(upper_cutoff, lower_edge, max_panel_width, max_panels):
+    """The panel [0, lower_edge], then rungs doubled from ``lower_edge`` one
+    at a time while they stay below the cutoff and span at most
+    ``max_panel_width`` of omega = x^2, then the rest cut into the fewest
+    pieces of equal omega width within it: the reference that
+    numerics._seed_panels must match bit for bit."""
+    los = [0.0]
+    b = lower_edge
+    while b < upper_cutoff and b * b - los[-1] * los[-1] <= max_panel_width:
+        los.append(b)
+        b *= 2.0
+    base = los[-1]
+    span = upper_cutoff * upper_cutoff - base * base
+    pieces = max(1, math.ceil(span / max_panel_width))
+    total = len(los) - 1 + pieces
     if total > max_panels:
         raise ToleranceNotMet(
             f"seeding would need {total} panels (max_panels={max_panels})")
-    los = []
-    for lo, hi in zip(rungs[:-1], rungs[1:]):
-        k = pieces(lo, hi)
-        step = (hi * hi - lo * lo) / k
-        los.append(lo)
-        los.extend(math.sqrt(lo * lo + i * step) for i in range(1, k))
+    los.extend(math.sqrt(base * base + i * (span / pieces)) for i in range(1, pieces))
     return np.asarray(los), np.asarray(los[1:] + [upper_cutoff])
 
 
 def test_seed_panels_match_loop_bit_for_bit():
+    # lower edges from the cutoff itself down to 1e-160 of it, as deep as the
+    # head cut of a sub-Ohmic finite-beta bath
     rng = np.random.default_rng(7)
     raised = 0
     for k in range(300):
         upper = 10.0 ** rng.uniform(-3.0, 4.0)
-        inner = upper * 10.0 ** rng.uniform(-8.0, 0.0)
+        lower = upper * 10.0 ** rng.uniform(-160.0, 0.3)
         cap = math.inf if k % 10 == 0 else upper ** 2 * 10.0 ** rng.uniform(-4.0, 0.5)
-        args = (upper, inner, cap, 4096)
+        args = (upper, lower, cap, 4096)
         try:
             want = seed_panels_loop(*args)
         except ToleranceNotMet as exc:
@@ -250,9 +247,11 @@ def test_bad_cutoff_rejected():
     lambda: reference_gamma(BathSpec(PowerLawExpCutoff(1.0, 0.7, 1.0)), math.inf),
     lambda: integrate_semi_infinite(lambda w: np.exp(-w), math.nan),
     lambda: integrate_semi_infinite(lambda w: np.exp(-w), math.inf),
+    lambda: integrate_semi_infinite(lambda w: np.exp(-w), 1.0, lower_cutoff=math.nan),
+    lambda: integrate_semi_infinite(lambda w: np.exp(-w), 1.0, lower_cutoff=0.0),
     lambda: fit_power_law([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
 ], ids=["reference-gamma-nan", "reference-gamma-inf", "cutoff-nan", "cutoff-inf",
-        "fit-nan"])
+        "lower-cutoff-nan", "lower-cutoff-zero", "fit-nan"])
 def test_nonfinite_inputs_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
