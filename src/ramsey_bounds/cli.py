@@ -170,11 +170,9 @@ def _build_model(args) -> DephasingModel:
     elif args.model == "lorentzian":
         _need(args, ["a", "g"])
         spec = Lorentzian(args.a, args.g)
-    elif args.model == "powerlaw-dephasing":
+    else:  # powerlaw-dephasing; argparse's choices reject any other name
         _need(args, ["alpha", "nu"])
         spec = GenericPowerLawDephasing(args.alpha, args.nu)
-    else:
-        raise UsageError(f"unknown --model {args.model!r}")
     route = ClosedForm() if args.route == "closed" else Quadrature()
     return DephasingModel(BathSpec(spec, temp), route)
 

@@ -26,19 +26,18 @@ new route for an existing one, touches one class. A family provides:
 * ``gamma(temp, t)`` and ``dgamma(temp, t)``: the closed forms at a time
   or on an array of times; every supported temperature mode has one;
 * ``c2(temp)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
-* ``quad_problem(temp, t, tail_goal, derivative)``: the bath integral at
-  time t set up for quadrature in w as ``(integrand, omega_max,
-  tail_value, tail_err)``, or with ``derivative`` the integral of its
-  t-derivative, (1/2) Int J(w) W(w) sin(w t) / w dw, with a tail bound of
-  its own (see :meth:`PowerLawExpCutoff.quad_problem`). The change of
-  variable and the panel layout belong to
+* ``quad_problem(temp, t, derivative)``: the bath integral at time t, or
+  with ``derivative`` the integral of its t-derivative,
+  (1/2) Int J(w) W(w) sin(w t) / w dw, set up for quadrature in w as
+  ``(integrand, head, tail_start, tail)``: the integrand; the terms ``(c, p)``
+  of a bound Sum c E^p on Int_0^E |integrand| dw for every E > 0, the
+  integral of an envelope that the integrand of gamma (never negative)
+  reaches at least 0.15-fold on [0, w*], w* = min(1/t, ``omega_fast()``);
+  the least upper cutoff W to try; and ``tail(W)``, the part of the integral
+  above W known in closed form and a bound on the rest. The quadrature
+  (:func:`_bath_quadrature`) makes both cuts against its goal, and the change
+  of variable and the panel layout belong to
   :func:`~ramsey_bounds.numerics.integrate_semi_infinite`;
-* ``head_bound(temp, t, derivative)``: terms ``(c, p)`` of a bound
-  Sum c E^p on Int_0^E |integrand| dw for every E > 0, the integral of an
-  envelope that the integrand of gamma (never negative) reaches at least
-  0.15-fold on [0, w*], w* = min(1/t, ``omega_fast()``). The quadrature cuts
-  the head of the integral where this bound meets its share of the goal, as
-  ``quad_problem`` cuts the tail;
 * ``omega_fast()``: the fastest bath frequency, or None;
 * ``time_scale()``: the characteristic time, which seeds the oracle's grid;
 * ``root_window(temp, m)``: a window ``(lo, hi)`` of times that holds every
@@ -327,46 +326,42 @@ class PowerLawExpCutoff:
             out.append((a, s + n - 1.0, r))
         return tuple(out)
 
-    def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
-        """Build the 1-D integration problem for the bath integral at time t > 0,
-        or with ``derivative`` for its t-derivative (see :func:`_integrand`).
+    def quad_problem(self, temp, t: float, derivative=False):
+        """The bath integral at time t > 0, or with ``derivative`` its
+        t-derivative (see :func:`_integrand`), set up for quadrature in omega
+        as ``(integrand, head, tail_start, tail)``.
 
-        Returns ``(integrand, omega_max, tail_value, tail_err)``: the integrand
-        as a function of omega, to be integrated over (0, omega_max].
-        ``tail_value`` is the analytically known part of the neglected tail
-        above omega_max (added to the quadrature result) and ``tail_err``
-        bounds the remainder.
+        ``head`` holds the terms ``(c, p)`` of a bound Sum c E^p on
+        Int_0^E |integrand| for every E > 0: 1 - cos u <= u^2/2 (|sin u|/u <= 1
+        for the derivative), e^(-w/wc) <= 1 and W <= a0 + a1/w give
+        c1 E^(s+1) + c0 E^s, without c0 at T = 0 and c1 at high T. Up to
+        w* = min(1/t, wc), 1 - cos u >= (11/24) u^2, e^(-w/wc) >= 1/e and W is
+        at least half its bound, so the integrand of gamma is at least
+        11/(24 e) > 0.15 of the bounding envelope.
+
+        ``tail(W)`` is ``(value, bound)``: the part of the integral above W
+        known in closed form, none here, and a bound on the rest, which falls
+        as W grows from ``tail_start``.
         """
         s, wc = self.s, self.omega_c
+        a0, a1 = temp.weight_bound()
+        scale = 0.5 * self.alpha * wc ** (1.0 - s) * (t if derivative else 0.5 * t * t)
+        head = tuple((scale * a / q, p) for a, q, p in ((a0, s + 1.0, s + 1.0), (a1, s, s)) if a)
+
         # exponential-tail envelope: integrand <= alpha*wc^(1-s)*w^(s-2)*W*2*e^(-w/wc),
         # with one power of w more for the derivative kernel sin(wt)/w; as the
         # kernels are also at most t^2/2 and t, it shrinks by (W t)^2/4 and
         # W t/2 where those are smaller, and for the derivative, whose factor
-        # J W / w decreases past W, by 1/(2 wc t) (second mean value theorem).
-        # The cutoff doubles from a fixed multiple of wc until the envelope
-        # meets a quarter of the goal.
-        def tail_bound(om):
+        # J W / w decreases past W, by 1/(2 wc t) (second mean value theorem)
+        def tail(om):
             kern = (min(1.0, 0.5 * om * t, 0.5 / (wc * t)) if derivative
                     else min(1.0, 0.25 * (om * t) ** 2))
-            return (2.0 * self.alpha * wc ** (2.0 - s)
-                    * om ** (s - 1.0 if derivative else s - 2.0)
-                    * math.exp(-om / wc) * max(1.0, float(temp.weight(om))) * kern)
+            return 0.0, (2.0 * self.alpha * wc ** (2.0 - s)
+                         * om ** (s - 1.0 if derivative else s - 2.0)
+                         * math.exp(-om / wc) * max(1.0, float(temp.weight(om))) * kern)
 
-        omega_max = _tail_cutoff(tail_bound, wc * max(40.0, 40.0 / s, 10.0 + 5.0 * s),
-                                 0.25 * tail_goal)
-        return _integrand(self, temp, t, derivative), omega_max, 0.0, tail_bound(omega_max)
-
-    def head_bound(self, temp, t: float, derivative=False):
-        """Terms ``(c, p)`` of the bound Sum c E^p on Int_0^E of the integrand:
-        1 - cos u <= u^2/2 (|sin u|/u <= 1 for the derivative), e^(-w/wc) <= 1
-        and W <= a0 + a1/w give c1 E^(s+1) + c0 E^s, without c0 at T = 0 and
-        c1 at high T. Up to w* = min(1/t, wc), 1 - cos u >= (11/24) u^2,
-        e^(-w/wc) >= 1/e and W is at least half its bound, so the integrand
-        of gamma is at least 11/(24 e) > 0.15 of the bounding envelope."""
-        s = self.s
-        a0, a1 = temp.weight_bound()
-        scale = 0.5 * self.alpha * self.omega_c ** (1.0 - s) * (t if derivative else 0.5 * t * t)
-        return tuple((scale * a / q, p) for a, q, p in ((a0, s + 1.0, s + 1.0), (a1, s, s)) if a)
+        return (_integrand(self, temp, t, derivative), head,
+                wc * max(40.0, 40.0 / s, 10.0 + 5.0 * s), tail)
 
     def root_window(self, temp, m):
         lo = _zeno_bound(self.c2(temp), m)
@@ -444,7 +439,9 @@ class Lorentzian:
             raise DomainError("the Lorentzian bath is only defined at T = 0")
 
     def density(self, w):
-        return (self.a * self.g / np.pi) / (self.g ** 2 + w ** 2)
+        # past w ~ 1e154, w^2 overflows and J rounds to its limit 0
+        with np.errstate(over="ignore"):
+            return (self.a * self.g / np.pi) / (self.g ** 2 + w ** 2)
 
     def gamma(self, temp, t):
         a, g = self.a, self.g
@@ -475,64 +472,43 @@ class Lorentzian:
                 "limit; use the closed form)")
         return self.g
 
-    def head_bound(self, temp, t: float, derivative=False):
-        """c E from J <= a/(pi g) (see :meth:`PowerLawExpCutoff.head_bound`);
-        up to w* = min(1/t, g), J >= a/(2 pi g)."""
-        return ((0.5 * self.a / (math.pi * self._quad_g()) * (t if derivative else 0.5 * t * t),
-                 1.0),)
-
-    def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
+    def quad_problem(self, temp, t: float, derivative=False):
         """The bath integral at time t > 0, or its t-derivative; see
-        :meth:`PowerLawExpCutoff.quad_problem`."""
+        :meth:`PowerLawExpCutoff.quad_problem`. The head bound is c E from
+        J <= a/(pi g); up to w* = min(1/t, g), J >= a/(2 pi g)."""
         a, g = self.a, self._quad_g()
-        # Above the cutoff W the tail is integrated by parts twice: the surface
-        # terms are added exactly and the remainder is bounded by the first
-        # derivative of the smooth factor at W over t^2. W is 20/t doubled
-        # until that bound meets the goal, so the number of periods of
-        # cos(wt) below W stays bounded in gt.
-        goal = max(tail_goal, 1e-300)
-        if derivative:
-            # Int_W^inf H1 sin(wt) dw,  H1(w) = (a g / 2 pi) / ((g^2 + w^2) w)
-            def h1_val(om):
-                return 0.5 * (a * g / math.pi) / ((g * g + om * om) * om)
+        half_j0 = 0.5 * a / (math.pi * g)
+        head = ((half_j0 * (t if derivative else 0.5 * t * t), 1.0),)
+        c = 0.5 * (a * g / math.pi)
+        k = 1.0 if derivative else 2.0
 
-            def h1_der(om):
-                return -0.5 * (a * g / math.pi) * (g * g + 3.0 * om * om) \
-                    / ((g * g + om * om) ** 2 * om * om)
+        # The tail above the cutoff W, Int_W^inf H(w) sin(wt) dw or
+        # Int_W^inf H(w) (1 - cos(wt)) dw with H(w) = c / ((g^2 + w^2) w^k), is
+        # integrated by parts twice: the mean part Int_W^inf H and the surface
+        # terms are exact, and as H is convex the remainder is within
+        # |H'(W)| / t^2, which the bound takes k-fold (twice for gamma, a
+        # margin). Where W is large these products underflow to 0; none
+        # overflows.
+        def tail(om):
+            h = c / (g * g + om * om) / om
+            if not derivative:
+                h /= om
+            dh = -h * (2.0 / (om + g * (g / om)) + k / om)
+            sin, cos = math.sin(om * t), math.cos(om * t)
+            if derivative:
+                value = h * cos / t - dh * sin / t / t
+            else:
+                # Int_W^inf H dw = (u - arctan u) / g^3 times c, u = g/W: a
+                # series below u ~ 1e-2, where the two terms nearly cancel
+                u = g / om
+                u_minus_atan = (u ** 3 * (1.0 / 3.0 - u * u / 5.0 + u ** 4 / 7.0) if u < 1e-2
+                                else u - math.atan(u))
+                value = half_j0 * (u_minus_atan / g) + h * sin / t + dh * cos / t / t
+            return value, k * abs(dh) / t / t
 
-            omega_max = _tail_cutoff(lambda om: abs(h1_der(om)) / (t * t), 20.0 / t,
-                                     0.25 * goal)
-            phase = omega_max * t
-            tail_value = (h1_val(omega_max) * math.cos(phase) / t
-                          - h1_der(omega_max) * math.sin(phase) / (t * t))
-            tail_err = abs(h1_der(omega_max)) / (t * t)
-            return _integrand(self, temp, t, derivative), omega_max, tail_value, tail_err
-
-        # Int_W^inf H (1 - cos(wt)) dw,  H(w) = (a g / 2 pi) / ((g^2 + w^2) w^2):
-        # a closed-form mean part and an oscillatory part -Int_W^inf H cos(wt) dw
-        def h_val(om):
-            return 0.5 * (a * g / math.pi) / ((g * g + om * om) * om * om)
-
-        def h_der(om):
-            return -(a * g / math.pi) / ((g * g + om * om) * om ** 3) \
-                * (1.0 + om * om / (g * g + om * om))
-
-        omega_max = _tail_cutoff(lambda om: 2.0 * abs(h_der(om)) / (t * t), 20.0 / t,
-                                 0.25 * goal)
-        # 1/W - arctan(g/W)/g = (u - arctan u)/g with u = g/W; series below u ~ 1e-2
-        # avoids the cancellation of the two nearly equal terms
-        u = g / omega_max
-        if u < 1e-2:
-            u_minus_atan = u ** 3 * (1.0 / 3.0 - u * u / 5.0 + u ** 4 / 7.0)
-        else:
-            u_minus_atan = u - math.atan(u)
-        mean_tail = 0.5 * a / (math.pi * g) * (u_minus_atan / g)
-        phase = omega_max * t
-        tail_value = (mean_tail
-                      + h_val(omega_max) * math.sin(phase) / t
-                      + h_der(omega_max) * math.cos(phase) / (t * t))
-        tail_err = 2.0 * abs(h_der(omega_max)) / (t * t)
-        return _integrand(self, temp, t), omega_max, tail_value, tail_err
+        # W starts at 20/t and only doubles, so the number of periods of
+        # cos(wt) below it stays bounded in gt
+        return _integrand(self, temp, t, derivative), head, 20.0 / t, tail
 
     def root_window(self, temp, m):
         # 2 m t gamma' grows without bound for g > 0; for g = 0 (gamma
@@ -586,10 +562,7 @@ class GenericPowerLawDephasing:
                 f"gamma = alpha*t^nu with nu={self.nu} has no quadratic regime")
         return self.alpha
 
-    def quad_problem(self, temp, t: float, tail_goal: float, derivative=False):
-        raise NoSpectralDensity("no bath integral for generic power-law dephasing")
-
-    def head_bound(self, temp, t: float, derivative=False):
+    def quad_problem(self, temp, t: float, derivative=False):
         raise NoSpectralDensity("no bath integral for generic power-law dephasing")
 
     def omega_fast(self):
@@ -872,7 +845,8 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=_SETTINGS):
     (value, error_estimate):
         The integral and its error estimate, with
         error_estimate <= max(abs_tol, rel_tol*|value|);
-        :class:`ToleranceNotMet` (with both) is raised where that fails. The
+        :class:`ToleranceNotMet` (with both) is raised where that fails, and
+        where abs_tol = 0 and the value underflows to 0. The
         estimate is the sum over panels of |G16 - K33| (the Gauss-Kronrod
         16/33 pair) and of ``numerics.ROUNDING_FACTOR`` eps Int |integrand|
         (the rounding of the value itself), plus the bounds on the head below
@@ -896,41 +870,52 @@ def dgamma_quadrature(bath: BathSpec, t: float, settings=_SETTINGS):
 
 def _bath_quadrature(bath, t, settings, derivative):
     """Both quadratures: the bath's problem for gamma or for its derivative,
-    integrated against half the tolerance, with its head and its tail each
-    cut at a quarter of a goal. The goal is rel_tol * 0.15 times the head
-    bound at w* (see the module docstring), for gamma a lower bound on the
-    tolerance; where the result still misses the contract (gamma' may be
-    smaller), the cuts are made again against a quarter of its tolerance."""
+    built once and integrated against half the tolerance, with its head and
+    its tail each cut at a quarter of a goal (:func:`_cut_and_integrate`).
+    The goal is rel_tol * 0.15 times the head bound at w* (see the module
+    docstring), for gamma a lower bound on the tolerance; where the result
+    still misses the contract (gamma' may be smaller), the cuts are made
+    again against a quarter of its tolerance."""
     # a NaN time would make every panel's error NaN, which never refines
     if not 0.0 <= t < math.inf:
         raise DomainError("t must be finite and >= 0")
     if t == 0.0:
         return 0.0, 0.0
-    spec, temp = bath.spectral, bath.temperature
+    spec = bath.spectral
     # panels run at half tolerance so the head and tail bounds fit inside it
     inner = _HALF_SETTINGS if settings is _SETTINGS else _halved(settings)
-    head = spec.head_bound(temp, t, derivative)
+    problem = spec.quad_problem(bath.temperature, t, derivative)
     w_star = min(1.0 / t, spec.omega_fast())
     goal = max(settings.abs_tol,
-               settings.rel_tol * 0.15 * math.fsum(c * w_star ** p for c, p in head))
-    value, err = _cut_and_integrate(bath, t, derivative, head, w_star, goal, inner)
+               settings.rel_tol * 0.15 * math.fsum(c * w_star ** p for c, p in problem[1]))
+    value, err = _cut_and_integrate(bath, problem, t, w_star, goal, inner)
     tol = max(settings.abs_tol, settings.rel_tol * abs(value))
     if err > tol:
-        value, err = _cut_and_integrate(bath, t, derivative, head, w_star, 0.25 * tol, inner)
+        value, err = _cut_and_integrate(bath, problem, t, w_star, 0.25 * tol, inner)
         tol = max(settings.abs_tol, settings.rel_tol * abs(value))
-    if err > tol:
+    # at t > 0 a value of 0 has underflowed and is not exact: it meets no
+    # tolerance of 0, even with an estimate of 0
+    if err > tol or not tol:
         raise ToleranceNotMet(
             f"tolerance {tol:g} not met: panel, head and tail error {err:g}",
             value=value, error=err)
     return value, err
 
 
-def _cut_and_integrate(bath, t, derivative, head, w_star, goal, inner):
-    """The bath integral with its tail and its head each cut at a quarter of
-    ``goal``, the head at most at ``w_star``: ``(value, error estimate)``,
-    the estimate the panels' plus the head and tail bounds."""
-    spec, temp = bath.spectral, bath.temperature
-    f, omega_max, tail_val, tail_err = spec.quad_problem(temp, t, goal, derivative)
+# The least goal, whose quarter shared among a head bound's terms is above 0:
+# with abs_tol = 0, a value that underflows has a goal of 0.
+_GOAL_FLOOR = 16.0 * math.ulp(0.0)
+
+
+def _cut_and_integrate(bath, problem, t, w_star, goal, inner):
+    """The integral of ``problem`` (see ``quad_problem`` in the module
+    docstring) with its tail and its head each cut at a quarter of ``goal``,
+    the head at most at ``w_star``: ``(value, error estimate)``, the estimate
+    the panels' plus the head and tail bounds."""
+    f, head, tail_start, tail = problem
+    goal = max(goal, _GOAL_FLOOR)
+    omega_max = _tail_cutoff(lambda om: tail(om)[1], tail_start, 0.25 * goal)
+    tail_val, tail_err = tail(omega_max)
     omega_min = _head_cutoff(head, 0.25 * goal, w_star, bath)
     head_err = math.fsum(c * omega_min ** p for c, p in head)
     # seeded panels are at most one oscillation period of cos(w t) wide
@@ -949,7 +934,8 @@ def _head_cutoff(head, goal, w_star, bath):
     may underflow. :class:`DomainError` where the innermost quadrature node
     below E would fall below the smallest normal float."""
     share = math.log(goal / len(head))
-    log_e = min(math.log(w_star), *((share - math.log(c)) / p for c, p in head if c))
+    # a term whose c underflows to 0 (t^2 at the shortest times) cuts nowhere
+    log_e = min([math.log(w_star)] + [(share - math.log(c)) / p for c, p in head if c])
     if log_e + math.log(INNER_NODE_FRACTION) < _LOG_TINY:
         bound = " + ".join(f"{c:.3g} E^{p:.3g}" for c, p in head)
         raise DomainError(

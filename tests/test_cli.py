@@ -445,6 +445,52 @@ def test_quad_route_on_generic_exit_2(capsys):
     assert code == 2
 
 
+LORENTZIAN = ["--model", "lorentzian", "--a", "1", "--g", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", *LORENTZIAN, "--t-grid", "1:2"],
+    ["gamma", *LORENTZIAN, "--t-grid", "a:2:3"],
+    ["gamma", *LORENTZIAN, "--t-grid", "1:2:3:cubic"],
+    ["gamma", *LORENTZIAN, "--t", "1", "--temp", "high-t"],
+    ["gamma", *LORENTZIAN, "--t", "1", "--temp", "hot"],
+    ["gamma", *LORENTZIAN],
+    ["ratio", *LORENTZIAN, "--n-grid", "0:3:4"],
+    ["figure1", "--alpha", "1", "--n-max", "0", "--out", "unused.csv"],
+], ids=["grid-parts", "grid-number", "grid-spacing", "temp-no-beta", "temp-unknown",
+        "no-time", "n-below-1", "n-max-0"])
+def test_usage_error_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unknown_model_exit_2(capsys):
+    # argparse's choices reject the name before any model is built
+    with pytest.raises(SystemExit) as info:
+        main(["gamma", "--model", "drude", "--t", "1"])
+    assert info.value.code == 2
+    assert "invalid choice: 'drude'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "ohmic", "--alpha", "1", "--omega-c", "1", "--t", "1e-170"],
+    [*LORENTZIAN, "--t", "1e-80"],
+    [*LORENTZIAN, "--t", "1e-300"],
+], ids=["ohmic", "lorentzian", "lorentzian-1e-300"])
+def test_quad_route_at_short_times(capsys, argv):
+    code, out, err = run(capsys, "gamma", *argv, "--route", "quad")
+    assert code == 0
+    assert err == ""
+    closed = run(capsys, "gamma", *argv)[1].splitlines()[1].split(",")
+    t, gamma, dgamma = (float(v) for v in out.splitlines()[1].split(","))
+    # the Ohmic closed form at T = 0 is twice the bath integral
+    factor = 0.5 if "ohmic" in argv else 1.0
+    assert gamma == pytest.approx(factor * float(closed[1]), rel=1e-9)
+    assert dgamma == pytest.approx(factor * float(closed[2]), rel=1e-9)
+
+
 def test_validate_deterministic_and_green(capsys):
     code, first, _ = run(capsys, "validate", "--seed", "3", "--trials", "3")
     assert code == 0

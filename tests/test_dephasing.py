@@ -589,6 +589,43 @@ def test_missed_contract_raises(kernel, bath, t, monkeypatch):
     assert not _within_contract(info.value.value, info.value.error)
 
 
+# (bath, quadrature / closed form) in every family and temperature mode with a
+# bath integral
+SHORT_TIME_BATHS = [
+    (BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0)), 1.0),
+    (BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0)), 0.5),
+    (BathSpec(PowerLawExpCutoff(1.0, 3.0, 1.0)), 1.0),
+    (BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0), FiniteBeta(2.0)), 1.0),
+    (BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0), FiniteBeta(2.0)), 1.0),
+    (BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0), HighTemperatureOhmic(2.0)), 1.0),
+    (BathSpec(Lorentzian(1.0, 0.5)), 1.0),
+]
+
+
+@pytest.mark.parametrize("t", [1e-80, 1e-120, 1e-170, 1e-300])
+@pytest.mark.parametrize("kernel", [gamma_quadrature, dgamma_quadrature],
+                         ids=["gamma", "dgamma"])
+@pytest.mark.parametrize("bath,factor", SHORT_TIME_BATHS,
+                         ids=["s0.5", "ohmic", "s3", "s0.5-beta", "ohmic-beta", "high-T",
+                              "lorentzian"])
+def test_quadrature_at_short_times(bath, factor, kernel, t):
+    # the head bound's t^2 underflows from t ~ 3e-162 down, and the
+    # Lorentzian's tail cutoff 20/t is past 1e154, where its square overflows;
+    # gamma itself underflows to 0 from t ~ 1e-162 down, where no estimate
+    # meets a tolerance of 0
+    closed = (bath.spectral.dgamma if kernel is dgamma_quadrature
+              else bath.spectral.gamma)(bath.temperature, t)
+    for settings in (QuadratureSettings(), QuadratureSettings(abs_tol=0.0)):
+        if closed == 0.0 and settings.abs_tol == 0.0:
+            with pytest.raises(ToleranceNotMet):
+                kernel(bath, t, settings)
+            continue
+        value, err = kernel(bath, t, settings)
+        tol = max(settings.abs_tol, settings.rel_tol * abs(value))
+        assert err <= tol
+        assert abs(value - factor * closed) <= tol
+
+
 # --- global decoherence-function properties ---------------------------------------
 
 @pytest.mark.parametrize("model", [

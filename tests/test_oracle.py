@@ -62,6 +62,14 @@ def test_grid_too_coarse_when_optimum_outside():
         brute_force_optimum(deph, ProbeSpec(1, 1.0, "product"), t_min=1e-6, t_max=1e-3)
 
 
+def test_grid_too_coarse_when_optimum_below():
+    # the grid starts at 1e-4 times the time scale 1/g = 1, while the strong
+    # coupling puts the optimum at 1.4e-6 (the closed route's), below it
+    deph = DephasingModel(BathSpec(Lorentzian(1e12, 1.0)))
+    with pytest.raises(GridTooCoarse, match="lower time edge"):
+        brute_force_optimum(deph, ProbeSpec(1, 1.0, "product"))
+
+
 def test_boundary_limited_at_total_time():
     # below the Ohmic threshold the variance decreases up to the time budget
     deph = DephasingModel(BathSpec(PowerLawExpCutoff(0.4, 1.0, 1.0)))
