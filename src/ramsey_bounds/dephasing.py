@@ -27,17 +27,14 @@ new route for an existing one, touches one class. A family provides:
   or on an array of times; every supported temperature mode has one;
 * ``c2(temp)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
 * ``quad_problem(temp, t, derivative)``: the bath integral at time t, or
-  with ``derivative`` the integral of its t-derivative,
-  (1/2) Int J(w) W(w) sin(w t) / w dw, set up for quadrature in w as
-  ``(integrand, head, tail_start, tail)``: the integrand; the terms ``(c, p)``
-  of a bound Sum c E^p on Int_0^E |integrand| dw for every E > 0, the
-  integral of an envelope that the integrand of gamma (never negative)
-  reaches at least 0.15-fold on [0, w*], w* = min(1/t, ``omega_fast()``);
-  the least upper cutoff W to try; and ``tail(W)``, the part of the integral
-  above W known in closed form and a bound on the rest. The quadrature
-  (:func:`_bath_quadrature`) makes both cuts against its goal, and the change
-  of variable and the panel layout belong to
-  :func:`~ramsey_bounds.numerics.integrate_semi_infinite`;
+  with ``derivative`` that of its t-derivative, (1/2) J(w) W(w) sin(w t) / w,
+  as ``(integrand, head, tail_start, tail)``: the integrand in w, the terms
+  ``(log c, p)`` of a bound Sum c E^p on its integral below any E (see
+  :meth:`PowerLawExpCutoff.quad_problem`), the least upper cutoff W to try,
+  and ``tail(W)``, a bound on the part above W not known in closed form,
+  which ``tail(W, value=True)`` returns with that part. The quadrature
+  (:func:`_bath_quadrature`) makes both cuts; the change of variable and the
+  panel layout belong to :func:`~ramsey_bounds.numerics.integrate_semi_infinite`;
 * ``omega_fast()``: the fastest bath frequency, or None;
 * ``time_scale()``: the characteristic time, which seeds the oracle's grid;
 * ``root_window(temp, m)``: a window ``(lo, hi)`` of times that holds every
@@ -248,8 +245,14 @@ class PowerLawExpCutoff:
             raise DomainError(_HIGH_T_OHMIC_ONLY)
 
     def density(self, w):
-        return (self.alpha * self.omega_c ** (1.0 - self.s)
-                * w ** self.s * np.exp(w / -self.omega_c))
+        # in x = w/wc, which neither over- nor underflows where J does not, and
+        # in place, as each temporary on a long quadrature's nodes is a fresh
+        # allocation (asarray: a 0-d w gives a scalar quotient)
+        x = np.asarray(w / self.omega_c)
+        j = x ** self.s
+        j *= self.alpha * self.omega_c
+        j *= np.exp(np.negative(x, out=x), out=x)
+        return j
 
     def gamma(self, temp, t):
         # + 0.0 turns the -0.0 of a kernel at t = 0 into 0.0 and moves no other bit
@@ -331,7 +334,7 @@ class PowerLawExpCutoff:
         t-derivative (see :func:`_integrand`), set up for quadrature in omega
         as ``(integrand, head, tail_start, tail)``.
 
-        ``head`` holds the terms ``(c, p)`` of a bound Sum c E^p on
+        ``head`` holds the terms ``(log c, p)`` of a bound Sum c E^p on
         Int_0^E |integrand| for every E > 0: 1 - cos u <= u^2/2 (|sin u|/u <= 1
         for the derivative), e^(-w/wc) <= 1 and W <= a0 + a1/w give
         c1 E^(s+1) + c0 E^s, without c0 at T = 0 and c1 at high T. Up to
@@ -339,26 +342,30 @@ class PowerLawExpCutoff:
         at least half its bound, so the integrand of gamma is at least
         11/(24 e) > 0.15 of the bounding envelope.
 
-        ``tail(W)`` is ``(value, bound)``: the part of the integral above W
-        known in closed form, none here, and a bound on the rest, which falls
-        as W grows from ``tail_start``.
+        ``tail(W)`` bounds the integral above W, falling as W grows from
+        ``tail_start``; none of it is known in closed form, so
+        ``tail(W, value=True)`` is ``(0.0, bound)``.
         """
         s, wc = self.s, self.omega_c
         a0, a1 = temp.weight_bound()
-        scale = 0.5 * self.alpha * wc ** (1.0 - s) * (t if derivative else 0.5 * t * t)
-        head = tuple((scale * a / q, p) for a, q, p in ((a0, s + 1.0, s + 1.0), (a1, s, s)) if a)
+        # in logarithms, as c underflows where wc t is moderate and t tiny
+        k = 1.0 if derivative else 2.0
+        log_scale = math.log(self.alpha) + (1.0 - s) * math.log(wc) + k * (math.log(t) - _LN2)
+        head = tuple((log_scale + math.log(a / q), p)
+                     for a, q, p in ((a0, s + 1.0, s + 1.0), (a1, s, s)) if a)
 
         # exponential-tail envelope: integrand <= alpha*wc^(1-s)*w^(s-2)*W*2*e^(-w/wc),
         # with one power of w more for the derivative kernel sin(wt)/w; as the
         # kernels are also at most t^2/2 and t, it shrinks by (W t)^2/4 and
         # W t/2 where those are smaller, and for the derivative, whose factor
         # J W / w decreases past W, by 1/(2 wc t) (second mean value theorem)
-        def tail(om):
+        def tail(om, value=False):
             kern = (min(1.0, 0.5 * om * t, 0.5 / (wc * t)) if derivative
                     else min(1.0, 0.25 * (om * t) ** 2))
-            return 0.0, (2.0 * self.alpha * wc ** (2.0 - s)
-                         * om ** (s - 1.0 if derivative else s - 2.0)
-                         * math.exp(-om / wc) * max(1.0, float(temp.weight(om))) * kern)
+            bound = (2.0 * self.alpha * (wc if derivative else 1.0)
+                     * (om / wc) ** (s - 1.0 if derivative else s - 2.0)
+                     * math.exp(-om / wc) * max(1.0, float(temp.weight(om))) * kern)
+            return (0.0, bound) if value else bound
 
         return (_integrand(self, temp, t, derivative), head,
                 wc * max(40.0, 40.0 / s, 10.0 + 5.0 * s), tail)
@@ -439,9 +446,15 @@ class Lorentzian:
             raise DomainError("the Lorentzian bath is only defined at T = 0")
 
     def density(self, w):
-        # past w ~ 1e154, w^2 overflows and J rounds to its limit 0
+        if self.g == 0.0:
+            return 0.0 * w  # the static limit puts all its weight at w = 0
+        # in x = w/g, in place, as for the power law; past x ~ 1e154, x^2
+        # overflows and J rounds to its limit 0
+        x = np.asarray(w / self.g)
         with np.errstate(over="ignore"):
-            return (self.a * self.g / np.pi) / (self.g ** 2 + w ** 2)
+            x *= x
+        x += 1.0
+        return np.divide(self.a / (np.pi * self.g), x, out=x)
 
     def gamma(self, temp, t):
         a, g = self.a, self.g
@@ -465,46 +478,45 @@ class Lorentzian:
     def c2(self, temp):
         return self.a / 8.0
 
-    def _quad_g(self):
-        if self.g == 0.0:
-            raise DomainError(
-                "Lorentzian quadrature needs g > 0 (g = 0 is the static-bath "
-                "limit; use the closed form)")
-        return self.g
-
     def quad_problem(self, temp, t: float, derivative=False):
         """The bath integral at time t > 0, or its t-derivative; see
         :meth:`PowerLawExpCutoff.quad_problem`. The head bound is c E from
         J <= a/(pi g); up to w* = min(1/t, g), J >= a/(2 pi g)."""
-        a, g = self.a, self._quad_g()
+        a, g = self.a, self.g
+        if g == 0.0:
+            raise DomainError("Lorentzian quadrature needs g > 0 (g = 0 is the static-bath "
+                              "limit; use the closed form)")
         half_j0 = 0.5 * a / (math.pi * g)
-        head = ((half_j0 * (t if derivative else 0.5 * t * t), 1.0),)
-        c = 0.5 * (a * g / math.pi)
         k = 1.0 if derivative else 2.0
+        head = ((math.log(a / math.pi) - math.log(g) + k * (math.log(t) - _LN2), 1.0),)
 
         # The tail above the cutoff W, Int_W^inf H(w) sin(wt) dw or
-        # Int_W^inf H(w) (1 - cos(wt)) dw with H(w) = c / ((g^2 + w^2) w^k), is
+        # Int_W^inf H(w) (1 - cos(wt)) dw with H(w) = J(w) / (2 w^k), is
         # integrated by parts twice: the mean part Int_W^inf H and the surface
         # terms are exact, and as H is convex the remainder is within
         # |H'(W)| / t^2, which the bound takes k-fold (twice for gamma, a
-        # margin). Where W is large these products underflow to 0; none
-        # overflows.
-        def tail(om):
-            h = c / (g * g + om * om) / om
+        # margin). J is taken in x = W/g, as in ``density``; where W is large
+        # these products underflow to 0, and none overflows.
+        def tail(om, value=False):
+            x = om / g
+            h = half_j0 / (1.0 + x * x) / om
             if not derivative:
                 h /= om
             dh = -h * (2.0 / (om + g * (g / om)) + k / om)
+            bound = k * abs(dh) / t / t
+            if not value:
+                return bound
             sin, cos = math.sin(om * t), math.cos(om * t)
             if derivative:
-                value = h * cos / t - dh * sin / t / t
+                known = h * cos / t - dh * sin / t / t
             else:
-                # Int_W^inf H dw = (u - arctan u) / g^3 times c, u = g/W: a
-                # series below u ~ 1e-2, where the two terms nearly cancel
+                # Int_W^inf H dw = (u - arctan u) / g times J(0)/2, u = g/W:
+                # a series below u ~ 1e-2, where the two terms nearly cancel
                 u = g / om
                 u_minus_atan = (u ** 3 * (1.0 / 3.0 - u * u / 5.0 + u ** 4 / 7.0) if u < 1e-2
                                 else u - math.atan(u))
-                value = half_j0 * (u_minus_atan / g) + h * sin / t + dh * cos / t / t
-            return value, k * abs(dh) / t / t
+                known = half_j0 * (u_minus_atan / g) + h * sin / t + dh * cos / t / t
+            return known, bound
 
         # W starts at 20/t and only doubles, so the number of periods of
         # cos(wt) below it stays bounded in gt
@@ -789,20 +801,23 @@ def gamma_short_time_coeff(deph: DephasingModel) -> float:
 
 def _integrand(spec, temp, t, derivative=False):
     """(1/2) J(w) W(w) (1 - cos(w t)) / w^2, the integrand of the bath integral,
-    or with ``derivative`` its t-derivative (1/2) J(w) W(w) sin(w t) / w."""
-    if derivative:
-        def f(w):
-            kern = np.sin(w * t) / w
-            return 0.5 * spectral_density(spec, w) * temp.weight(w) * kern
-        return f
+    or with ``derivative`` its t-derivative (1/2) J(w) W(w) sin(w t) / w.
 
-    half_t = 0.5 * t
+    (1 - cos(wt)) / w^2 = 2 u^2 with u = sin(wt/2) / w has no cancellation,
+    and its 2 cancels the 1/2 in front. J and W each take one u: u^2 alone
+    underflows past w ~ 1e154, and J W may overflow where J W u^2 does not.
+    Taken in place, as in ``PowerLawExpCutoff.density``."""
+    scale = t if derivative else 0.5 * t
 
     def f(w):
-        # (1 - cos(wt)) / w^2 = 2 sin^2(wt/2) / w^2, stable for all w > 0 (no
-        # cancellation); its 2 cancels the 1/2 in front
-        u = np.sin(half_t * w) / w
-        return spectral_density(spec, w) * temp.weight(w) * (u * u)
+        u = scale * w
+        np.sin(u, out=u)
+        u /= w
+        j = spectral_density(spec, w)
+        j *= u
+        j *= temp.weight(w)
+        j *= 0.5 if derivative else u
+        return j
     return f
 
 
@@ -886,8 +901,8 @@ def _bath_quadrature(bath, t, settings, derivative):
     inner = _HALF_SETTINGS if settings is _SETTINGS else _halved(settings)
     problem = spec.quad_problem(bath.temperature, t, derivative)
     w_star = min(1.0 / t, spec.omega_fast())
-    goal = max(settings.abs_tol,
-               settings.rel_tol * 0.15 * math.fsum(c * w_star ** p for c, p in problem[1]))
+    goal = max(settings.abs_tol, settings.rel_tol * 0.15 * math.fsum(
+        math.exp(log_c + p * math.log(w_star)) for log_c, p in problem[1]))
     value, err = _cut_and_integrate(bath, problem, t, w_star, goal, inner)
     tol = max(settings.abs_tol, settings.rel_tol * abs(value))
     if err > tol:
@@ -914,32 +929,32 @@ def _cut_and_integrate(bath, problem, t, w_star, goal, inner):
     the panels' plus the head and tail bounds."""
     f, head, tail_start, tail = problem
     goal = max(goal, _GOAL_FLOOR)
-    omega_max = _tail_cutoff(lambda om: tail(om)[1], tail_start, 0.25 * goal)
-    tail_val, tail_err = tail(omega_max)
-    omega_min = _head_cutoff(head, 0.25 * goal, w_star, bath)
-    head_err = math.fsum(c * omega_min ** p for c, p in head)
+    omega_max = _tail_cutoff(tail, tail_start, 0.25 * goal)
+    tail_val, tail_err = tail(omega_max, value=True)
+    log_min = _head_cutoff(head, 0.25 * goal, w_star, bath)
+    head_err = math.fsum(math.exp(log_c + p * log_min) for log_c, p in head)
     # seeded panels are at most one oscillation period of cos(w t) wide
     value, err = integrate_semi_infinite(f, omega_max, inner, max_panel_width=2.0 * math.pi / t,
-                                         lower_cutoff=omega_min)
+                                         lower_cutoff=math.exp(log_min))
     return value + tail_val, err + tail_err + head_err
 
 
 # ln of the smallest normal float
 _LOG_TINY = math.log(sys.float_info.min)
+_LN2, _LN10 = math.log(2.0), math.log(10.0)
 
 
 def _head_cutoff(head, goal, w_star, bath):
-    """The largest E up to ``w_star`` at which each term c E^p of the head
-    bound is within its share of ``goal``, taken in logarithms, where E alone
-    may underflow. :class:`DomainError` where the innermost quadrature node
-    below E would fall below the smallest normal float."""
+    """The log of the largest E up to ``w_star`` at which each term c E^p of
+    the head bound is within its share of ``goal``, taken in logarithms,
+    where E alone may underflow. :class:`DomainError` where the innermost
+    quadrature node below E would fall below the smallest normal float."""
     share = math.log(goal / len(head))
-    # a term whose c underflows to 0 (t^2 at the shortest times) cuts nowhere
-    log_e = min([math.log(w_star)] + [(share - math.log(c)) / p for c, p in head if c])
+    log_e = min(math.log(w_star), *((share - log_c) / p for log_c, p in head))
     if log_e + math.log(INNER_NODE_FRACTION) < _LOG_TINY:
-        bound = " + ".join(f"{c:.3g} E^{p:.3g}" for c, p in head)
+        bound = " + ".join(f"1e{log_c / _LN10:.1f} E^{p:.3g}" for log_c, p in head)
         raise DomainError(
             f"the quadrature of {bath.spectral} at {bath.temperature} would cut its head "
-            f"at E = 1e{log_e / math.log(10.0):.0f}, where its nodes fall below the smallest "
+            f"at E = 1e{log_e / _LN10:.0f}, where its nodes fall below the smallest "
             f"normal float, for its bound {bound} on Int_0^E to meet {goal:.3g}")
-    return math.exp(log_e)
+    return log_e

@@ -478,7 +478,8 @@ def test_unknown_model_exit_2(capsys):
     ["--model", "ohmic", "--alpha", "1", "--omega-c", "1", "--t", "1e-170"],
     [*LORENTZIAN, "--t", "1e-80"],
     [*LORENTZIAN, "--t", "1e-300"],
-], ids=["ohmic", "lorentzian", "lorentzian-1e-300"])
+    ["--model", "powerlaw", "--alpha", "1", "--s", "3", "--omega-c", "1e100", "--t", "1e-100"],
+], ids=["ohmic", "lorentzian", "lorentzian-1e-300", "s3-omega-c-1e100"])
 def test_quad_route_at_short_times(capsys, argv):
     code, out, err = run(capsys, "gamma", *argv, "--route", "quad")
     assert code == 0

@@ -626,6 +626,37 @@ def test_quadrature_at_short_times(bath, factor, kernel, t):
         assert abs(value - factor * closed) <= tol
 
 
+# (scale, bath, the same bath at unit scale): gamma at time 1/scale is the unit
+# bath's gamma at t = 1, and gamma' is scale times its own
+SCALED_BATHS = [
+    (1e100, BathSpec(PowerLawExpCutoff(1.0, 3.0, 1e100)),
+     BathSpec(PowerLawExpCutoff(1.0, 3.0, 1.0))),
+    (1e170, BathSpec(PowerLawExpCutoff(1.0, 1.0, 1e170)),
+     BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0))),
+    (1e-140, BathSpec(PowerLawExpCutoff(1.0, 3.0, 1e-140), FiniteBeta(2e140)),
+     BathSpec(PowerLawExpCutoff(1.0, 3.0, 1.0), FiniteBeta(2.0))),
+    (1e300, BathSpec(PowerLawExpCutoff(1.0, 0.5, 1e300), FiniteBeta(2e-300)),
+     BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0), FiniteBeta(2.0))),
+    (1e120, BathSpec(Lorentzian(1e240, 1e120)), BathSpec(Lorentzian(1.0, 1.0))),
+    (1e-120, BathSpec(Lorentzian(1e-240, 1e-120)), BathSpec(Lorentzian(1.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("kernel", [gamma_quadrature, dgamma_quadrature],
+                         ids=["gamma", "dgamma"])
+@pytest.mark.parametrize("scale,bath,unit", SCALED_BATHS,
+                         ids=["s3-1e100", "ohmic-1e170", "s3-beta-1e-140", "s0.5-beta-1e300",
+                              "lorentzian-1e120", "lorentzian-1e-120"])
+def test_quadrature_is_scale_free(scale, bath, unit, kernel):
+    # at these scales the head bound's c, J = alpha wc^(1-s) w^s e^(-w/wc),
+    # a g of the Lorentzian, u^2 = sin^2(wt/2)/w^2 or J W over- or underflow
+    # where the integral itself does not
+    value, err = kernel(bath, 1.0 / scale)
+    expected = kernel(unit, 1.0)[0] * (scale if kernel is dgamma_quadrature else 1.0)
+    assert _within_contract(value, err)
+    assert value == pytest.approx(expected, rel=2e-9)
+
+
 # --- global decoherence-function properties ---------------------------------------
 
 @pytest.mark.parametrize("model", [
