@@ -247,9 +247,18 @@ class PowerLawExpCutoff:
     def density(self, w):
         # in x = w/wc, which neither over- nor underflows where J does not, and
         # in place, as each temporary on a long quadrature's nodes is a fresh
-        # allocation (asarray: a 0-d w gives a scalar quotient)
+        # allocation (asarray: a 0-d w gives a scalar quotient). Past s = 1,
+        # x^s overflows where J does not (from x ~ 113 at s = 150), so J is
+        # taken as (x e^(-x/s))^s there
+        s = self.s
         x = np.asarray(w / self.omega_c)
-        j = x ** self.s
+        if s > 1.0:
+            j = np.exp(x / -s)
+            j *= x
+            j **= s
+            j *= self.alpha * self.omega_c
+            return j
+        j = x ** s
         j *= self.alpha * self.omega_c
         j *= np.exp(np.negative(x, out=x), out=x)
         return j
@@ -342,33 +351,48 @@ class PowerLawExpCutoff:
         at least half its bound, so the integrand of gamma is at least
         11/(24 e) > 0.15 of the bounding envelope.
 
-        ``tail(W)`` bounds the integral above W, falling as W grows from
-        ``tail_start``; none of it is known in closed form, so
-        ``tail(W, value=True)`` is ``(0.0, bound)``.
+        ``tail(W)`` bounds the integral above W. For w >= W the weight is at
+        most b = a0 + a1/W, and the kernel (1 - cos wt)/(2 w^2) at most
+        min(1/w^2, t^2/4) (|sin wt|/(2w) at most min(1/(2w), t/2) for the
+        derivative), so each branch is alpha wc^(1-s) b times
+        Int_W^inf w^q e^(-w/wc) dw = wc^(q+1) Gamma(q+1, x), x = W/wc, with
+        q = s - 2 or s (s - 1 or s). As Gamma(a, x) <= x^(a-1) e^(-x) /
+        (1 - (a-1)/x), and a - 1 = q <= s, a factor 2 covers every branch
+        once x >= 2s:
+
+            tail(W) = 2 alpha wc^d b x^(s-2+d) e^(-x) kappa,
+
+        d = 0, kappa = min(1, (Wt)^2/4) for gamma, and d = 1,
+        kappa = min(1, Wt/2, 1/(2 wc t)) for the derivative, whose last branch
+        is the second mean value theorem on J W/w, falling past x = s - 1.
+        Each branch goes as x^p e^(-x) times a falling factor with p <= s, so
+        from x = 2s, the start of the search, tail(W) falls as W grows. It is
+        taken in logarithms, where none of its factors overflows. None of the
+        tail is known in closed form, so ``tail(W, value=True)`` is
+        ``(0.0, bound)``.
         """
         s, wc = self.s, self.omega_c
         a0, a1 = temp.weight_bound()
         # in logarithms, as c underflows where wc t is moderate and t tiny
         k = 1.0 if derivative else 2.0
-        log_scale = math.log(self.alpha) + (1.0 - s) * math.log(wc) + k * (math.log(t) - _LN2)
+        log_t = math.log(t)
+        log_scale = math.log(self.alpha) + (1.0 - s) * math.log(wc) + k * (log_t - _LN2)
         head = tuple((log_scale + math.log(a / q), p)
                      for a, q, p in ((a0, s + 1.0, s + 1.0), (a1, s, s)) if a)
 
-        # exponential-tail envelope: integrand <= alpha*wc^(1-s)*w^(s-2)*W*2*e^(-w/wc),
-        # with one power of w more for the derivative kernel sin(wt)/w; as the
-        # kernels are also at most t^2/2 and t, it shrinks by (W t)^2/4 and
-        # W t/2 where those are smaller, and for the derivative, whose factor
-        # J W / w decreases past W, by 1/(2 wc t) (second mean value theorem)
+        log_front = _LN2 + math.log(self.alpha) + (math.log(wc) if derivative else 0.0)
+        power = s - 1.0 if derivative else s - 2.0
+        log_slow = -(_LN2 + math.log(wc) + log_t)  # log 1/(2 wc t)
+
         def tail(om, value=False):
-            kern = (min(1.0, 0.5 * om * t, 0.5 / (wc * t)) if derivative
-                    else min(1.0, 0.25 * (om * t) ** 2))
-            bound = (2.0 * self.alpha * (wc if derivative else 1.0)
-                     * (om / wc) ** (s - 1.0 if derivative else s - 2.0)
-                     * math.exp(-om / wc) * max(1.0, float(temp.weight(om))) * kern)
+            x = om / wc
+            log_wt = math.log(om) + log_t - _LN2  # log Wt/2
+            log_kern = min(0.0, log_wt, log_slow) if derivative else min(0.0, 2.0 * log_wt)
+            log_bound = log_front + power * math.log(x) - x + math.log(a0 + a1 / om) + log_kern
+            bound = math.exp(log_bound) if log_bound < _LOG_HUGE else math.inf
             return (0.0, bound) if value else bound
 
-        return (_integrand(self, temp, t, derivative), head,
-                wc * max(40.0, 40.0 / s, 10.0 + 5.0 * s), tail)
+        return _integrand(self, temp, t, derivative), head, 2.0 * s * wc, tail
 
     def root_window(self, temp, m):
         lo = _zeno_bound(self.c2(temp), m)
@@ -518,8 +542,8 @@ class Lorentzian:
                 known = half_j0 * (u_minus_atan / g) + h * sin / t + dh * cos / t / t
             return known, bound
 
-        # W starts at 20/t and only doubles, so the number of periods of
-        # cos(wt) below it stays bounded in gt
+        # the search starts W at 20/t, so the number of periods of cos(wt)
+        # below it stays bounded in gt
         return _integrand(self, temp, t, derivative), head, 20.0 / t, tail
 
     def root_window(self, temp, m):
@@ -821,14 +845,31 @@ def _integrand(spec, temp, t, derivative=False):
     return f
 
 
+# The steps of the search's bisection, each the square root of the last.
+_BISECTION_STEPS = (2.0 ** 0.5, 2.0 ** 0.25, 2.0 ** 0.125)
+
+
 def _tail_cutoff(bound, omega_max, goal):
-    """The cutoff ``omega_max`` doubled until ``bound`` (the tail error at a
-    cutoff, or any increasing function of it) is within ``goal``, or at most
-    200 times."""
+    """The least cutoff from ``omega_max`` on at which ``bound`` (the tail
+    error at a cutoff, falling as the cutoff grows) is within ``goal``, or one
+    at most 2^(1/8) times it: ``omega_max`` doubled until the bound meets the
+    goal, then the last doubling bisected three times in its logarithm. The
+    search stops where the bound is not finite, and after 200 doublings."""
+    below = None
     for _ in range(200):
-        if bound(omega_max) <= goal:
+        b = bound(omega_max)
+        if b <= goal or not b < math.inf:
             break
-        omega_max *= 2.0
+        below, omega_max = omega_max, 2.0 * omega_max
+    if below is None or not b <= goal:
+        return omega_max
+    # the least cutoff lies in (below, omega_max], whose ratio each step halves in log
+    for step in _BISECTION_STEPS:
+        mid = below * step
+        if bound(mid) <= goal:
+            omega_max = mid
+        else:
+            below = mid
     return omega_max
 
 
@@ -939,8 +980,9 @@ def _cut_and_integrate(bath, problem, t, w_star, goal, inner):
     return value + tail_val, err + tail_err + head_err
 
 
-# ln of the smallest normal float
+# ln of the smallest normal float and of the largest float
 _LOG_TINY = math.log(sys.float_info.min)
+_LOG_HUGE = math.log(sys.float_info.max)
 _LN2, _LN10 = math.log(2.0), math.log(10.0)
 
 

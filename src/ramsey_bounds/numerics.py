@@ -7,9 +7,10 @@ temperature) or omega^s (zero temperature) at the origin; in x these powers
 become x^(2s-1) and x^(2s+1), which are bounded for s >= 1/2 and smoother
 for every s, so callers never change variables themselves. The seeded
 panels are one panel [0, sqrt(lower cutoff)], a geometric ladder in x that
-starts at the caller's lower cutoff, and pieces of equal omega width above
-the ladder. The caller picks both cutoffs, so that the part below the lower
-one and the tail above the upper one are within its goal, and bounds both.
+starts at the caller's lower cutoff, its rungs 4 times apart, and pieces of
+equal omega width above the ladder. The caller picks both cutoffs, so that
+the part below the lower one and the tail above the upper one are within its
+goal, and bounds both.
 
 Each panel is integrated by the Gauss-Kronrod 16/33 rule: one integrand call
 per pass gives the 33-point Kronrod value and, from the same values, the
@@ -153,28 +154,41 @@ def _refined_panels(f, lo, hi):
 
 def _seed_panels(upper_cutoff, lower_edge, max_panel_width, max_panels):
     """Panel edges in x = sqrt(omega) on (0, upper_cutoff], both bounds in x:
-    the panel [0, lower_edge], a geometric ladder that doubles from
-    ``lower_edge`` while its rungs span at most ``max_panel_width`` of omega,
-    and above it pieces equal in omega, as few as keep each within
-    ``max_panel_width`` (up to the rounding of the square root)."""
-    # lower_edge * 2^j is exact, so these are the rungs that repeated doubling
-    # gives; with m 2^e the frexp of each bound, they lie below the cutoff
-    # for j < e_up - e_lo, and at j = e_up - e_lo where m_lo < m_up
+    the panel [0, lower_edge], a geometric ladder whose rungs stand 4 times
+    apart from ``lower_edge`` while each spans at most ``max_panel_width`` of
+    omega, and above it pieces equal in omega, as few as keep each within
+    ``max_panel_width`` (up to the rounding of the square root).
+
+    On a rung [r, 4 r] a power of x singular at the origin stays analytic
+    inside the Bernstein ellipse of radius 3, so |G16 - K33| is about
+    3^-32 ~ 5e-16 of its value there, below the rounding term."""
+    if not upper_cutoff * upper_cutoff / max_panel_width < math.inf:
+        # more pieces than a float counts, or omega past the largest float:
+        # count them in logarithms
+        digits = max(2.0 * math.log10(upper_cutoff) - math.log10(max_panel_width), 0.0)
+        raise ToleranceNotMet(f"seeding would need about 1e{digits:.0f} panels up to "
+                              f"omega = {upper_cutoff:.3g}^2 (max_panels={max_panels})")
+    # lower_edge * 2^k is exact, so the rungs at even k are those that
+    # repeated quadrupling gives; with m 2^e the frexp of each bound, they lie
+    # below the cutoff for k < e_up - e_lo, and at k = e_up - e_lo where
+    # m_lo < m_up
     m_lo, e_lo = math.frexp(lower_edge)
     m_up, e_up = math.frexp(upper_cutoff)
-    rungs = np.ldexp(lower_edge, np.arange(max(e_up - e_lo + (m_lo < m_up), 0)))
+    rungs = np.ldexp(lower_edge, np.arange(0, e_up - e_lo + (m_lo < m_up), 2))
     squares = rungs * rungs
     # the omega spans of [0, r_0], [r_0, r_1], ... grow, so the rungs within
-    # the width are a prefix
-    ladder = (np.count_nonzero(squares[1:] - squares[:-1] <= max_panel_width) + 1
+    # the width are a prefix; a Python int, as the count of pieces may pass a
+    # C long
+    ladder = (int(np.count_nonzero(squares[1:] - squares[:-1] <= max_panel_width)) + 1
               if rungs.size and lower_edge * lower_edge <= max_panel_width else 0)
     base = rungs[ladder - 1] if ladder else 0.0
     span = upper_cutoff * upper_cutoff - base * base
     pieces = max(math.ceil(span / max_panel_width), 1)
     total = ladder + pieces
     if total > max_panels:
+        count = total if total < 2 ** 53 else f"{total:.3g}"
         raise ToleranceNotMet(
-            f"seeding would need {total} panels (max_panels={max_panels})")
+            f"seeding would need {count} panels (max_panels={max_panels})")
     # piece i above the ladder starts at sqrt(base^2 + i * span / pieces)
     los = np.concatenate(([0.0], rungs[:ladder], np.sqrt(
         base * base + np.arange(1.0, pieces) * (span / pieces))))
@@ -187,7 +201,8 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
 
     The integral is taken in x = sqrt(omega) (see the module docstring): one
     panel on [0, sqrt(lower_cutoff)], then a geometric ladder of panels in x
-    up from there, then pieces equal in omega up to the cutoff.
+    up from there, each 4 times as wide as the last, then pieces equal in
+    omega up to the cutoff.
     ``max_panel_width`` caps the omega-width of the seeded panels (one
     oscillation period 2*pi/t for integrands containing cos(omega*t)). The
     caller chooses ``upper_cutoff`` so that the neglected tail is below

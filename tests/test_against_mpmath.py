@@ -23,6 +23,7 @@ from ramsey_bounds.dephasing import (
     HighTemperatureOhmic,
     Lorentzian,
     PowerLawExpCutoff,
+    ZeroTemperature,
     dgamma_dt,
     dgamma_quadrature,
     gamma_closed,
@@ -179,6 +180,62 @@ def test_sub_ohmic_finite_beta_quadrature_meets_contract(s):
         want = powerlaw_integral(1.0, s, 1.0, 1.0, lambda w: mpmath.coth(w / 2),
                                  derivative=kernel is dgamma_quadrature)
         assert abs(value - want) <= err <= 1e-9 * abs(value), kernel.__name__
+
+
+def powerlaw_tail(alpha, s, wc, t, cutoff, temp, derivative=False):
+    """The bath integral above ``cutoff`` and a bound on what the truncation
+    of the thermal sum leaves out: with coth(beta w/2) = 1 + 2 Sum_k
+    e^(-k beta w), each term is Int_W^inf w^q e^(-lam w) K(w) dw, in closed
+    form through Int_W^inf w^q e^(-z w) dw = z^(-q-1) Gamma(q + 1, z W)
+    at z = lam and lam - i t (Re z > 0)."""
+    with mpmath.workdps(20):
+        t, cutoff = mpmath.mpf(t), mpmath.mpf(cutoff)
+        front = alpha * mpmath.mpf(wc) ** (1 - s) / 2
+        q = s - (1 if derivative else 2)
+        terms, beta = [(1, 1 / mpmath.mpf(wc))], None
+        if isinstance(temp, HighTemperatureOhmic):
+            front, q = front * 2 / temp.beta, q - 1
+        elif isinstance(temp, FiniteBeta):
+            beta = temp.beta
+            # the sum past k <= n is within 2 e^(-(n+1) beta W)/(1 - e^(-beta W))
+            # of the weight, 1e-6 of it at most
+            n = math.ceil((14.0 + math.log(2.0 / -math.expm1(-beta * cutoff)))
+                          / (beta * cutoff))
+            terms += [(2, 1 / mpmath.mpf(wc) + k * beta) for k in range(1, n + 1)]
+
+        def part(z):
+            return z ** (-q - 1) * mpmath.gammainc(q + 1, z * cutoff)
+
+        value = 0
+        for c, lam in terms:
+            z = lam - 1j * t
+            value += c * (mpmath.im(part(z)) if derivative else part(lam) - mpmath.re(part(z)))
+        left = 0
+        if beta is not None:
+            # 1e-6 of the T = 0 term with |K| at most 1/w (2/w^2 for gamma)
+            left = 1e-6 * (1 if derivative else 2) * front * part(1 / mpmath.mpf(wc))
+        return float(front * value), float(left)
+
+
+@pytest.mark.parametrize("derivative", [False, True], ids=["gamma", "dgamma"])
+@pytest.mark.parametrize("s,temp", [(s, temp) for s in (0.05, 0.3, 1.0, 2.5, 6.0)
+                                    for temp in (ZeroTemperature(), FiniteBeta(1.0 / 1.7))]
+                         + [(1.0, HighTemperatureOhmic(0.1 / 1.7))])
+def test_power_law_tail_bound_holds_from_its_floor(s, temp, derivative):
+    # from its floor 2 s wc on, the tail bound the quadrature cuts against is
+    # at least the tail itself, in every branch of the kernel's bound: at
+    # wc t = 1e-2 the short-time branches (Wt)^2/4 and Wt/2 hold, at wc t = 30
+    # the long-time ones, and 1/(2 wc t) for the derivative
+    alpha, wc = 0.7, 1.7
+    bath = PowerLawExpCutoff(alpha, s, wc)
+    for wct in (0.01, 1.0, 30.0):
+        t = wct / wc
+        _, _, start, tail = bath.quad_problem(temp, t, derivative)
+        assert start == 2.0 * s * wc
+        for k in range(6):
+            cutoff = start * 2.0 ** k
+            want, left = powerlaw_tail(alpha, s, wc, t, cutoff, temp, derivative)
+            assert abs(want) + left <= tail(cutoff), (wct, k)
 
 
 @pytest.mark.parametrize("gt", [1e-12, 1e-9, 1e-6, 1e-3, 0.0999, 0.1, 2.0])

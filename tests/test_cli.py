@@ -405,13 +405,14 @@ def test_numerical_failure_exit_6(capsys):
 
 
 def test_missed_quadrature_contract_exit_6(capsys, monkeypatch):
-    # a tail cutoff that cannot move misses the contract at s = 4, t = 1
+    # a tail cutoff frozen at its start, 2 s wc = 8, misses the contract at
+    # s = 4, t = 1: gamma's relative tolerance, against a tail bound of 0.04
     monkeypatch.setattr(dephasing, "_tail_cutoff", lambda bound, omega_max, goal: omega_max)
     code, out, err = run(capsys, "gamma", "--model", "powerlaw", "--alpha", "1", "--s", "4",
                          "--omega-c", "1", "--t", "1", "--route", "quad")
     assert code == 6
     assert out == ""
-    assert err.startswith("error: tolerance 1e-14 not met")
+    assert err.startswith("error: tolerance 1.22876e-09 not met")
 
 
 def test_numerical_failure_shows_value_and_error(capsys, monkeypatch):
@@ -436,6 +437,26 @@ def test_head_below_the_floats_exit_2(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "s=0.01" in err and "below the smallest normal float" in err
+
+
+def test_steep_power_law_on_the_quad_route(capsys):
+    # s = 150: the tail bound and J are taken where neither overflows, so
+    # both columns meet their contract at wc t = 0.1 with no warning. At
+    # wc t = 1, gamma' is 1e-24 of its integrand's size, below the rounding
+    # of the panel sums: exit 6, with a finite estimate
+    argv = ["gamma", "--model", "powerlaw", "--alpha", "1", "--s", "150",
+            "--omega-c", "1", "--t", "0.1"]
+    _, closed, _ = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, *argv, "--route", "quad")
+        assert code == 0
+        for got, want in zip(out.split("\n")[1].split(","), closed.split("\n")[1].split(",")):
+            assert abs(float(got) - float(want)) <= 1e-9 * abs(float(want))
+        code, out, err = run(capsys, *argv[:-1], "1", "--route", "quad")
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error: tolerance ") and "nan" not in err
 
 
 def test_quad_route_on_generic_exit_2(capsys):

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -562,8 +563,8 @@ def test_quadrature_meets_contract_at_scan_start(kernel, s):
         assert value == pytest.approx(law, rel=1e-7)
 
 
-# (kernel, bath, t) where the tail bound at the first cutoff
-# wc max(40, 40/s, 10 + 5s) exceeds the tolerance abs_tol = 1e-14
+# (kernel, bath, t) where the tail bound at the first cutoff 2 s wc exceeds
+# the tolerance abs_tol = 1e-14
 FIRST_CUTOFF_MISSES = [
     (dgamma_quadrature, BathSpec(PowerLawExpCutoff(1.0, 4.0, 1.0)), 1.0),
     (gamma_quadrature, BathSpec(PowerLawExpCutoff(1e6, 1.0, 1.0), HighTemperatureOhmic(1e10)),
@@ -587,6 +588,62 @@ def test_missed_contract_raises(kernel, bath, t, monkeypatch):
     with pytest.raises(ToleranceNotMet) as info:
         kernel(bath, t)
     assert not _within_contract(info.value.value, info.value.error)
+
+
+def test_tail_cutoff_bisects_its_last_doubling():
+    # e^(-W) meets 1e-10 from W = ln(1e10) = 23.03 on: from a start of 1 the
+    # search returns a cutoff within 2^(1/8) of it, and a start that already
+    # meets the goal as it is
+    least = math.log(1e10)
+    assert least <= dephasing._tail_cutoff(lambda w: math.exp(-w), 1.0, 1e-10) <= (
+        2.0 ** 0.125 * least)
+    assert dephasing._tail_cutoff(lambda w: math.exp(-w), 30.0, 1e-10) == 30.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_tail_cutoff_stops_on_a_bound_that_is_not_finite(bad):
+    calls = []
+    assert dephasing._tail_cutoff(lambda w: calls.append(w) or bad, 3.0, 1.0) == 3.0
+    assert calls == [3.0]
+
+
+@pytest.mark.parametrize("kernel", [gamma_quadrature, dgamma_quadrature],
+                         ids=["gamma", "dgamma"])
+def test_quadrature_past_the_panel_budget_raises_typed_error(kernel):
+    # alpha wc = 1e310 overflows a float, the tail bound taken in logarithms
+    # does not, and its cutoff needs some 4e10 panels one period wide
+    bath = BathSpec(PowerLawExpCutoff(1e300, 1.0, 1e10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceNotMet, match=r"^seeding would need \d+ panels"):
+            kernel(bath, 1.0)
+
+
+@pytest.mark.parametrize("kernel", [gamma_quadrature, dgamma_quadrature],
+                         ids=["gamma", "dgamma"])
+def test_sub_ohmic_finite_beta_quadrature_at_long_times(kernel):
+    # s = 0.05, beta = wc = 1, t = 30: from the tail start of 800 wc this
+    # needed 4178 seeded panels; its tail bound meets the goal below 17 wc
+    bath = BathSpec(PowerLawExpCutoff(1.0, 0.05, 1.0), FiniteBeta(1.0))
+    value, err = kernel(bath, 30.0)
+    closed = (bath.spectral.dgamma if kernel is dgamma_quadrature
+              else bath.spectral.gamma)(bath.temperature, 30.0)
+    assert _within_contract(value, err)
+    assert _within_contract(value, abs(value - closed))
+
+
+def test_quadrature_of_a_steep_power_law():
+    # at s = 150, x^s overflows from x ~ 113 on, where J does not, and the
+    # tail bound's x^(s-2) at x = 760 before e^(-x) tamed it
+    bath = BathSpec(PowerLawExpCutoff(1.0, 150.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(spectral_density(bath.spectral, np.array([113.0, 760.0]))).all()
+        value, err = gamma_quadrature(bath, 1.0)
+    closed = bath.spectral.gamma(bath.temperature, 1.0)
+    assert closed == 1.2781619589364327e+258
+    assert _within_contract(value, err)
+    assert _within_contract(value, abs(value - closed))
 
 
 # (bath, quadrature / closed form) in every family and temperature mode with a

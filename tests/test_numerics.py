@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -170,8 +171,8 @@ def test_one_integrand_call_per_pass():
 
 
 def seed_panels_loop(upper_cutoff, lower_edge, max_panel_width, max_panels):
-    """The panel [0, lower_edge], then rungs doubled from ``lower_edge`` one
-    at a time while they stay below the cutoff and span at most
+    """The panel [0, lower_edge], then rungs quadrupled from ``lower_edge``
+    one at a time while they stay below the cutoff and span at most
     ``max_panel_width`` of omega = x^2, then the rest cut into the fewest
     pieces of equal omega width within it: the reference that
     numerics._seed_panels must match bit for bit."""
@@ -179,7 +180,7 @@ def seed_panels_loop(upper_cutoff, lower_edge, max_panel_width, max_panels):
     b = lower_edge
     while b < upper_cutoff and b * b - los[-1] * los[-1] <= max_panel_width:
         los.append(b)
-        b *= 2.0
+        b *= 4.0
     base = los[-1]
     span = upper_cutoff * upper_cutoff - base * base
     pieces = max(1, math.ceil(span / max_panel_width))
@@ -212,6 +213,20 @@ def test_seed_panels_match_loop_bit_for_bit():
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert 0 < raised < 150
+
+
+@pytest.mark.parametrize("args,count", [
+    ((1e200, 1e-20, 1.0, 4096), "about 1e400 panels up to omega = 1e+200^2"),
+    ((1e150, 1e-20, 1e-20, 4096), "about 1e320 panels up to omega = 1e+150^2"),
+    ((1e40, 1e-20, 1.0, 4096), "1e+80 panels"),
+])
+def test_seed_panels_past_the_floats_raise_typed_error(args, count):
+    # the squared cutoff, or the count of pieces, past the largest float, and
+    # a count past a C long: ToleranceNotMet naming it, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceNotMet, match=f"^seeding would need {re.escape(count)}"):
+            numerics._seed_panels(*args)
 
 
 @pytest.mark.parametrize("seed", range(4))
