@@ -73,6 +73,7 @@ from .errors import (
 )
 from .numerics import (
     INNER_NODE_FRACTION,
+    ROOT_X_TOL,
     QuadratureSettings,
     _check_fields,
     integrate_semi_infinite,
@@ -684,6 +685,10 @@ class BathSpec:
 class ClosedForm:
     """Evaluate gamma(t) from the model's closed-form expression."""
 
+    # the relative width within which a root of 2 m t gamma' = 1 is known:
+    # the closed forms are exact to rounding, so that of the root solver
+    root_rel_tol = ROOT_X_TOL
+
     def gamma(self, bath: BathSpec, t):
         return bath.spectral.gamma(bath.temperature, t)
 
@@ -696,6 +701,10 @@ class Quadrature:
     """Evaluate gamma(t) and dgamma/dt by adaptive quadrature of their bath
     integrals at the default tolerances, one time at a time
     (:func:`gamma_quadrature` and :func:`dgamma_quadrature`)."""
+
+    # gamma' is known to the default relative tolerance, and so is a root of
+    # 2 m t gamma' = 1 where the slope of ln(t gamma') in ln t is of order 1
+    root_rel_tol = QuadratureSettings().rel_tol
 
     def gamma(self, bath: BathSpec, t):
         return _each(lambda ti: gamma_quadrature(bath, ti)[0], t)
@@ -845,32 +854,62 @@ def _integrand(spec, temp, t, derivative=False):
     return f
 
 
-# The steps of the search's bisection, each the square root of the last.
-_BISECTION_STEPS = (2.0 ** 0.5, 2.0 ** 0.25, 2.0 ** 0.125)
+# The tail search's resolution, its largest step and its offset above the
+# secant's zero (see _tail_cutoff). Its first probe takes the largest step:
+# the power law starts at the floor of its bound, and at the contract's goals
+# its least cutoffs lie 2 to 5 doublings above it, so that probe brackets
+# most of them, and the secant then interpolates.
+_RESOLUTION = 2.0 ** 0.125
+_FIRST_PROBE = 16.0
+_ABOVE_SECANT = 2.0 ** 0.0625
 
 
 def _tail_cutoff(bound, omega_max, goal):
     """The least cutoff from ``omega_max`` on at which ``bound`` (the tail
     error at a cutoff, falling as the cutoff grows) is within ``goal``, or one
-    at most 2^(1/8) times it: ``omega_max`` doubled until the bound meets the
-    goal, then the last doubling bisected three times in its logarithm. The
-    search stops where the bound is not finite, and after 200 doublings."""
-    below = None
-    for _ in range(200):
-        b = bound(omega_max)
-        if b <= goal or not b < math.inf:
-            break
-        below, omega_max = omega_max, 2.0 * omega_max
-    if below is None or not b <= goal:
+    at most 2^(1/8) times it.
+
+    The search keeps the largest cutoff probed that misses the goal and the
+    least that meets it, and returns the latter once they lie within 2^(1/8).
+    Each probe is where the secant of log(bound/goal) against the cutoff,
+    through the last two probes, meets 0 (at most 16 times the largest miss):
+    2^(1/16) above that point, so that one more probe 2^(1/8) lower closes the
+    bracket, or at 2^(1/8) from an end of the bracket where the point lies
+    that close to it. It stops where the bound is not finite, and after 50
+    probes, by when a bound that never meets the goal has taken the cutoff
+    past 2^200 times its start."""
+    b = bound(omega_max)
+    if b <= goal or not b < math.inf:
         return omega_max
-    # the least cutoff lies in (below, omega_max], whose ratio each step halves in log
-    for step in _BISECTION_STEPS:
-        mid = below * step
-        if bound(mid) <= goal:
-            omega_max = mid
+    log_goal = math.log(goal)
+    lo, hi = omega_max, math.inf
+    w_last, v_last = omega_max, math.log(b) - log_goal
+    w = _FIRST_PROBE * omega_max
+    for _ in range(50):
+        b = bound(w)
+        if not b < math.inf:
+            return w
+        v = math.log(b) - log_goal if b > 0.0 else -math.inf
+        if v <= 0.0:
+            hi = w
         else:
-            below = mid
-    return omega_max
+            lo = w
+        if hi <= lo * _RESOLUTION or hi / _RESOLUTION <= lo:
+            return hi
+        # NaN where the secant is flat or the bound is 0; outside the bracket,
+        # its middle in log W; and never past _FIRST_PROBE times lo
+        zero = w - v * (w - w_last) / (v - v_last) if v != v_last else math.nan
+        if not lo < zero < hi:
+            zero = math.sqrt(lo) * math.sqrt(hi)
+        zero = min(zero, _FIRST_PROBE * lo)
+        w_last, v_last = w, v
+        if zero <= lo * _RESOLUTION:
+            w = lo * _RESOLUTION
+        elif zero * _RESOLUTION >= hi:
+            w = hi / _RESOLUTION
+        else:
+            w = zero * _ABOVE_SECANT
+    return min(hi, w)
 
 
 # The default settings, and the panels' half of them, built once.
@@ -974,8 +1013,8 @@ def _cut_and_integrate(bath, problem, t, w_star, goal, inner):
     tail_val, tail_err = tail(omega_max, value=True)
     log_min = _head_cutoff(head, 0.25 * goal, w_star, bath)
     head_err = math.fsum(math.exp(log_c + p * log_min) for log_c, p in head)
-    # seeded panels are at most one oscillation period of cos(w t) wide
-    value, err = integrate_semi_infinite(f, omega_max, inner, max_panel_width=2.0 * math.pi / t,
+    # seeded panels are at most two oscillation periods of cos(w t) wide
+    value, err = integrate_semi_infinite(f, omega_max, inner, max_panel_width=4.0 * math.pi / t,
                                          lower_cutoff=math.exp(log_min))
     return value + tail_val, err + tail_err + head_err
 

@@ -38,7 +38,7 @@ from .dephasing import (
     PowerLawExpCutoff,
 )
 from .errors import DegenerateSignal, DomainError, NoFiniteOptimum
-from .numerics import ROOT_X_TOL, solve_bracketed_root
+from .numerics import solve_bracketed_root
 
 __all__ = [
     "STRATEGIES",
@@ -294,8 +294,8 @@ def optimal_resolution(deph: DephasingModel, probe: ProbeSpec) -> Optimum:
         pass
     T = probe.total_time
     var_T = _variance(deph.gamma(T), math.pi / 2.0, probe, T)
-    if t_star is not None and t_star <= T * (1.0 + ROOT_X_TOL):
-        # a root the solver cannot tell from T is T
+    if t_star is not None and t_star <= T * (1.0 + deph.route.root_rel_tol):
+        # a root the route cannot tell from T is T
         t_star = min(t_star, T)
         var_star = _variance(deph.gamma(t_star), math.pi / 2.0, probe, t_star)
         if var_star <= var_T:

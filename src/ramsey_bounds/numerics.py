@@ -15,7 +15,15 @@ goal, and bounds both.
 Each panel is integrated by the Gauss-Kronrod 16/33 rule: one integrand call
 per pass gives the 33-point Kronrod value and, from the same values, the
 16-point Gauss value. A panel's error estimate is |G16 - K33| plus a rounding
-term ROUNDING_FACTOR * eps * Int |f| over the panel."""
+term ROUNDING_FACTOR * eps * Int |f| over the panel.
+
+An oscillating integrand caps the seeded width: the bath integrals pass two
+periods of cos(omega t), 4 pi / t. Over two periods of a cosine, G16 errs by
+at most 3.8e-16 of the panel's width (the worst over its phase), against
+1.1e-14 over three periods and 6.3e-11 over four. The worst seeded piece is
+the first one above x = 0, where cos(x^2 t) is a chirp in x: there
+|G16 - K33| is about 2.4e-11 of the piece's omega width, and the estimate
+reports it."""
 
 from __future__ import annotations
 
@@ -92,8 +100,6 @@ class PowerLawFit:
 # roots of the Stieltjes polynomial E_17. Both rules share every integrand
 # value; K33 is exact to degree 49 and G16 to degree 31, and every weight is
 # positive. Listed for x >= 0 from 0 up; the Gauss nodes are the odd places.
-# One panel per oscillation period is enough for this order, so callers pass
-# 2*pi/t as the widest seeded panel.
 _GK_X = (
     0.0, 0.09501250983763744018532, 0.1891685790180837263147,
     0.2816035507792589132305, 0.3714837808784162886840, 0.4580167776572273863424,
@@ -157,7 +163,11 @@ def _seed_panels(upper_cutoff, lower_edge, max_panel_width, max_panels):
     the panel [0, lower_edge], a geometric ladder whose rungs stand 4 times
     apart from ``lower_edge`` while each spans at most ``max_panel_width`` of
     omega, and above it pieces equal in omega, as few as keep each within
-    ``max_panel_width`` (up to the rounding of the square root).
+    ``max_panel_width`` (up to the rounding of the square root). Returns
+    ``(lo, hi)``, two views of one array of edges.
+
+    The ladder is built in Python floats, where each quadrupling is exact;
+    the pieces take one square root over the edge array.
 
     On a rung [r, 4 r] a power of x singular at the origin stays analytic
     inside the Bernstein ellipse of radius 3, so |G16 - K33| is about
@@ -168,31 +178,34 @@ def _seed_panels(upper_cutoff, lower_edge, max_panel_width, max_panels):
         digits = max(2.0 * math.log10(upper_cutoff) - math.log10(max_panel_width), 0.0)
         raise ToleranceNotMet(f"seeding would need about 1e{digits:.0f} panels up to "
                               f"omega = {upper_cutoff:.3g}^2 (max_panels={max_panels})")
-    # lower_edge * 2^k is exact, so the rungs at even k are those that
-    # repeated quadrupling gives; with m 2^e the frexp of each bound, they lie
-    # below the cutoff for k < e_up - e_lo, and at k = e_up - e_lo where
-    # m_lo < m_up
-    m_lo, e_lo = math.frexp(lower_edge)
-    m_up, e_up = math.frexp(upper_cutoff)
-    rungs = np.ldexp(lower_edge, np.arange(0, e_up - e_lo + (m_lo < m_up), 2))
-    squares = rungs * rungs
     # the omega spans of [0, r_0], [r_0, r_1], ... grow, so the rungs within
-    # the width are a prefix; a Python int, as the count of pieces may pass a
-    # C long
-    ladder = (int(np.count_nonzero(squares[1:] - squares[:-1] <= max_panel_width)) + 1
-              if rungs.size and lower_edge * lower_edge <= max_panel_width else 0)
-    base = rungs[ladder - 1] if ladder else 0.0
-    span = upper_cutoff * upper_cutoff - base * base
+    # the width are a prefix
+    rungs = []
+    rung, below = lower_edge, 0.0
+    while rung < upper_cutoff and rung * rung - below <= max_panel_width:
+        rungs.append(rung)
+        below = rung * rung
+        rung *= 4.0
+    ladder = len(rungs)
+    span = upper_cutoff * upper_cutoff - below
+    # a Python int, as the count of pieces may pass a C long
     pieces = max(math.ceil(span / max_panel_width), 1)
     total = ladder + pieces
     if total > max_panels:
         count = total if total < 2 ** 53 else f"{total:.3g}"
         raise ToleranceNotMet(
             f"seeding would need {count} panels (max_panels={max_panels})")
-    # piece i above the ladder starts at sqrt(base^2 + i * span / pieces)
-    los = np.concatenate(([0.0], rungs[:ladder], np.sqrt(
-        base * base + np.arange(1.0, pieces) * (span / pieces))))
-    return los, np.concatenate((los[1:], [upper_cutoff]))
+    # one array of edges: 0, the rungs, then piece i above the ladder's top r
+    # starting at sqrt(r^2 + i * span / pieces), then the cutoff
+    edges = np.empty(total + 1)
+    edges[0] = 0.0
+    edges[1:ladder + 1] = rungs
+    inner = edges[ladder + 1:total]
+    np.multiply(np.arange(1.0, pieces), span / pieces, out=inner)
+    inner += below
+    np.sqrt(inner, out=inner)
+    edges[total] = upper_cutoff
+    return edges[:-1], edges[1:]
 
 
 def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings(),
@@ -203,12 +216,13 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
     panel on [0, sqrt(lower_cutoff)], then a geometric ladder of panels in x
     up from there, each 4 times as wide as the last, then pieces equal in
     omega up to the cutoff.
-    ``max_panel_width`` caps the omega-width of the seeded panels (one
-    oscillation period 2*pi/t for integrands containing cos(omega*t)). The
-    caller chooses ``upper_cutoff`` so that the neglected tail is below
-    tolerance, and ``lower_cutoff`` (by default ``LOWER_CUTOFF_FRACTION``
-    times ``upper_cutoff``) so that the first panel's share is; an integrand
-    singular at the origin is only as good there as that choice.
+    ``max_panel_width`` caps the omega-width of the seeded panels (two
+    oscillation periods, 4*pi/t, for integrands containing cos(omega*t); see
+    the module docstring). The caller chooses ``upper_cutoff`` so that the
+    neglected tail is below tolerance, and ``lower_cutoff`` (by default
+    ``LOWER_CUTOFF_FRACTION`` times ``upper_cutoff``) so that the first
+    panel's share is; an integrand singular at the origin is only as good
+    there as that choice.
 
     Returns ``(value, error_estimate)``: the sum of the panels' K33 values and
     of their estimates (see the module docstring), with

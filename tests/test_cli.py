@@ -396,12 +396,42 @@ def test_finite_beta_s2_no_optimum_exit_3(capsys, route):
 
 
 def test_numerical_failure_exit_6(capsys):
-    # one panel per oscillation period up to the cutoff exceeds the budget
+    # panels two oscillation periods wide up to the cutoff exceed the budget
+    # (some 20000 of them at t = 10000)
     code, out, err = run(capsys, "gamma", "--model", "ohmic", "--alpha", "1",
-                         "--omega-c", "1", "--t", "1000", "--route", "quad")
+                         "--omega-c", "1", "--t", "10000", "--route", "quad")
     assert code == 6
     assert out == ""
     assert err.startswith("error: seeding would need ")
+
+
+def test_quad_route_ohmic_at_long_time(capsys):
+    # within the panel budget at t = 1000, and within the contract of half the
+    # closed route's row: the quadrature integral is half of it at T = 0
+    # (see Conventions in the README)
+    code, out, err = run(capsys, "gamma", "--model", "ohmic", "--alpha", "1",
+                         "--omega-c", "1", "--t", "1000", "--route", "quad")
+    assert code == 0 and err == ""
+    _, gamma, dgamma = (float(v) for v in out.strip().split("\n")[1].split(","))
+    for got, closed in ((gamma, 6.9077557789818869), (dgamma, 0.00099999900000099996)):
+        assert abs(got - 0.5 * closed) <= 1e-9 * 0.5 * closed
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-10, 1.0 + 1e-10])
+def test_quad_route_root_at_the_total_time_is_interior(capsys, monkeypatch, scale):
+    # the quadrature's gamma' = t / (4 (1 + t^2)) puts the GHZ root of
+    # 2 m t gamma' = 1 at t = 1 = T exactly; gamma' is known to rel_tol = 1e-9,
+    # so a root that far above T is T, and not a boundary optimum
+    quadrature = dephasing.dgamma_quadrature
+    monkeypatch.setattr(dephasing, "dgamma_quadrature", lambda bath, t: tuple(
+        scale * v for v in quadrature(bath, t)))
+    code, out, _ = run(capsys, "optimize", "--model", "ohmic", "--alpha", "1",
+                       "--omega-c", "1", "--n", "2", "--total-time", "1",
+                       "--strategy", "ghz", "--route", "quad")
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+    assert abs(float(row["t_opt"]) - 1.0) <= 1e-9
+    assert row["finite"] == "true" and row["boundary_limited"] == "false"
 
 
 def test_missed_quadrature_contract_exit_6(capsys, monkeypatch):

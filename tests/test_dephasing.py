@@ -526,8 +526,8 @@ def _bench_reference():
 
 def test_finite_beta_sub_ohmic_long_time_meets_contract():
     # a seeding cap uniform in x = sqrt(w), one period wide only at the top of
-    # the range, would need more than MAX_PANELS panels here; panels one
-    # period wide in w fit the budget
+    # the range, would need more than MAX_PANELS panels here; panels two
+    # periods wide in w fit the budget
     bath = BathSpec(PowerLawExpCutoff(1.0, 0.3, 1.0), FiniteBeta(1.0))
     want_gamma, want_dgamma = _bench_reference().powerlaw_beta(1.0, 0.3, 1.0, 1.0, 100.0)
     value, err = gamma_quadrature(bath, 100.0)
@@ -590,7 +590,7 @@ def test_missed_contract_raises(kernel, bath, t, monkeypatch):
     assert not _within_contract(info.value.value, info.value.error)
 
 
-def test_tail_cutoff_bisects_its_last_doubling():
+def test_tail_cutoff_lands_within_its_resolution():
     # e^(-W) meets 1e-10 from W = ln(1e10) = 23.03 on: from a start of 1 the
     # search returns a cutoff within 2^(1/8) of it, and a start that already
     # meets the goal as it is
@@ -598,6 +598,49 @@ def test_tail_cutoff_bisects_its_last_doubling():
     assert least <= dephasing._tail_cutoff(lambda w: math.exp(-w), 1.0, 1e-10) <= (
         2.0 ** 0.125 * least)
     assert dephasing._tail_cutoff(lambda w: math.exp(-w), 30.0, 1e-10) == 30.0
+
+
+_TAIL_CUTOFF_BATHS = (
+    [BathSpec(PowerLawExpCutoff(0.7, s, 1.7), temp) for s in (0.3, 1.0, 3.0)
+     for temp in (ZeroTemperature(), FiniteBeta(1.0 / 1.7))]
+    + [BathSpec(PowerLawExpCutoff(0.7, 1.0, 1.7), HighTemperatureOhmic(0.1 / 1.7)),
+       BathSpec(Lorentzian(1.0, 0.5))])
+
+
+def test_tail_cutoff_guarantee_on_the_quadratures(monkeypatch):
+    # every search the quadratures make returns a cutoff W whose bound meets
+    # the goal while the bound 2^(1/8) lower misses it (unless W is the
+    # start), that is within 2^(1/8) of the least cutoff from the start, in
+    # about 4 calls of the bound
+    searches = []
+    search = dephasing._tail_cutoff
+
+    def recorded(bound, start, goal):
+        calls = []
+        w = search(lambda v: calls.append(v) or bound(v), start, goal)
+        searches.append((bound, start, goal, w, len(calls)))
+        return w
+    monkeypatch.setattr(dephasing, "_tail_cutoff", recorded)
+    for bath in _TAIL_CUTOFF_BATHS:
+        fast = bath.spectral.omega_fast()
+        for kernel in (gamma_quadrature, dgamma_quadrature):
+            for t in (0.01, 1.0, 30.0):
+                assert _within_contract(*kernel(bath, t / fast))
+    assert len(searches) >= 2 * 3 * len(_TAIL_CUTOFF_BATHS)
+    for bound, start, goal, w, calls in searches:
+        assert bound(w) <= goal
+        assert w == start or bound(w / 2.0 ** 0.125) > goal
+        assert calls <= 8
+    assert sum(calls for *_, calls in searches) <= 4.5 * len(searches)
+
+
+def test_tail_cutoff_of_a_bound_that_never_meets_its_goal():
+    # a finite cutoff past 2^200 times the start, which seeding then refuses
+    # with a typed error
+    calls = []
+    w = dephasing._tail_cutoff(lambda v: calls.append(v) or 1.0, 3.0, 0.5)
+    assert 3.0 * 2.0 ** 200 <= w < math.inf
+    assert len(calls) == 51
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -611,7 +654,7 @@ def test_tail_cutoff_stops_on_a_bound_that_is_not_finite(bad):
                          ids=["gamma", "dgamma"])
 def test_quadrature_past_the_panel_budget_raises_typed_error(kernel):
     # alpha wc = 1e310 overflows a float, the tail bound taken in logarithms
-    # does not, and its cutoff needs some 4e10 panels one period wide
+    # does not, and its cutoff needs some 2e10 panels two periods wide
     bath = BathSpec(PowerLawExpCutoff(1e300, 1.0, 1e10))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -56,6 +56,23 @@ def test_fast_oscillation_resolved():
     assert value == pytest.approx(2500.0 / 2501.0, rel=1e-10)
 
 
+def test_fast_oscillation_two_periods_a_panel(monkeypatch):
+    # the same integral seeded two periods of cos 50w a panel, as the bath
+    # integrals are: met in the seeding pass, with no refinement round
+    passes = []
+    refined = numerics._refined_panels
+    monkeypatch.setattr(numerics, "_refined_panels",
+                        lambda f, lo, hi: passes.append(lo.size) or refined(f, lo, hi))
+
+    def f(w):
+        return np.exp(-w) * (1.0 - np.cos(50.0 * w))
+
+    value, err = integrate_semi_infinite(f, 45.0, max_panel_width=4.0 * math.pi / 50.0)
+    assert abs(value - 2500.0 / 2501.0) <= 1e-10
+    assert err <= 1e-9 * value
+    assert len(passes) == 1
+
+
 def test_linearity_of_results():
     f = lambda w: np.exp(-w) * w
     g = lambda w: np.exp(-1.3 * w) * np.cos(w) ** 2
