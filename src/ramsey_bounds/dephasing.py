@@ -752,19 +752,19 @@ class DephasingModel:
 
 # --- operations --------------------------------------------------------------
 
-def _times(t):
-    """t as a float array, rejecting NaN, inf and negative times."""
-    t_arr = np.asarray(t, dtype=float)
-    if not ((0.0 <= t_arr) & (t_arr < math.inf)).all():
-        raise DomainError("t must be finite and >= 0")
-    return t_arr
-
-
 def _on_times(f, arg, t):
-    """f(arg, t) at the checked time t: on a float, returning a float, where t
-    is a scalar, else on its array."""
-    t = _times(t)
-    return f(arg, t) if t.ndim else float(f(arg, float(t)))
+    """f(arg, t) at the checked time t (NaN, inf and negative times raise): on
+    a float, returning a float, where t is a scalar, else on its array. A
+    float is checked by one comparison, with no array made on the way."""
+    if not isinstance(t, float):
+        t = np.asarray(t, dtype=float)
+        if not ((0.0 <= t) & (t < math.inf)).all():
+            raise DomainError("t must be finite and >= 0")
+        if t.ndim:
+            return f(arg, t)
+    elif not 0.0 <= t < math.inf:
+        raise DomainError("t must be finite and >= 0")
+    return float(f(arg, float(t)))
 
 
 def _each(f, t):

@@ -202,17 +202,21 @@ def optimal_interrogation(deph: DephasingModel, m):
 
     ``m`` may also be a 1-D array of multipliers: the result is then an
     array of times, NaN where no finite optimum exists, each one the time
-    the scalar call for that multiplier returns.
+    the scalar call for that multiplier returns. A scalar ``m`` gives a
+    Python float. Each lane is solved on Python floats, and its root solve
+    starts from the walk's values of 2 m t gamma' - 1 at the bracket's ends;
+    an array is built only for the result of an array ``m``.
     """
     ms = np.asarray(m, dtype=float)
-    if ms.ndim > 1 or not ((1.0 <= ms) & (ms < math.inf)).all():
+    lanes = ms.reshape(-1).tolist()
+    if ms.ndim > 1 or not all(1.0 <= mi < math.inf for mi in lanes):
         raise DomainError("m must be finite and >= 1 (a scalar or a 1-D array)")
-    times = np.array([_solve_lane(deph, mi) for mi in ms.reshape(-1).tolist()])
+    times = [_solve_lane(deph, mi) for mi in lanes]
     if ms.ndim:
-        return times
+        return np.array(times, dtype=float)
     if math.isnan(times[0]):
         raise NoFiniteOptimum(_NO_OPTIMUM)
-    return float(times[0])
+    return times[0]
 
 
 def _solve_lane(deph: DephasingModel, m: float) -> float:
@@ -236,7 +240,7 @@ def _solve_lane(deph: DephasingModel, m: float) -> float:
         ts.append(t)
         hv.append(h(t))
         if hv[-1] >= 0.0:
-            return solve_bracketed_root(h, (ts[-2], t))
+            return solve_bracketed_root(h, (ts[-2], t), values=(hv[-2], hv[-1]))
     return _rescue_search(h, ts, hv)
 
 
@@ -266,9 +270,9 @@ def _rescue_search(h, ts, hv):
         m2 = hi - (hi - lo) / 3.0
         f1, f2 = float(h(m1)), float(h(m2))
         if f1 >= 0.0:
-            return solve_bracketed_root(h, (ts[0], m1))
+            return solve_bracketed_root(h, (ts[0], m1), values=(hv[0], f1))
         if f2 >= 0.0:
-            return solve_bracketed_root(h, (ts[0], m2))
+            return solve_bracketed_root(h, (ts[0], m2), values=(hv[0], f2))
         if f1 < f2:
             lo = m1
         else:
@@ -318,35 +322,34 @@ def ratio_r(deph: DephasingModel, n) -> RatioResult:
     ns = np.asarray(n)
     if ns.ndim > 1 or ns.dtype.kind not in "iu":
         raise DomainError("n must be an int or a 1-D array of ints")
-    if (ns < 1).any():
+    flat = ns.reshape(-1).tolist()
+    if any(k < 1 for k in flat):
         raise DomainError("n must be >= 1")
-    # lane 0 is m = 1, the product optimum; lane[j] is the lane of row j
-    flat = ns.reshape(-1)
-    ms = np.unique(np.append(flat, 1))
-    lane = np.searchsorted(ms, flat)
+    # the distinct multipliers, m = 1 (the product optimum) among them
+    ms = sorted(set(flat) | {1})
     times = optimal_interrogation(deph, ms).tolist()
     # optimal times are finite and > 0, so the route needs no check
     route, bath = deph.route, deph.bath
-    gammas = [math.nan if math.isnan(t) else float(route.gamma(bath, t)) for t in times]
-    t_u, g_u = times[0], gammas[0]
+    optima = {mi: (t, math.nan if math.isnan(t) else float(route.gamma(bath, t)))
+              for mi, t in zip(ms, times)}
+    t_u, g_u = optima[1]
     rows = []
-    for k, j in zip(flat.tolist(), lane.tolist()):
-        t_e = times[j]
+    for k in flat:
+        t_e, g_e = optima[k]
         if math.isnan(t_u) or math.isnan(t_e):
             rows.append((math.nan,) * 4)
             continue
         # Python floats, scalar gamma and math.exp, so that every row holds
         # the bits of this formula evaluated for its n alone: numpy's vector
         # exp and pow can differ from them in the last bit
-        factor = math.exp(2.0 * g_u - 2.0 * k * gammas[j])
+        factor = math.exp(2.0 * g_u - 2.0 * k * g_e)
         r_sq = k * (t_e / t_u) * factor
         rows.append((math.sqrt(r_sq), t_u, t_e, factor))
-    table = np.array(rows, dtype=float).reshape(ns.shape + (4,))
     if ns.ndim:
-        return RatioResult(*table.T)
-    if math.isnan(table[0]):
+        return RatioResult(*np.array(rows, dtype=float).reshape(ns.shape + (4,)).T)
+    if math.isnan(rows[0][0]):
         raise NoFiniteOptimum(_NO_OPTIMUM)
-    return RatioResult(*table.tolist())
+    return RatioResult(*rows[0])
 
 
 def ohmic_exact_ratio(alpha: float, n) -> float:

@@ -274,18 +274,24 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
         err = np.concatenate([err[keep], new_err])
 
 
-def solve_bracketed_root(g, bracket):
+def solve_bracketed_root(g, bracket, *, values=None):
     """Find a root of ``g`` inside ``bracket = (lo, hi)``.
 
     Secant steps are accepted only when they stay inside the current bracket
     and shrink the residual; otherwise the step falls back to bisection, so
     the iterate never leaves the bracket. Stops when |g| <= ROOT_F_TOL or the
     bracket width falls below ROOT_X_TOL relative to the root location.
+
+    ``values = (g(lo), g(hi))``, when the caller has them, saves the two
+    evaluations at the ends; they must be the values ``g`` returns there,
+    or the result is not the root of ``g``. The sign checks are the same.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise DomainError("bracket must satisfy lo < hi")
-    flo, fhi = float(g(lo)), float(g(hi))
+    if values is None:
+        values = g(lo), g(hi)
+    flo, fhi = float(values[0]), float(values[1])
     if flo == 0.0:
         return lo
     if fhi == 0.0:

@@ -241,6 +241,42 @@ def test_negative_time_rejected():
         gamma_closed(power_law(), -1.0)
 
 
+SCALAR_CALLS = {
+    "gamma_closed": gamma_closed,
+    "dgamma_dt": dgamma_dt,
+    "DephasingModel.gamma": lambda model, t: model.gamma(t),
+}
+SCALAR_MODELS = [*ALL_CLOSED_MODELS, power_law(0.7, 0.6, 1.0, FiniteBeta(2.0)),
+                 DephasingModel(BathSpec(Lorentzian(1.0, 0.5)), Quadrature())]
+
+
+@pytest.mark.parametrize("call", SCALAR_CALLS.values(), ids=SCALAR_CALLS.keys())
+@pytest.mark.parametrize("model", SCALAR_MODELS, ids=lambda m: repr(m)[:60])
+def test_float_time_contract(call, model):
+    # a Python float is checked by one comparison and handed to the route as
+    # it is: it must raise, and give the bits, that a 0-d array and a numpy
+    # scalar of the same time do
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(DomainError):
+            call(model, bad)
+    # gamma is 0 at t = 0, and so is gamma' but for alpha t^nu with nu <= 1
+    spec = model.bath.spectral
+    if not (call is dgamma_dt and isinstance(spec, GenericPowerLawDephasing)
+            and spec.nu <= 1.0):
+        assert call(model, 0.0) == 0.0
+    for t in (0.0, 0.3, 2.0, 40.0):
+        try:
+            want = call(model, np.array(t))
+        except DomainError:
+            for same in (t, np.float64(t)):
+                with pytest.raises(DomainError):
+                    call(model, same)
+            continue
+        for same in (t, np.float64(t)):
+            got = call(model, same)
+            assert type(got) is float and got.hex() == want.hex(), (t, type(same))
+
+
 # --- derivatives ----------------------------------------------------------------
 
 def test_ohmic_derivative_value():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -473,9 +474,9 @@ def test_sweep_solves_product_root_once(monkeypatch):
     brackets = []
     solve = metrology.solve_bracketed_root
 
-    def counted(g, bracket):
+    def counted(g, bracket, **kwargs):
         brackets.append(bracket)
-        return solve(g, bracket)
+        return solve(g, bracket, **kwargs)
 
     monkeypatch.setattr(metrology, "solve_bracketed_root", counted)
     # Ohmic alpha = 1: t_u = 1 and t_e = 1/sqrt(2n - 1) < 0.6 for n >= 2
@@ -483,6 +484,53 @@ def test_sweep_solves_product_root_once(monkeypatch):
     assert np.allclose(res.t_u, 1.0, rtol=1e-12, atol=0.0)
     assert len(brackets) == 51
     assert sum(lo <= 1.0 <= hi for lo, hi in brackets) == 1
+
+
+WALK_MODELS = {
+    "ohmic": ohmic(1.0, 1.3),
+    "s0.6": DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 0.6, 1.0))),
+    "ohmic-beta": DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0), FiniteBeta(2.0))),
+    "s0.6-beta": DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 0.6, 1.0), FiniteBeta(2.0))),
+    "high-T": SWEEP_MODELS["high-T"],
+    "lorentzian": SWEEP_MODELS["lorentzian"],
+    "nu0.6": generic(0.7, 0.6),
+    "nu1.5": generic(1.0, 1.5),
+}
+
+
+@pytest.mark.parametrize("deph", WALK_MODELS.values(), ids=WALK_MODELS.keys())
+def test_walk_bracket_ends_evaluated_once(deph, monkeypatch):
+    # the root solver starts from the walk's values of h at the bracket's
+    # ends. Later steps may still land on a time already seen: where the
+    # bracket has narrowed to an ulp or two, a bisection midpoint rounds
+    # onto one of its ends
+    lanes = []  # per lane: the times h saw, where the solver began, bracket
+    constraint, solve = metrology._constraint, metrology.solve_bracketed_root
+
+    def recorded_constraint(deph, m):
+        h, seen = constraint(deph, m), []
+        lanes.append([seen, None, None])
+
+        def recorded(t):
+            seen.append(t)
+            return h(t)
+        return recorded
+
+    def recorded_solve(g, bracket, **kwargs):
+        lanes[-1][1:] = len(lanes[-1][0]), bracket
+        return solve(g, bracket, **kwargs)
+
+    monkeypatch.setattr(metrology, "_constraint", recorded_constraint)
+    monkeypatch.setattr(metrology, "solve_bracketed_root", recorded_solve)
+    times = optimal_interrogation(deph, np.array([1.0, 2.0, 10.0, 100.0]))
+    assert np.isfinite(times).all() and len(lanes) == 4
+    for seen, start, (lo, hi) in lanes:
+        walk, solver = seen[:start], seen[start:]
+        assert walk[-2:] == [lo, hi]
+        assert walk.count(lo) == walk.count(hi) == 1
+        # its first step is inside; a 0 at an end (the generic power law's
+        # walk can land on its root) returns that end with no step at all
+        assert all(lo < t < hi for t in solver[:1])
 
 
 def test_sweep_runs_rescue_search_once(monkeypatch):
@@ -512,7 +560,19 @@ def test_sweep_argument_checks():
     assert times[1:].tolist() == [optimal_interrogation(ohmic(0.4), 2),
                                   optimal_interrogation(ohmic(0.4), 3)]
     empty = ratio_r(deph, np.arange(1, 1))
-    assert empty.r.shape == (0,)
+    assert all(field.shape == (0,) for field in dataclasses.astuple(empty))
+
+
+def test_scalar_calls_return_python_floats():
+    # a scalar multiplier or n gives Python floats, and an np.int64 n the
+    # bits of its row in the array call
+    deph = SWEEP_MODELS["sub-ohmic"]
+    assert type(optimal_interrogation(deph, 2)) is float
+    assert type(optimal_interrogation(deph, np.float64(2.0))) is float
+    one = dataclasses.astuple(ratio_r(deph, np.int64(5)))
+    assert all(type(field) is float for field in one)
+    table = dataclasses.astuple(ratio_r(deph, np.arange(1, 8)))
+    assert one == tuple(field[4] for field in table)
 
 
 def test_ohmic_exact_ratio_formula():

@@ -323,6 +323,44 @@ def test_no_sign_change_raises():
         solve_bracketed_root(lambda t: t * t + 1.0, (0.0, 1.0))
 
 
+ROOT_CASES = [
+    (lambda t: t * t - 2.0, (1.0, 2.0)),
+    (lambda t: 2.0 * t * (1.0 - math.exp(-0.1 * t)) - 0.2, (0.5, 2.0)),
+    (lambda t: math.tanh(1.7 * (t - 2.3)), (0.4, 4.1)),
+    (lambda t: 0.2 - 2.0 * t, (0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("g,bracket", ROOT_CASES)
+def test_known_end_values_save_two_calls(g, bracket):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return g(t)
+
+    plain = solve_bracketed_root(counted, bracket)
+    n_plain = len(calls)
+    calls.clear()
+    known = solve_bracketed_root(counted, bracket, values=(g(bracket[0]), g(bracket[1])))
+    assert known == plain
+    assert len(calls) == n_plain - 2
+    assert bracket[0] not in calls and bracket[1] not in calls
+
+
+def test_known_end_values_keep_the_sign_checks():
+    g = lambda t: t * t - 2.0
+    with pytest.raises(NoSignChange):
+        solve_bracketed_root(g, (1.0, 2.0), values=(1.0, 2.0))
+    with pytest.raises(NoSignChange):
+        solve_bracketed_root(g, (1.0, 2.0), values=(-1.0, -2.0))
+    # a zero at an end is that end, whatever g would give there
+    assert solve_bracketed_root(g, (1.0, 2.0), values=(0.0, 2.0)) == 1.0
+    assert solve_bracketed_root(g, (1.0, 2.0), values=(-1.0, 0.0)) == 2.0
+    with pytest.raises(DomainError):
+        solve_bracketed_root(g, (2.0, 1.0), values=(2.0, -1.0))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_root_stays_inside_bracket(seed):
     rng = np.random.default_rng(seed)
