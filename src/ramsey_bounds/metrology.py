@@ -164,6 +164,9 @@ def _variance(gam: float, theta: float, probe: ProbeSpec, t: float) -> float:
         raise DegenerateSignal(
             "p0 is 0 or 1 (gamma = 0 and phi t = 0 mod pi): no information")
     den = probe.n * m * probe.total_time * t * (1.0 - c2)
+    if den == math.inf:
+        # the product overflows where the quotient need not: divide by T last
+        return num / (probe.n * m * t * (1.0 - c2)) / probe.total_time
     return math.inf if den == 0.0 else num / den
 
 

@@ -321,7 +321,8 @@ def solve_bracketed_root(g, bracket, *, values=None):
             # then take the safeguarding bisection step
             absorb(x_new, f_new)
             x_new = 0.5 * (lo + hi)
-            f_new = float(g(x_new))
+            # a bracket an ulp or two wide can round its midpoint onto an end
+            f_new = flo if x_new == lo else fhi if x_new == hi else float(g(x_new))
         if f_new == 0.0:
             return x_new
         absorb(x_new, f_new)

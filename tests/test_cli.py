@@ -155,6 +155,15 @@ def test_optimize_boundary_exit_code(capsys):
     assert float(row["t_opt"]) == 1.0
 
 
+def test_optimize_at_a_huge_total_time(capsys):
+    # n T t = 1e400 overflows; dw^2 = e^(2 gamma(T))/T^2 = (1 + 1e400)^0.4/1e400
+    code, out, _ = run(capsys, "optimize", "--model", "ohmic", "--alpha", "0.4",
+                       "--omega-c", "1", "--n", "1", "--total-time", "1e200",
+                       "--strategy", "product")
+    assert code == 3
+    assert out.splitlines()[1] == "9.9999999999999997e+199,1.0000000000000634e-240,false,true"
+
+
 def test_ratio_markovian_rows(capsys):
     code, out, _ = run(capsys, "ratio", "--model", "powerlaw-dephasing",
                        "--alpha", "1", "--nu", "1", "--n-grid", "1:50:6:log")

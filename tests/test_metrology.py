@@ -113,6 +113,19 @@ def test_variance_reductions():
         assert a == pytest.approx(b, rel=1e-14)
 
 
+def test_variance_where_n_m_T_t_overflows():
+    # e^(2 gamma)/(n m T t) at the product and GHZ operating points, with
+    # n m T t past the largest float; taken in logarithms
+    deph = ohmic(0.4)
+    for n, strategy, t, T in [(1, "product", 1e200, 1e200), (3, "ghz", 1e50, 1e300),
+                              (16, "ghz", 10.0, 1e308)]:
+        probe = ProbeSpec(n, T, strategy)
+        m = probe.m
+        v = frequency_variance(math.pi / (2.0 * m * t), t, probe, deph)
+        want = math.exp(2.0 * m * deph.gamma(t) - math.log(n * m * t) - math.log(T))
+        assert v == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_variance_domain_checks():
     deph = ohmic(1.0)
     with pytest.raises(DomainError):
@@ -501,9 +514,8 @@ WALK_MODELS = {
 @pytest.mark.parametrize("deph", WALK_MODELS.values(), ids=WALK_MODELS.keys())
 def test_walk_bracket_ends_evaluated_once(deph, monkeypatch):
     # the root solver starts from the walk's values of h at the bracket's
-    # ends. Later steps may still land on a time already seen: where the
-    # bracket has narrowed to an ulp or two, a bisection midpoint rounds
-    # onto one of its ends
+    # ends, and takes them again where a bisection midpoint of a bracket an
+    # ulp or two wide rounds onto an end: h sees no time twice
     lanes = []  # per lane: the times h saw, where the solver began, bracket
     constraint, solve = metrology._constraint, metrology.solve_bracketed_root
 
@@ -528,6 +540,7 @@ def test_walk_bracket_ends_evaluated_once(deph, monkeypatch):
         walk, solver = seen[:start], seen[start:]
         assert walk[-2:] == [lo, hi]
         assert walk.count(lo) == walk.count(hi) == 1
+        assert len(set(seen)) == len(seen)
         # its first step is inside; a 0 at an end (the generic power law's
         # walk can land on its root) returns that end with no step at all
         assert all(lo < t < hi for t in solver[:1])

@@ -247,3 +247,91 @@ def test_grids_are_numpys():
         assert np.array_equal(lin, want)
         np.minimum(np.maximum(lin, 1e-9, out=lin), math.pi - 1e-9, out=lin)
         assert np.array_equal(lin, np.clip(want, 1e-9, math.pi - 1e-9))
+
+
+# --- the coarse scan's row selection -------------------------------------------
+
+def _same_as_allocating_with_rows(deph, probe, **kwargs):
+    """``_same_as_allocating``, and the rows of every coarse scan."""
+    kept = []
+    surface = oracle._surface
+
+    def recorded(decay, a, c2):
+        if c2 is oracle._COS2:
+            kept.append(len(a))
+        return surface(decay, a, c2)
+
+    oracle._surface = recorded
+    try:
+        return _same_as_allocating(deph, probe, **kwargs), kept
+    finally:
+        oracle._surface = surface
+
+
+def test_pruned_scan_is_bit_for_bit_on_a_twelve_decade_window():
+    deph = DephasingModel(BathSpec(PowerLawExpCutoff(3.0, 1.0, 1.0)))
+    got, kept = _same_as_allocating_with_rows(
+        deph, ProbeSpec(3, 1e7, "ghz"), t_min=1e-6, t_max=1e6, with_theta=True)
+    assert "(Optimum(" in got and kept == [1]  # of 601 rows
+
+
+def test_pruned_scan_is_bit_for_bit_where_decay_underflows():
+    # rows at long times have a = 0 (entries inf), and three rows a
+    # subnormal a
+    strong = DephasingModel(BathSpec(PowerLawExpCutoff(50.0, 1.0, 1.0)))
+    probe = ProbeSpec(4, 1e4, "ghz")
+    ts = oracle._geom(1e-4, 1e4, np.arange(401.0))
+    _, a = oracle._decay_and_a(strong, probe, ts)
+    assert (a == 0.0).sum() > 100 and ((a > 0.0) & (a < 1e-300)).sum() == 3
+    got, kept = _same_as_allocating_with_rows(strong, probe, with_theta=True)
+    assert "(Optimum(" in got and kept == [1]
+
+
+def test_pruned_scan_is_bit_for_bit_where_every_a_is_subnormal():
+    # t in [5e-158, 1e-153] and T = 1e-153: a < 3e-307 in every row, where
+    # a (1 - cos^2) can be subnormal, so every entry is only known to be
+    # above 3e-4/1e-300; the least of them is far above that, so all 216
+    # rows are scanned
+    deph = DephasingModel(BathSpec(GenericPowerLawDephasing(1e153, 1.0)))
+    got, kept = _same_as_allocating_with_rows(
+        deph, ProbeSpec(2, 1e-153, "product"), with_theta=True)
+    assert "(Optimum(" in got and kept == [216]
+
+
+def _row_selection_cases():
+    # d = 1 rows whose entries round an ulp below 1/a, one with a an ulp
+    # larger: the first holds the minimum, which the 1e-9 margin keeps
+    yield np.array([1.0, 1.0]), np.array([3.4831077814613254, 3.483107781461326])
+    # decay and a drawn from ties, a = 0 (inf entries), subnormal a, d > 1
+    # (entries below 1/a, or negative) and NaN
+    rng = np.random.default_rng(23)
+    decays = [0.0, 0.3, 0.5, 1.0, 1.0 + 1e-12, 1.5, 1e300, math.nan]
+    a_values = [0.0, 5e-324, 1e-310, 1e-301, 1e-300, 1e-299, 1e-3, 0.5, 2.0,
+                3.0, 1e300, math.nan]
+    for k in range(3000):
+        rows = int(rng.integers(1, 9))
+        decay = np.array(rng.choice(decays, rows))
+        a = np.array(rng.choice(a_values, rows))
+        if k % 3 == 0:  # finite draws alone, so that some rows are skipped
+            decay, a = decay.clip(0.0, 1.0), np.abs(a).clip(1e-3, 3.0)
+            decay[np.isnan(decay)], a[np.isnan(a)] = 0.5, 2.0
+        yield decay, a
+
+
+def test_row_selection_picks_the_full_surfaces_first_minimum():
+    for decay, a in _row_selection_cases():
+        with np.errstate(invalid="ignore"):
+            want = oracle._argmin(oracle._surface(decay, a, oracle._COS2))
+            got = oracle._coarse_argmin(decay, a)
+        assert repr(got) == repr(want), (decay, a)
+
+
+def test_huge_total_time_overflowing_the_shot_count_raises():
+    # n^2 T t overflows above t = 702, where the decay has underflowed to 0,
+    # so the entries there would be inf * 0 = nan
+    deph = DephasingModel(BathSpec(PowerLawExpCutoff(50.0, 1.0, 1.0)))
+    probe = ProbeSpec(16, 1e303, "ghz")
+    with pytest.raises(DomainError, match="overflows a float"):
+        brute_force_optimum(deph, probe)
+    assert optimal_resolution(deph, probe).delta_omega_sq == pytest.approx(
+        2.575724413201287e-304, rel=1e-12, abs=0.0)
