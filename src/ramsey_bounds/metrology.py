@@ -26,6 +26,7 @@ n^(1/4) in the short-time (Zeno) regime where gamma ~ t^2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,13 +153,13 @@ def fisher_information(phi, t, gamma_t):
 
 def _variance(gam: float, theta: float, probe: ProbeSpec, t: float) -> float:
     """dw^2 = (e^(2 m gamma) - cos^2 theta) / (n m T t sin^2 theta) at the
-    fringe argument theta; inf where e^(2 m gamma) overflows."""
+    fringe argument theta; in logarithms where e^(2 m gamma) overflows."""
     m = probe.m
     c2 = math.cos(theta) ** 2
     try:
         growth = math.exp(2.0 * m * gam)
     except OverflowError:
-        return math.inf
+        return _overflowed_variance(2.0 * m * gam, 1.0 - c2, probe, t)
     num = growth - c2
     if num <= 0.0:
         raise DegenerateSignal(
@@ -168,6 +169,21 @@ def _variance(gam: float, theta: float, probe: ProbeSpec, t: float) -> float:
         # the product overflows where the quotient need not: divide by T last
         return num / (probe.n * m * t * (1.0 - c2)) / probe.total_time
     return math.inf if den == 0.0 else num / den
+
+
+def _overflowed_variance(log_growth, sin2, probe, t):
+    """dw^2 where e^(2 m gamma) = e^log_growth overflows, where the quotient
+    need not: there cos^2 theta is below 1e-308 of e^(2 m gamma), so ln dw^2 is
+    log_growth - ln(n m T t sin^2 theta) to rounding."""
+    if sin2 == 0.0:
+        return math.inf
+    log = math.log
+    log_var = (log_growth - log(probe.n) - log(probe.m) - log(probe.total_time) - log(t)
+               - log(sin2))
+    try:
+        return math.exp(log_var)
+    except OverflowError:
+        return math.inf
 
 
 def frequency_variance(phi, t, probe: ProbeSpec, deph: DephasingModel):
@@ -205,21 +221,56 @@ def optimal_interrogation(deph: DephasingModel, m):
 
     ``m`` may also be a 1-D array of multipliers: the result is then an
     array of times, NaN where no finite optimum exists, each one the time
-    the scalar call for that multiplier returns. A scalar ``m`` gives a
-    Python float. Each lane is solved on Python floats, and its root solve
-    starts from the walk's values of 2 m t gamma' - 1 at the bracket's ends;
-    an array is built only for the result of an array ``m``.
+    the scalar call for that multiplier returns. ``m`` is a real number or
+    an integer or floating array, finite and >= 1; :class:`DomainError` is
+    raised for a bool, a string or another non-numeric value or dtype.
+
+    A scalar ``m`` is read as a Python float and gives a Python float, with
+    no array built; a list of numbers is read the same way, and an array is
+    built only for its result. Each lane is solved on Python floats, on one
+    float function of t with the bath's gamma' bound once
+    (:func:`_constraint`), and its root solve starts from the walk's values
+    of 2 m t gamma' - 1 at the bracket's ends. Where the family's window
+    proves that no root exists (:meth:`PowerLawExpCutoff.root_window`),
+    the lane evaluates gamma' not once.
     """
-    ms = np.asarray(m, dtype=float)
-    lanes = ms.reshape(-1).tolist()
-    if ms.ndim > 1 or not all(1.0 <= mi < math.inf for mi in lanes):
-        raise DomainError("m must be finite and >= 1 (a scalar or a 1-D array)")
+    lanes, scalar = _multipliers(m)
     times = [_solve_lane(deph, mi) for mi in lanes]
-    if ms.ndim:
+    if not scalar:
         return np.array(times, dtype=float)
     if math.isnan(times[0]):
         raise NoFiniteOptimum(_NO_OPTIMUM)
     return times[0]
+
+
+_BAD_M = ("m must be a number or a 1-D integer or floating array (not bool), "
+          "finite and >= 1")
+
+
+def _is_real(x):
+    """x is a real number other than a bool: an int, a float, a numpy integer
+    or floating scalar, a Fraction."""
+    return type(x) in (int, float) or (isinstance(x, numbers.Real)
+                                       and not isinstance(x, bool))
+
+
+def _multipliers(m):
+    """``m`` as a list of Python floats, and whether it is a scalar. A number,
+    or a list or tuple of numbers, is read without an array."""
+    if _is_real(m):
+        lanes, scalar = [float(m)], True
+    elif isinstance(m, (list, tuple)):
+        if not all(map(_is_real, m)):
+            raise DomainError(_BAD_M)
+        lanes, scalar = [float(mi) for mi in m], False
+    else:
+        ms = np.asarray(m)
+        if ms.ndim > 1 or ms.dtype.kind not in "iuf":
+            raise DomainError(_BAD_M)
+        lanes, scalar = ms.astype(float).reshape(-1).tolist(), not ms.ndim
+    if not all(1.0 <= mi < math.inf for mi in lanes):
+        raise DomainError(_BAD_M)
+    return lanes, scalar
 
 
 def _solve_lane(deph: DephasingModel, m: float) -> float:
@@ -250,13 +301,15 @@ def _solve_lane(deph: DephasingModel, m: float) -> float:
 def _constraint(deph: DephasingModel, m: float):
     """h(t) = 2 m t gamma'(t) - 1 at a time t > 0 of the walk.
 
-    The route is called directly, on a float: every time the walk or the
-    root solver asks for is finite and > 0.
+    gamma' is the route's float function of t for the bath, bound once here
+    (``dgamma_function``), and called with no check: every time the walk or
+    the root solver asks for is finite and > 0. 2 m t is (2 m) t, so 2 m is
+    bound too.
     """
-    route, bath = deph.route, deph.bath
+    dgamma, two_m = deph.route.dgamma_function(deph.bath), 2.0 * m
 
     def h(t):
-        return 2.0 * m * t * float(route.dgamma(bath, t)) - 1.0
+        return two_m * t * dgamma(t) - 1.0
     return h
 
 
@@ -321,11 +374,19 @@ def ratio_r(deph: DephasingModel, n) -> RatioResult:
     1-D array of ints, t_u and every t_e are solved in one pass (t_u once)
     and the fields are arrays, NaN on the rows where either optimum is
     missing.
+
+    An int or numpy integer n is read as a Python int, with no array built
+    for it; either way the distinct multipliers, 1 among them, go to one
+    :func:`optimal_interrogation` call as a list.
     """
-    ns = np.asarray(n)
-    if ns.ndim > 1 or ns.dtype.kind not in "iu":
-        raise DomainError("n must be an int or a 1-D array of ints")
-    flat = ns.reshape(-1).tolist()
+    # an int past uint64 goes the array's way, which rejects it as an object
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n < 2 ** 64:
+        flat, shape = [int(n)], ()
+    else:
+        ns = np.asarray(n)
+        if ns.ndim > 1 or ns.dtype.kind not in "iu":
+            raise DomainError("n must be an int or a 1-D array of ints")
+        flat, shape = ns.reshape(-1).tolist(), ns.shape
     if any(k < 1 for k in flat):
         raise DomainError("n must be >= 1")
     # the distinct multipliers, m = 1 (the product optimum) among them
@@ -348,8 +409,8 @@ def ratio_r(deph: DephasingModel, n) -> RatioResult:
         factor = math.exp(2.0 * g_u - 2.0 * k * g_e)
         r_sq = k * (t_e / t_u) * factor
         rows.append((math.sqrt(r_sq), t_u, t_e, factor))
-    if ns.ndim:
-        return RatioResult(*np.array(rows, dtype=float).reshape(ns.shape + (4,)).T)
+    if shape:
+        return RatioResult(*np.array(rows, dtype=float).reshape(shape + (4,)).T)
     if math.isnan(rows[0][0]):
         raise NoFiniteOptimum(_NO_OPTIMUM)
     return RatioResult(*rows[0])

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import math
 import warnings
 
@@ -124,6 +125,32 @@ def test_variance_where_n_m_T_t_overflows():
         v = frequency_variance(math.pi / (2.0 * m * t), t, probe, deph)
         want = math.exp(2.0 * m * deph.gamma(t) - math.log(n * m * t) - math.log(T))
         assert v == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_variance_where_the_decay_factor_overflows():
+    # e^(2 m gamma) overflows where e^(2 m gamma)/(n m T t sin^2) need not:
+    # the quotient is taken in logarithms, and where it overflows too it is inf
+    deph = ohmic(0.4)
+    for n, strategy, t, T, theta in [(3, "ghz", 1e150, 1e300, math.pi / 2.0),
+                                     (2, "ghz", 1e300, 1e300, math.pi / 3.0),
+                                     (40, "ghz", 1e10, 1e12, 1.0),
+                                     (4, "ghz", 1e200, 1e300, 0.01)]:
+        probe = ProbeSpec(n, T, strategy)
+        m = probe.m
+        gam = deph.gamma(t)
+        with pytest.raises(OverflowError):
+            math.exp(2.0 * m * gam)
+        v = frequency_variance(theta / (m * t), t, probe, deph)
+        log_want = (2.0 * m * gam - math.log(n) - math.log(m) - math.log(T) - math.log(t)
+                    - 2.0 * math.log(math.sin(theta)))
+        assert 0.0 < v < math.inf
+        assert v == pytest.approx(math.exp(log_want), rel=1e-11, abs=0.0)
+    v = frequency_variance(math.pi / (2.0 * 3 * 1e150), 1e150, ProbeSpec(3, 1e300, "ghz"),
+                           DephasingModel(BathSpec(PowerLawExpCutoff(0.4, 1, 1))))
+    assert v == pytest.approx(1.11e-91, rel=1e-3)
+    # a quotient past the largest float is inf, as before
+    probe = ProbeSpec(7, 1e300, "ghz")
+    assert frequency_variance(math.pi / 14e300, 1e300, probe, deph) == math.inf
 
 
 def test_variance_domain_checks():
@@ -264,20 +291,166 @@ def test_static_bath_root_is_the_zeno_bound():
             assert optimal_interrogation(deph, m) == pytest.approx(lo, rel=1e-12)
 
 
+def count_lane_evaluations(monkeypatch):
+    """The times at which the lanes' float gamma' functions are evaluated."""
+    calls = []
+    bind = ClosedForm.dgamma_function
+
+    def counted_bind(self, bath):
+        dgamma = bind(self, bath)
+
+        def counted(t):
+            calls.append(t)
+            return dgamma(t)
+        return counted
+
+    monkeypatch.setattr(ClosedForm, "dgamma_function", counted_bind)
+    return calls
+
+
 def test_ohmic_below_threshold_walks_nothing(monkeypatch):
     # 2 m t gamma' rises to 2 m alpha <= 1: no root, proved without a walk
-    calls = []
-    closed = ClosedForm.dgamma
-
-    def counted(self, bath, t):
-        calls.append(t)
-        return closed(self, bath, t)
-
-    monkeypatch.setattr(ClosedForm, "dgamma", counted)
+    calls = count_lane_evaluations(monkeypatch)
+    assert optimal_interrogation(ohmic(1.0), 1) == pytest.approx(1.0, rel=1e-10)
+    assert calls
+    calls.clear()
     for alpha, m in ((0.4, 1), (0.5, 1), (0.25, 2), (1e-3, 500)):
         with pytest.raises(NoFiniteOptimum):
             optimal_interrogation(ohmic(alpha), m)
-    assert len(calls) <= 2
+    assert not calls
+
+
+def test_super_ohmic_between_thresholds_walks_nothing(monkeypatch):
+    # at s = 3 the peak bound m alpha Gamma(s) B(s) proves no root where the
+    # older m alpha Gamma(s) <= 1 did not: the lane evaluates gamma' not once
+    calls = count_lane_evaluations(monkeypatch)
+    b3 = peak_bound(3.0)
+    for scale in (0.5 / b3, 0.999 / b3, (1.0 - 1e-9) / b3):
+        spec = PowerLawExpCutoff(scale / math.gamma(3.0), 3.0, 1.7)
+        assert scale > 1.0 and spec.root_window(ZeroTemperature(), 1) is None
+        with pytest.raises(NoFiniteOptimum):
+            optimal_interrogation(DephasingModel(BathSpec(spec)), 1)
+        assert np.isnan(optimal_interrogation(DephasingModel(BathSpec(spec)), [1.0, 1.0])).all()
+    assert not calls
+    # a coupling whose bound is above 1 still walks: the true peak is 1.6 %
+    # below the bound at s = 3, so the bath 1e-5 below its threshold walks
+    # and finds no root (the rescue search)
+    with pytest.raises(NoFiniteOptimum):
+        optimal_interrogation(s3_near_threshold(-1e-5), 1)
+    assert calls
+
+
+def test_peak_bound_proves_no_root():
+    # for s in (1, 6], wherever the T = 0 window is None, a dense scan of the
+    # closed-form 2 m t gamma' stays below 1
+    rng = np.random.default_rng(24)
+    x = np.geomspace(1e-4, 1e4, 40001)
+    nones = 0
+    for _ in range(200):
+        s = rng.uniform(1.0 + 1e-6, 6.0)
+        m = float(rng.choice([1, 2, 7, 100]))
+        wc = 10.0 ** rng.uniform(-1.0, 1.0)
+        # couplings around the threshold 1/(m Gamma(s) B(s))
+        alpha = 10.0 ** rng.uniform(-0.3, 0.3) / (m * math.gamma(s) * peak_bound(s))
+        spec = PowerLawExpCutoff(alpha, s, wc)
+        if spec.root_window(ZeroTemperature(), m) is not None:
+            continue
+        nones += 1
+        ts = x / wc
+        assert (2.0 * m * ts * spec.dgamma(ZeroTemperature(), ts) < 1.0).all(), (s, m, alpha)
+    assert 60 < nones < 140
+    # the bound is exact at s = 2: just above m alpha = 2 a window remains,
+    # and the walk finds its root; at m alpha = 2 it finds the tangent point
+    # x = 1, and just below it the window is None
+    for m in (1, 4):
+        for scale, x in ((1.0 + 1e-9, 0.99995), (1.0, 1.0)):
+            deph = DephasingModel(BathSpec(PowerLawExpCutoff(2.0 * scale / m, 2.0, 1.3)))
+            assert deph.bath.spectral.root_window(ZeroTemperature(), m) is not None
+            assert optimal_interrogation(deph, m) * 1.3 == pytest.approx(x, abs=1e-4)
+        spec = PowerLawExpCutoff(2.0 * (1.0 - 1e-9) / m, 2.0, 1.3)
+        assert spec.root_window(ZeroTemperature(), m) is None
+
+
+def unbound_dgamma(spec, temp, t):
+    """gamma'(t) on a float as the families wrote it before their constants
+    were bound: each term's a r, r wc and p worked out at the call."""
+    if isinstance(spec, Lorentzian):
+        if spec.g == 0.0:
+            return spec.a * t / 4.0
+        return float(spec.a / (4.0 * spec.g) * (-np.expm1(-spec.g * t)))
+    if isinstance(spec, GenericPowerLawDephasing):
+        return float(spec.alpha * spec.nu * np.asarray(t) ** (spec.nu - 1.0))
+
+    def kernel_dt(p, x):
+        if not p:
+            return math.atan(x)
+        if x <= 1.0:
+            sin_p_atan = math.sin(p * math.atan(x))
+        else:
+            k = math.floor(0.5 * p + 0.5)
+            sign = -1.0 if k % 2 else 1.0
+            sin_p_atan = math.sin(sign * math.pi * (0.5 * p - k)
+                                  - sign * p * math.atan2(1.0, x))
+        return sin_p_atan / p * math.hypot(1.0, x) ** -p
+
+    wc, terms = spec.omega_c, spec._terms(temp)
+    parts = [(a * r) * kernel_dt(p, r * wc * t) for a, p, r in terms]
+    return wc * (parts[0] if len(parts) == 1 else math.fsum(parts))
+
+
+LANE_BATHS = [BathSpec(PowerLawExpCutoff(1.3, s, 0.7), temp)
+              for s in (0.3, 0.5, 1.0, 1.0 + 1e-8, 2.2, 3.0, 5.5)
+              for temp in (ZeroTemperature(), FiniteBeta(0.4), FiniteBeta(9.0))]
+LANE_BATHS += [BathSpec(PowerLawExpCutoff(0.8, 1.0, 2.0), HighTemperatureOhmic(0.5)),
+               BathSpec(Lorentzian(1.7, 0.3)), BathSpec(Lorentzian(1.7, 0.0)),
+               *(BathSpec(GenericPowerLawDephasing(0.9, nu), temp)
+                 for nu in (0.6, 1.0, 1.5, 2.0, 2.7)
+                 for temp in (ZeroTemperature(), FiniteBeta(1.0)))]
+
+
+@pytest.mark.parametrize("bath", LANE_BATHS, ids=lambda bath: f"{bath.spectral}-{bath.temperature}")
+def test_lane_function_gives_the_bits_of_dgamma_dt(bath):
+    # the lane's float function, the float dgamma_dt and the unbound formula
+    # agree bit for bit on times across twelve decades, and give Python floats
+    lane = ClosedForm().dgamma_function(bath)
+    deph = DephasingModel(bath)
+    for t in (np.geomspace(1e-6, 1e6, 241) * (1.0 + 1e-3)).tolist() + [0.5, 1.0, 2.0]:
+        got = lane(t)
+        assert type(got) is float
+        assert got == unbound_dgamma(bath.spectral, bath.temperature, t), t
+        assert dgamma_dt(deph, t) == got
+        assert bath.spectral.dgamma(bath.temperature, np.float64(t)) == got
+
+
+def test_scalar_and_array_arguments_give_the_same_bits():
+    models = [deph for name, deph in SWEEP_MODELS.items() if "below" not in name]
+    for deph in (*models, s3_near_threshold(0.2)):
+        for k in (1, 2, 7, 64, 1000):
+            rows = {dataclasses.astuple(ratio_r(deph, n))
+                    for n in (k, np.int64(k), np.uint16(k), np.array(k))}
+            one = dataclasses.astuple(ratio_r(deph, np.array([k])))
+            assert rows == {tuple(field[0] for field in one)}
+            assert all(type(field) is float for field in rows.pop())
+            times = {optimal_interrogation(deph, m)
+                     for m in (k, float(k), np.int32(k), np.float64(k), np.float32(k))}
+            assert times == {optimal_interrogation(deph, np.array([k, 1.0]))[0]}
+            assert times == {optimal_interrogation(deph, [1, k])[1]}
+
+
+def test_multiplier_must_be_a_number():
+    deph = ohmic(1.0)
+    for m in (True, False, np.True_, "3", b"3", None, 2 + 0j, [True], np.array([True, False]),
+              np.array(["3"]), ["3"], [1, True], (2.0, None), np.array([2.0 + 0j]),
+              np.array([2], dtype=object), [[2.0]], {2.0}):
+        with pytest.raises(DomainError):
+            optimal_interrogation(deph, m)
+    for m in (3, 3.0, np.int8(3), np.uint64(3), np.float16(3.0), np.float32(3.0),
+              np.longdouble(3.0), fractions.Fraction(3)):
+        assert optimal_interrogation(deph, m) == optimal_interrogation(deph, 3)
+    for m in ([3, 3.0], (3, np.float32(3.0)), np.array([3, 3], dtype=np.uint8),
+              np.array([3.0, 3.0], dtype=np.float32)):
+        assert optimal_interrogation(deph, m).tolist() == [optimal_interrogation(deph, 3)] * 2
+    assert optimal_interrogation(deph, []).shape == (0,)
 
 
 def test_zeno_bound_beyond_float_range_is_no_optimum():
@@ -288,9 +461,15 @@ def test_zeno_bound_beyond_float_range_is_no_optimum():
     assert np.isnan(ratio_r(deph, np.arange(1, 4)).r).all()
 
 
+def peak_bound(s):
+    """B(s) = (s - 1)^((s-1)/2) / s^(s/2), the peak of x (1 + x^2)^(-s/2)."""
+    return (s - 1.0) ** (0.5 * (s - 1.0)) / s ** (0.5 * s)
+
+
 def test_super_ohmic_window_end():
-    # 2 m t gamma' <= m alpha Gamma(s) (1 + wc^2 t^2)^(-(s-1)/2): no root at
-    # all when m alpha Gamma(s) <= 1, and none above the window's end
+    # 2 m t gamma' <= m alpha Gamma(s) B(s): no root at all when that is <= 1;
+    # and 2 m t gamma' <= m alpha Gamma(s) (1 + wc^2 t^2)^(-(s-1)/2), so none
+    # above the window's end
     rng = np.random.default_rng(11)
     for _ in range(40):
         s, wc = rng.uniform(1.05, 5.0), 10.0 ** rng.uniform(-1.0, 1.0)
@@ -298,10 +477,12 @@ def test_super_ohmic_window_end():
         spec = PowerLawExpCutoff(scale / math.gamma(s), s, wc)
         deph = DephasingModel(BathSpec(spec))
         window = spec.root_window(ZeroTemperature(), 1)
-        if scale <= 1.0:
+        if scale * peak_bound(s) <= 1.0:
             assert window is None
             with pytest.raises(NoFiniteOptimum):
                 optimal_interrogation(deph, 1)
+            ts = np.geomspace(1e-6, 1e6, 20001) / wc
+            assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all()
             continue
         lo, hi = window
         ts = hi * np.geomspace(1.0, 1e6, 2000)
