@@ -33,23 +33,16 @@ from .errors import (
     ToleranceNotMet,
 )
 from .metrology import (
-    HighTempTimes,
     Optimum,
     ProbeSpec,
     RatioResult,
     fisher_information,
     frequency_variance,
-    high_temp_entangled_time,
-    lorentzian_newton_refined,
-    lorentzian_newton_time,
-    lorentzian_regime_ratio,
     ohmic_exact_ratio,
     optimal_interrogation,
     optimal_resolution,
-    power_law_scaling,
     ramsey_probability,
     ratio_r,
-    zeno_diagnostic,
 )
 from .numerics import (
     PowerLawFit,
@@ -72,12 +65,9 @@ __all__ = [
     "DegenerateSignal", "DomainError", "GridTooCoarse", "MaxIterations",
     "NoFiniteOptimum", "NoQuadraticRegime", "NoSignChange",
     "NoSpectralDensity", "RamseyBoundsError", "ToleranceNotMet",
-    "HighTempTimes", "Optimum", "ProbeSpec", "RatioResult",
-    "fisher_information", "frequency_variance", "high_temp_entangled_time",
-    "lorentzian_newton_refined", "lorentzian_newton_time",
-    "lorentzian_regime_ratio", "ohmic_exact_ratio", "optimal_interrogation",
-    "optimal_resolution", "power_law_scaling", "ramsey_probability", "ratio_r",
-    "zeno_diagnostic",
+    "Optimum", "ProbeSpec", "RatioResult",
+    "fisher_information", "frequency_variance", "ohmic_exact_ratio",
+    "optimal_interrogation", "optimal_resolution", "ramsey_probability", "ratio_r",
     "PowerLawFit", "QuadratureSettings", "fit_power_law",
     "integrate_semi_infinite", "solve_bracketed_root",
     "brute_force_optimum", "reference_gamma",

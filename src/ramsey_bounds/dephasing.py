@@ -197,11 +197,9 @@ def _kernel(p, x, m=_FLOATS):
     return (f + x * ((m.sin(p * th) / p if p else th) * m.hypot(1.0, x) ** -p)) / (1.0 - p)
 
 
-def _kernel_dt(p, x, m=_FLOATS):
-    """D_p(x), the kernel's t-derivative over Gamma(p + 1) Om^p: on a float
-    by :func:`_bound_kernel_dt`, on an array (``m = _ARRAYS``) by numpy."""
-    if m is _FLOATS:
-        return _bound_kernel_dt(p)(x)
+def _kernel_dt(p, x):
+    """D_p(x), the kernel's t-derivative over Gamma(p + 1) Om^p, on an array;
+    on a float it is :func:`_bound_kernel_dt`'s."""
     if not p:
         return np.arctan(x)
     return _sin_p_atan_array(p, x) / p * np.hypot(1.0, x) ** -p
@@ -287,11 +285,21 @@ class PowerLawExpCutoff:
 
     def gamma(self, temp, t):
         # + 0.0 turns the -0.0 of a kernel at t = 0 into 0.0 and moves no other bit
-        return self._sum(temp, t, _kernel, False) + 0.0
+        terms, wc = self._terms(temp), self.omega_c
+        if isinstance(t, np.ndarray) and t.ndim:
+            return functools.reduce(np.add, (a * _kernel(p, r * wc * t, _ARRAYS)
+                                             for a, p, r in terms)) + 0.0
+        if len(terms) == 1:
+            (a, p, r), = terms
+            return a * _kernel(p, r * wc * t) + 0.0
+        # exactly rounded
+        return math.fsum(a * _kernel(p, r * wc * t) for a, p, r in terms) + 0.0
 
     def dgamma(self, temp, t):
         if isinstance(t, np.ndarray) and t.ndim:
-            return self.omega_c * self._sum(temp, t, _kernel_dt, True)
+            wc = self.omega_c
+            return wc * functools.reduce(np.add, (a * r * _kernel_dt(p, r * wc * t)
+                                                  for a, p, r in self._terms(temp)))
         return self.dgamma_function(temp)(t)
 
     @functools.lru_cache(maxsize=32)
@@ -318,21 +326,6 @@ class PowerLawExpCutoff:
         if c2 < math.inf:
             return c2
         raise DomainError(f"the short-time coefficient c2 overflows a float for {self} at {temp}")
-
-    def _sum(self, temp, t, kernel, times_r):
-        """Sum a kernel(p, r wc t) over the terms (a, p, r) of ``temp``, with a
-        times r if ``times_r``: on a float by the ``math`` kernel, exactly
-        rounded, and on an array by the numpy one. The float ``dgamma`` is
-        :meth:`dgamma_function`'s instead."""
-        terms, wc = self._terms(temp), self.omega_c
-        if isinstance(t, np.ndarray) and t.ndim:
-            parts = [(a * r if times_r else a) * kernel(p, r * wc * t, _ARRAYS)
-                     for a, p, r in terms]
-            return sum(parts[1:], parts[0])
-        if len(terms) == 1:
-            (a, p, r), = terms
-            return (a * r if times_r else a) * kernel(p, r * wc * t)
-        return math.fsum((a * r if times_r else a) * kernel(p, r * wc * t) for a, p, r in terms)
 
     def _terms(self, temp):
         """``(a, p, r)`` with gamma(t) = Sum a K_p(r wc t) in temperature mode

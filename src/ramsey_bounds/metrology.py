@@ -31,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import (
-    BathSpec,
-    DephasingModel,
-    HighTemperatureOhmic,
-    Lorentzian,
-    PowerLawExpCutoff,
-)
+from .dephasing import DephasingModel
 from .errors import DegenerateSignal, DomainError, NoFiniteOptimum
 from .numerics import solve_bracketed_root
 
@@ -46,7 +40,6 @@ __all__ = [
     "ProbeSpec",
     "Optimum",
     "RatioResult",
-    "HighTempTimes",
     "ramsey_probability",
     "fisher_information",
     "frequency_variance",
@@ -54,12 +47,6 @@ __all__ = [
     "optimal_resolution",
     "ratio_r",
     "ohmic_exact_ratio",
-    "power_law_scaling",
-    "lorentzian_newton_time",
-    "lorentzian_newton_refined",
-    "lorentzian_regime_ratio",
-    "high_temp_entangled_time",
-    "zeno_diagnostic",
 ]
 
 STRATEGIES = ("product", "ghz")
@@ -112,24 +99,18 @@ class RatioResult:
     exponential_factor: float
 
 
-@dataclass(frozen=True)
-class HighTempTimes:
-    """Entangled-probe interrogation time in the high-temperature regime.
-
-    ``printed`` is the leading-order Zeno estimate sqrt(beta/(4 alpha n wc));
-    ``solved`` is the root of the full stationarity condition on the
-    high-temperature decoherence function, which approaches
-    sqrt(beta/(2 alpha n wc)) in the same regime. ``zeno_valid`` flags
-    wc * t_e < 0.1, outside of which neither estimate applies.
-    """
-
-    printed: float
-    solved: float
-    zeno_valid: bool
+def _check_fringe(phi, t, gamma_t):
+    """Raise DomainError unless phi, t and gamma_t (numbers or arrays) are
+    finite and gamma_t >= 0."""
+    g = np.asarray(gamma_t)
+    if not (np.isfinite(phi).all() and np.isfinite(t).all()
+            and ((0.0 <= g) & (g < math.inf)).all()):
+        raise DomainError("phi, t and gamma_t must be finite, and gamma_t >= 0")
 
 
 def ramsey_probability(phi, t, gamma_t):
     """Fringe probability p0 = (1 + cos(phi t) e^(-gamma))/2."""
+    _check_fringe(phi, t, gamma_t)
     return 0.5 * (1.0 + np.cos(np.asarray(phi) * t) * np.exp(-np.asarray(gamma_t)))
 
 
@@ -140,8 +121,7 @@ def fisher_information(phi, t, gamma_t):
     which reduces to t^2 e^(-2 gamma) at the operating points
     phi t = k pi/2, odd k.
     """
-    if not (math.isfinite(phi) and math.isfinite(t) and math.isfinite(gamma_t)):
-        raise DomainError("phi, t and gamma_t must be finite")
+    _check_fringe(phi, t, gamma_t)
     c = math.cos(phi * t)
     decay = math.exp(-2.0 * gamma_t)
     denom = 1.0 - c * c * decay
@@ -433,88 +413,3 @@ def ohmic_exact_ratio(alpha: float, n) -> float:
                 + 0.5 * (math.log(2.0 * a - 1.0) - math.log(2.0 * na - 1.0)))
     return math.sqrt(float(n)) * math.exp(0.5 * log_f_sq)
 
-
-def power_law_scaling(nu: float, n):
-    """Exact (r, t_u/t_e) for gamma = alpha t^nu: r = n^((nu-1)/(2 nu)),
-    t_u/t_e = n^(1/nu); independent of alpha."""
-    if not (0.0 < nu < math.inf and 1.0 <= n < math.inf):
-        raise DomainError("need finite nu > 0 and n >= 1")
-    n = float(n)
-    return n ** ((nu - 1.0) / (2.0 * nu)), n ** (1.0 / nu)
-
-
-def lorentzian_newton_time(a: float, g: float, n=1) -> float:
-    """Leading-order refined optimum for the Lorentzian bath in the gt << 1
-    regime: sqrt(2/(a n)) (1 + sqrt(g^2/(8 a n)))."""
-    if not (0.0 < a < math.inf and 0.0 <= g < math.inf and 1.0 <= n < math.inf):
-        raise DomainError("need finite a > 0, g >= 0 and n >= 1")
-    an = a * float(n)
-    return math.sqrt(2.0 / an) * (1.0 + math.sqrt(g * g / (8.0 * an)))
-
-
-def lorentzian_newton_refined(a: float, g: float, n=1) -> float:
-    """One exact Newton iteration on f(t) = a n t (1 - e^(-g t)) - 2 g from
-    the short-time seed t0 = sqrt(2/(a n))."""
-    if not (0.0 < a < math.inf and 0.0 <= g < math.inf and 1.0 <= n < math.inf):
-        raise DomainError("need finite a > 0, g >= 0 and n >= 1")
-    an = a * float(n)
-    t0 = math.sqrt(2.0 / an)
-    if g == 0.0:
-        return t0
-    em = math.exp(-g * t0)
-    f0 = an * t0 * (1.0 - em) - 2.0 * g
-    fp0 = an * (1.0 - em) + an * t0 * g * em
-    return t0 - f0 / fp0
-
-
-def lorentzian_regime_ratio(a: float, g: float, n: int) -> float:
-    """Numeric r for the Lorentzian bath via the full optimization pipeline.
-
-    Approaches n^(1/4) for 8 a n >> g^2 (Zeno regime) and 1 for
-    8 a n << g^2, where memory effects are negligible at the long optimal
-    interrogation times.
-    """
-    if g < 0.0:
-        raise DomainError("g must be >= 0")
-    deph = DephasingModel(BathSpec(Lorentzian(a, g)))
-    t_u = optimal_interrogation(deph, 1)
-    T = 100.0 * t_u
-    res_u = optimal_resolution(deph, ProbeSpec(n, T, "product"))
-    res_e = optimal_resolution(deph, ProbeSpec(n, T, "ghz"))
-    return math.sqrt(res_u.delta_omega_sq / res_e.delta_omega_sq)
-
-
-def high_temp_entangled_time(alpha: float, beta: float, omega_c: float,
-                             n: int) -> HighTempTimes:
-    """Both estimates of t_e for the Ohmic bath at high temperature.
-
-    The full stationarity condition is 2 n t (alpha/beta) arctan(wc t) = 1;
-    its short-time reduction gives sqrt(beta/(2 alpha n wc)) while the
-    leading-order literature estimate is sqrt(beta/(4 alpha n wc)). Both are
-    reported; scaling in (alpha n wc / beta)^(-1/2) is common to the two.
-    """
-    if not all(0.0 < v < math.inf for v in (alpha, beta, omega_c, n)) or n < 1:
-        raise DomainError("alpha, beta, omega_c must be finite and > 0, n >= 1")
-    printed = math.sqrt(beta / (4.0 * alpha * n * omega_c))
-    deph = DephasingModel(BathSpec(PowerLawExpCutoff(alpha, 1.0, omega_c),
-                                   HighTemperatureOhmic(beta)))
-    solved = optimal_interrogation(deph, n)
-    return HighTempTimes(printed=printed, solved=solved,
-                         zeno_valid=omega_c * solved < 0.1)
-
-
-def zeno_diagnostic(deph: DephasingModel, n: int, omega_fast=None) -> float:
-    """Dimensionless product r^2 * omega_fast * t_e.
-
-    In the Zeno regime this is O(1) for every bath (exactly
-    omega_fast/(2 sqrt(c2)) for a purely quadratic decoherence function);
-    pass ``omega_fast`` explicitly for models without a bath scale.
-    """
-    wf = deph.omega_fast() if omega_fast is None else float(omega_fast)
-    if wf is None:
-        raise DomainError(
-            "model has no bath frequency scale; pass omega_fast explicitly")
-    if not 0.0 < wf < math.inf:
-        raise DomainError("omega_fast must be finite and > 0")
-    res = ratio_r(deph, n)
-    return res.r ** 2 * wf * res.t_e

@@ -336,11 +336,14 @@ def solve_bracketed_root(g, bracket, *, values=None):
 
 
 def fit_power_law(xs, ys):
-    """Least-squares fit of ln(y) = p*ln(x) + c; returns the fitted exponent p."""
+    """Least-squares fit of ln(y) = p*ln(x) + c; returns a :class:`PowerLawFit`
+    with the exponent p, the log-prefactor c and the rms residual in ln(y)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.size < 3:
         raise DomainError("need at least 3 samples")
+    if ys.shape != xs.shape:
+        raise DomainError("ys must have the shape of xs")
     if not np.all(np.diff(xs) > 0.0):
         raise DomainError("xs must be strictly increasing")
     if not ((0.0 < xs) & (xs < math.inf) & (0.0 < ys) & (ys < math.inf)).all():

@@ -110,11 +110,16 @@ SINGULAR_P = [-0.5, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 17.0]
 def test_kernel_is_its_closed_form(p):
     # I_p(Om, t) = Gamma(p + 1) Om^(p-1) K_p(Om t) and its t-derivative
     # Gamma(p + 1) Om^p D_p(Om t), here at Om = 1: nothing cancels at the
-    # poles p = 0 and p = 1, nor where p arctan x nears a multiple of pi
-    for x in np.geomspace(1e-3, 1e3, 61).tolist():
+    # poles p = 0 and p = 1, nor where p arctan x nears a multiple of pi; on
+    # floats by the math kernels, on the array of the 61 times by the numpy ones
+    xs = np.geomspace(1e-3, 1e3, 61)
+    kernels = dephasing._kernel(p, xs, dephasing._ARRAYS), dephasing._kernel_dt(p, xs)
+    kernel_dt = dephasing._bound_kernel_dt(p)
+    for x, k, k_dt in zip(xs.tolist(), *kernels):
         want, want_dt = kernel_closed(p, x)
-        assert rel(math.gamma(p + 1.0) * dephasing._kernel(p, x), want) <= 1e-13, x
-        assert rel(math.gamma(p + 1.0) * dephasing._kernel_dt(p, x), want_dt) <= 1e-13, x
+        for got, ref in ((dephasing._kernel(p, x), want), (kernel_dt(x), want_dt),
+                         (k, want), (k_dt, want_dt)):
+            assert rel(math.gamma(p + 1.0) * float(got), ref) <= 1e-13, x
 
 
 @pytest.mark.parametrize("t", [0.05, 1.3, 12.0])

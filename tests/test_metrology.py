@@ -27,19 +27,18 @@ from ramsey_bounds.metrology import (
     ProbeSpec,
     fisher_information,
     frequency_variance,
-    high_temp_entangled_time,
-    lorentzian_newton_refined,
-    lorentzian_newton_time,
-    lorentzian_regime_ratio,
     ohmic_exact_ratio,
     optimal_interrogation,
     optimal_resolution,
-    power_law_scaling,
     ramsey_probability,
     ratio_r,
-    zeno_diagnostic,
 )
 from ramsey_bounds.numerics import QuadratureSettings
+from regime_formulas import (
+    lorentzian_newton_refined,
+    lorentzian_newton_time,
+    power_law_scaling,
+)
 
 
 def ohmic(alpha=1.0, omega_c=1.0):
@@ -195,12 +194,22 @@ def test_nonfinite_time_and_phase_rejected(fn, args):
     (power_law_scaling, (math.nan, 2)),
     (lorentzian_newton_time, (math.nan, 1.0)),
     (lorentzian_newton_refined, (1.0, math.inf)),
-    (zeno_diagnostic, (ohmic(), 4, math.nan)),
     (fisher_information, (math.nan, 1.0, 0.1)),
+    (fisher_information, (1.0, math.inf, 0.1)),
+    (fisher_information, (1.0, 1.0, math.nan)),
+    (fisher_information, (1.0, 1.0, -1.0)),
+    (fisher_information, (math.pi / 2.0, 1.0, -1.0)),
+    (ramsey_probability, (math.nan, 1.0, 0.0)),
+    (ramsey_probability, (1.0, math.nan, 0.0)),
+    (ramsey_probability, (1.0, 1.0, math.inf)),
+    (ramsey_probability, (1.0, 1.0, -1.0)),
+    (ramsey_probability, (np.array([1.0, math.nan]), 1.0, 0.0)),
     (QuadratureSettings, (math.nan,)),
 ], ids=["probe-n-nan", "probe-n-2.5", "probe-n-bool", "ohmic-alpha-nan", "ohmic-n-inf",
-        "scaling-nu-nan", "newton-a-nan", "refined-g-inf", "zeno-omega-nan",
-        "fisher-phi-nan", "quad-rel-tol-nan"])
+        "scaling-nu-nan", "newton-a-nan", "refined-g-inf", "fisher-phi-nan",
+        "fisher-t-inf", "fisher-gamma-nan", "fisher-gamma-neg", "fisher-gamma-neg-half-pi",
+        "probability-phi-nan", "probability-t-nan", "probability-gamma-inf",
+        "probability-gamma-neg", "probability-array-phi-nan", "quad-rel-tol-nan"])
 def test_nonfinite_parameter_or_count_rejected(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
@@ -851,26 +860,30 @@ def test_newton_refined_residual():
     assert t1 == pytest.approx(lorentzian_newton_time(2.0, 0.1), abs=2e-3)
 
 
+def lorentzian_r(a, g, n):
+    return ratio_r(DephasingModel(BathSpec(Lorentzian(a, g))), n).r
+
+
 def test_lorentzian_zeno_regime():
-    r = lorentzian_regime_ratio(1.0, 1e-3, 16)
+    r = lorentzian_r(1.0, 1e-3, 16)
     assert r == pytest.approx(16.0 ** 0.25, rel=0.02)
 
 
 def test_lorentzian_markov_regime():
-    r = lorentzian_regime_ratio(1e-6, 10.0, 4)
+    r = lorentzian_r(1e-6, 10.0, 4)
     assert r == pytest.approx(1.0, abs=1e-2)
 
 
 def test_lorentzian_trivial_n1():
-    assert lorentzian_regime_ratio(2.0, 0.5, 1) == pytest.approx(1.0, rel=1e-12)
+    assert lorentzian_r(2.0, 0.5, 1) == pytest.approx(1.0, rel=1e-12)
 
 
 # --- high temperature / Zeno diagnostics ----------------------------------------------
 
-def test_high_temp_times_printed_value():
-    res = high_temp_entangled_time(1.0, 1.0, 1.0, 1)
-    assert res.printed == pytest.approx(0.5, rel=1e-15)
-    assert not res.zeno_valid  # wc t_e ~ 0.77 here
+def high_temp_ohmic(omega_c=1.0):
+    # alpha = beta = 1
+    return DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 1.0, omega_c),
+                                   HighTemperatureOhmic(1.0)))
 
 
 def test_high_temp_solved_time_matches_bisection():
@@ -884,8 +897,8 @@ def test_high_temp_solved_time_matches_bisection():
             hi = mid
         else:
             lo = mid
-    got = high_temp_entangled_time(1.0, 1.0, 1.0, n)
-    assert got.solved == pytest.approx(0.5 * (lo + hi), rel=1e-10)
+    got = optimal_interrogation(high_temp_ohmic(), n)
+    assert got == pytest.approx(0.5 * (lo + hi), rel=1e-10)
 
 
 def test_ohmic_ratio_fit_over_large_n():
@@ -898,27 +911,33 @@ def test_ohmic_ratio_fit_over_large_n():
 
 
 def test_high_temp_scaling_in_n():
-    a = high_temp_entangled_time(1.0, 1.0, 1.0, 1_000_000)
-    b = high_temp_entangled_time(1.0, 1.0, 1.0, 4_000_000)
-    assert b.printed / a.printed == pytest.approx(0.5, rel=1e-12)
-    assert b.solved / a.solved == pytest.approx(0.5, rel=1e-6)
-    assert a.zeno_valid and b.zeno_valid
+    wc = 1.0
+    a = optimal_interrogation(high_temp_ohmic(omega_c=wc), 1_000_000)
+    b = optimal_interrogation(high_temp_ohmic(omega_c=wc), 4_000_000)
+    assert b / a == pytest.approx(0.5, rel=1e-6)
+    assert wc * a < 0.1 and wc * b < 0.1  # inside the Zeno window
     # the solver lands on the sqrt(beta/(2 alpha n wc)) branch
-    assert a.solved * math.sqrt(2e6) == pytest.approx(1.0, rel=1e-5)
+    assert a * math.sqrt(2e6) == pytest.approx(1.0, rel=1e-5)
+
+
+def zeno_diagnostic(deph, n, omega_fast):
+    """The dimensionless r^2 omega_fast t_e: O(1) in the Zeno regime, and
+    omega_fast / (2 sqrt(c2)) for gamma = c2 t^2."""
+    res = ratio_r(deph, n)
+    return res.r ** 2 * omega_fast * res.t_e
 
 
 def test_zeno_diagnostic_quadratic_model():
     for (c2, wf, n) in [(0.9, 3.0, 100), (0.25, 1.0, 4)]:
         deph = generic(c2, 2.0)
-        got = zeno_diagnostic(deph, n, omega_fast=wf)
+        got = zeno_diagnostic(deph, n, wf)
         assert got == pytest.approx(wf / (2.0 * math.sqrt(c2)), rel=1e-9)
 
 
 def test_zeno_diagnostic_ohmic_records_order_one_value():
-    got = zeno_diagnostic(ohmic(1.0), 10_000)
+    deph = ohmic(1.0)
+    got = zeno_diagnostic(deph, 10_000, deph.omega_fast())
     assert 0.5 < got < 0.8  # measured ~0.6066, not 1: convention-dependent
-    with pytest.raises(DomainError):
-        zeno_diagnostic(generic(1.0, 2.0), 4)
 
 
 # --- probe spec validation --------------------------------------------------------------

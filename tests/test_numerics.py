@@ -282,8 +282,11 @@ def test_bad_cutoff_rejected():
     lambda: integrate_semi_infinite(lambda w: np.exp(-w), 1.0, lower_cutoff=math.nan),
     lambda: integrate_semi_infinite(lambda w: np.exp(-w), 1.0, lower_cutoff=0.0),
     lambda: fit_power_law([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+    lambda: fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0]),
+    lambda: fit_power_law([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]]),
 ], ids=["reference-gamma-nan", "reference-gamma-inf", "cutoff-nan", "cutoff-inf",
-        "lower-cutoff-nan", "lower-cutoff-zero", "fit-nan"])
+        "lower-cutoff-nan", "lower-cutoff-zero", "fit-nan", "fit-short-ys",
+        "fit-2d-ys"])
 def test_nonfinite_inputs_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
