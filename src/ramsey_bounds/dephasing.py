@@ -23,22 +23,22 @@ new route for an existing one, touches one class. A family provides:
 
 * ``check_temperature(temp)``: reject temperature modes it does not support;
 * ``density(w)``: J(w) on an array of frequencies w >= 0;
-* ``gamma(temp, t)`` and ``dgamma(temp, t)``: the closed forms at a time
-  or on an array of times; every supported temperature mode has one;
-* ``dgamma_function(temp)``: ``dgamma`` on a float t as a function of t
-  alone, with the terms and constants of ``temp`` bound once; the float
-  ``dgamma`` is this function, and the optimizer evaluates it along a lane;
+* ``gamma(temp, t)`` and ``dgamma(temp, t)``: the closed forms, on an array
+  of times (gamma also at a time); every supported temperature mode has one;
+* ``dgamma_function(temp)``: gamma' on a float t as a function of t alone,
+  with the terms and constants of ``temp`` bound once, which a model binds
+  once (:attr:`DephasingModel.dgamma_at`);
 * ``c2(temp)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
 * ``quad_problem(temp, t, derivative)``: the bath integral at time t, or
   with ``derivative`` that of its t-derivative, (1/2) J(w) W(w) sin(w t) / w,
-  as ``(integrand, head, tail_start, tail)``: the integrand in w, the terms
-  ``(log c, p)`` of a bound Sum c E^p on its integral below any E (see
-  :meth:`PowerLawExpCutoff.quad_problem`), the least upper cutoff W to try,
-  and ``tail(W)``, a bound on the part above W not known in closed form,
-  which ``tail(W, value=True)`` returns with that part. The quadrature
+  as ``(integrand, head, tail_start, tail, w_star)``: the integrand in w, the
+  terms ``(log c, p)`` of a bound Sum c E^p on its integral below any E, the
+  least upper cutoff W to try, ``tail(W)``, a bound on the part above W not
+  known in closed form, which ``tail(W, value=True)`` returns with that part,
+  and w*, the largest head cutoff (see :meth:`PowerLawExpCutoff.quad_problem`).
+  The quadrature
   (:func:`_bath_quadrature`) makes both cuts; the change of variable and the
   panel layout belong to :func:`~ramsey_bounds.numerics.integrate_semi_infinite`;
-* ``omega_fast()``: the fastest bath frequency, or None;
 * ``time_scale()``: the characteristic time, which seeds the oracle's grid;
 * ``root_window(temp, m)``: a window ``(lo, hi)`` of times that holds every
   root of 2 m t gamma'(t) = 1 (``hi`` may be inf), or None where the
@@ -46,9 +46,9 @@ new route for an existing one, touches one class. A family provides:
   ``lo`` is 1/(2 sqrt(m c2)); the optimizer walks up from it.
 
 Temperature tags supply the thermal weight W(w) through ``weight(w)``. An
-evaluation route (closed form or quadrature) supplies ``gamma(bath, t)`` and
-``dgamma(bath, t)`` on a time or an array of times, checked by the caller,
-and ``dgamma_function(bath)``, the float gamma' of the bath as a function of t.
+evaluation route (closed form or quadrature) supplies ``gamma(bath, t)`` on a
+time or an array of times, ``dgamma(bath, t)`` on an array, both checked by
+the caller, and ``dgamma_function(bath)``, the float gamma' as a function of t.
 
 Convention note: the Ohmic (s = 1) closed form at T = 0,
 gamma(t) = (alpha/2) ln(1 + wc^2 t^2), is exactly twice the integral above,
@@ -65,7 +65,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -296,17 +296,13 @@ class PowerLawExpCutoff:
         return math.fsum(a * _kernel(p, r * wc * t) for a, p, r in terms) + 0.0
 
     def dgamma(self, temp, t):
-        if isinstance(t, np.ndarray) and t.ndim:
-            wc = self.omega_c
-            return wc * functools.reduce(np.add, (a * r * _kernel_dt(p, r * wc * t)
-                                                  for a, p, r in self._terms(temp)))
-        return self.dgamma_function(temp)(t)
+        wc = self.omega_c
+        return wc * functools.reduce(np.add, (a * r * _kernel_dt(p, r * wc * t)
+                                              for a, p, r in self._terms(temp)))
 
-    @functools.lru_cache(maxsize=32)
     def dgamma_function(self, temp):
         # wc Sum a r D_p(r wc t) over the terms of temp, with a r, r wc and each
-        # D_p bound; r * wc * t is (r * wc) * t, so the bits are the sum's.
-        # Cached, as the float dgamma is this function
+        # D_p bound; r * wc * t is (r * wc) * t, so the bits are the sum's
         wc = self.omega_c
         terms = [(a * r, r * wc, _bound_kernel_dt(p)) for a, p, r in self._terms(temp)]
         if len(terms) == 1:
@@ -372,7 +368,7 @@ class PowerLawExpCutoff:
     def quad_problem(self, temp, t: float, derivative=False):
         """The bath integral at time t > 0, or with ``derivative`` its
         t-derivative (see :func:`_integrand`), set up for quadrature in omega
-        as ``(integrand, head, tail_start, tail)``.
+        as ``(integrand, head, tail_start, tail, w_star)``.
 
         ``head`` holds the terms ``(log c, p)`` of a bound Sum c E^p on
         Int_0^E |integrand| for every E > 0: 1 - cos u <= u^2/2 (|sin u|/u <= 1
@@ -380,7 +376,7 @@ class PowerLawExpCutoff:
         c1 E^(s+1) + c0 E^s, without c0 at T = 0 and c1 at high T. Up to
         w* = min(1/t, wc), 1 - cos u >= (11/24) u^2, e^(-w/wc) >= 1/e and W is
         at least half its bound, so the integrand of gamma is at least
-        11/(24 e) > 0.15 of the bounding envelope.
+        11/(24 e) > 0.15 of the bounding envelope. w* is the fifth element.
 
         ``tail(W)`` bounds the integral above W. For w >= W the weight is at
         most b = a0 + a1/W, and the kernel (1 - cos wt)/(2 w^2) at most
@@ -423,7 +419,7 @@ class PowerLawExpCutoff:
             bound = math.exp(log_bound) if log_bound < _LOG_HUGE else math.inf
             return (0.0, bound) if value else bound
 
-        return _integrand(self, temp, t, derivative), head, 2.0 * s * wc, tail
+        return _integrand(self, temp, t, derivative), head, 2.0 * s * wc, tail, min(1.0 / t, wc)
 
     def root_window(self, temp, m):
         """A window ``(lo, hi)`` holding every root of 2 m t gamma'(t) = 1, or
@@ -500,9 +496,6 @@ class PowerLawExpCutoff:
         except OverflowError:
             return lo, math.inf
 
-    def omega_fast(self):
-        return self.omega_c
-
     def time_scale(self):
         return 1.0 / self.omega_c
 
@@ -551,8 +544,6 @@ class Lorentzian:
         return out
 
     def dgamma(self, temp, t):
-        if not (isinstance(t, np.ndarray) and t.ndim):
-            return self.dgamma_function(temp)(t)
         if self.g == 0.0:
             return self.a * t / 4.0
         return self.a / (4.0 * self.g) * (-np.expm1(-self.g * t))
@@ -611,16 +602,12 @@ class Lorentzian:
 
         # the search starts W at 20/t, so the number of periods of cos(wt)
         # below it stays bounded in gt
-        return _integrand(self, temp, t, derivative), head, 20.0 / t, tail
+        return _integrand(self, temp, t, derivative), head, 20.0 / t, tail, min(1.0 / t, g)
 
     def root_window(self, temp, m):
         # 2 m t gamma' grows without bound for g > 0; for g = 0 (gamma
         # quadratic) the root is the lower bound itself
         return _zeno_bound(self.c2(temp), m), math.inf
-
-    def omega_fast(self):
-        # None in the static-bath limit g = 0
-        return self.g if self.g > 0.0 else None
 
     def time_scale(self):
         return 1.0 / math.sqrt(self.a) if self.g == 0.0 else 1.0 / self.g
@@ -654,8 +641,6 @@ class GenericPowerLawDephasing:
         return self.alpha * np.asarray(t) ** self.nu
 
     def dgamma(self, temp, t):
-        if not (isinstance(t, np.ndarray) and t.ndim):
-            return self.dgamma_function(temp)(t)
         if self.nu < 1.0 and (t <= 0.0).any():
             raise DomainError(_SINGULAR_AT_ZERO)
         return self.alpha * self.nu * t ** (self.nu - 1.0)
@@ -678,9 +663,6 @@ class GenericPowerLawDephasing:
 
     def quad_problem(self, temp, t: float, derivative=False):
         raise NoSpectralDensity("no bath integral for generic power-law dephasing")
-
-    def omega_fast(self):
-        return None
 
     def root_window(self, temp, m):
         # the exact root of 2 m t gamma'(t) = 1
@@ -753,7 +735,17 @@ class BathSpec:
     temperature: Temperature = field(default_factory=ZeroTemperature)
 
     def __post_init__(self):
+        _check_kind("spectral", self.spectral, SpectralModel)
+        _check_kind("temperature", self.temperature, Temperature)
         self.spectral.check_temperature(self.temperature)
+
+
+def _check_kind(name, value, kinds):
+    """DomainError unless ``value`` is an instance of a class of ``kinds``."""
+    kinds = get_args(kinds) or (kinds,)
+    if not isinstance(value, kinds):
+        names = ", ".join(k.__name__ for k in kinds)
+        raise DomainError(f"{name} must be one of {names}, not {type(value).__name__}")
 
 
 # --- evaluation routes -------------------------------------------------------
@@ -810,6 +802,19 @@ class DephasingModel:
     bath: BathSpec
     route: Route = field(default_factory=ClosedForm)
 
+    def __post_init__(self):
+        _check_kind("bath", self.bath, BathSpec)
+        _check_kind("route", self.route, Route)
+
+    def __reduce__(self):  # from the fields: the bound gamma' does not pickle
+        return type(self), (self.bath, self.route)
+
+    @functools.cached_property
+    def dgamma_at(self):
+        """The route's float gamma' of the bath at a float t >= 0, bound on
+        first use (two threads racing there bind equal functions)."""
+        return self.route.dgamma_function(self.bath)
+
     def gamma(self, t):
         """gamma(t) via the declared route."""
         return _on_times(self.route.gamma, self.bath, t)
@@ -822,11 +827,6 @@ class DephasingModel:
         """Quadratic coefficient c2 with gamma(t) -> c2 * t^2 as t -> 0."""
         return gamma_short_time_coeff(self)
 
-    def omega_fast(self):
-        """Fastest bath frequency scale; None when the model has none
-        (generic power laws and the static-bath g = 0 Lorentzian limit)."""
-        return self.bath.spectral.omega_fast()
-
     def time_scale(self) -> float:
         """Characteristic time that seeds the oracle's grid
         (:func:`~ramsey_bounds.oracle.brute_force_optimum`)."""
@@ -835,10 +835,10 @@ class DephasingModel:
 
 # --- operations --------------------------------------------------------------
 
-def _on_times(f, arg, t):
-    """f(arg, t) at the checked time t (NaN, inf and negative times raise): on
-    a float, returning a float, where t is a scalar, else on its array. A
-    float is checked by one comparison, with no array made on the way."""
+def _on_times(f, arg, t, at=None):
+    """f(arg, t), or at(t) where ``at`` is given and t is a scalar, at the
+    checked time t (NaN, inf and negative times raise): a float on a scalar,
+    else on its array. A float is checked with no array made on the way."""
     if not isinstance(t, float):
         t = np.asarray(t, dtype=float)
         if not ((0.0 <= t) & (t < math.inf)).all():
@@ -847,7 +847,7 @@ def _on_times(f, arg, t):
             return f(arg, t)
     elif not 0.0 <= t < math.inf:
         raise DomainError("t must be finite and >= 0")
-    return float(f(arg, float(t)))
+    return at(float(t)) if at else float(f(arg, float(t)))
 
 
 def _each(f, t):
@@ -894,13 +894,13 @@ def gamma_closed(deph: DephasingModel, t):
 
 
 def dgamma_dt(deph: DephasingModel, t):
-    """Time derivative of gamma via the model's route, for a time t (scalar
-    or array, finite and >= 0).
+    """Time derivative of gamma via the model's route, for a time t (an array,
+    or a scalar through :attr:`DephasingModel.dgamma_at`), finite and >= 0.
 
     Analytic for every closed form; on the quadrature route the integral
     (1/2) Int J(w) W(w) sin(w t) / w dw (:func:`dgamma_quadrature`).
     """
-    return _on_times(deph.route.dgamma, deph.bath, t)
+    return _on_times(deph.route.dgamma, deph.bath, t, deph.dgamma_at)
 
 
 def gamma_short_time_coeff(deph: DephasingModel) -> float:
@@ -1059,17 +1059,15 @@ def _bath_quadrature(bath, t, settings, derivative):
         raise DomainError("t must be finite and >= 0")
     if t == 0.0:
         return 0.0, 0.0
-    spec = bath.spectral
     # panels run at half tolerance so the head and tail bounds fit inside it
     inner = _HALF_SETTINGS if settings is _SETTINGS else _halved(settings)
-    problem = spec.quad_problem(bath.temperature, t, derivative)
-    w_star = min(1.0 / t, spec.omega_fast())
+    problem = bath.spectral.quad_problem(bath.temperature, t, derivative)
     goal = max(settings.abs_tol, settings.rel_tol * 0.15 * math.fsum(
-        math.exp(log_c + p * math.log(w_star)) for log_c, p in problem[1]))
-    value, err = _cut_and_integrate(bath, problem, t, w_star, goal, inner)
+        math.exp(log_c + p * math.log(problem[4])) for log_c, p in problem[1]))
+    value, err = _cut_and_integrate(bath, problem, t, goal, inner)
     tol = max(settings.abs_tol, settings.rel_tol * abs(value))
     if err > tol:
-        value, err = _cut_and_integrate(bath, problem, t, w_star, 0.25 * tol, inner)
+        value, err = _cut_and_integrate(bath, problem, t, 0.25 * tol, inner)
         tol = max(settings.abs_tol, settings.rel_tol * abs(value))
     # at t > 0 a value of 0 has underflowed and is not exact: it meets no
     # tolerance of 0, even with an estimate of 0
@@ -1085,12 +1083,12 @@ def _bath_quadrature(bath, t, settings, derivative):
 _GOAL_FLOOR = 16.0 * math.ulp(0.0)
 
 
-def _cut_and_integrate(bath, problem, t, w_star, goal, inner):
+def _cut_and_integrate(bath, problem, t, goal, inner):
     """The integral of ``problem`` (see ``quad_problem`` in the module
     docstring) with its tail and its head each cut at a quarter of ``goal``,
-    the head at most at ``w_star``: ``(value, error estimate)``, the estimate
+    the head at most at its w*: ``(value, error estimate)``, the estimate
     the panels' plus the head and tail bounds."""
-    f, head, tail_start, tail = problem
+    f, head, tail_start, tail, w_star = problem
     goal = max(goal, _GOAL_FLOOR)
     omega_max = _tail_cutoff(tail, tail_start, 0.25 * goal)
     tail_val, tail_err = tail(omega_max, value=True)

@@ -207,12 +207,12 @@ def optimal_interrogation(deph: DephasingModel, m):
 
     A scalar ``m`` is read as a Python float and gives a Python float, with
     no array built; a list of numbers is read the same way, and an array is
-    built only for its result. Each lane is solved on Python floats, on one
-    float function of t with the bath's gamma' bound once
-    (:func:`_constraint`), and its root solve starts from the walk's values
-    of 2 m t gamma' - 1 at the bracket's ends. Where the family's window
-    proves that no root exists (:meth:`PowerLawExpCutoff.root_window`),
-    the lane evaluates gamma' not once.
+    built only for its result. Each lane is solved on Python floats, on the
+    model's float gamma', bound once per model (:func:`_constraint`), and its
+    root solve starts from the walk's values of 2 m t gamma' - 1 at the
+    bracket's ends. Where the family's window proves that no root exists
+    (:meth:`PowerLawExpCutoff.root_window`), the lane evaluates gamma' not
+    once.
     """
     lanes, scalar = _multipliers(m)
     times = [_solve_lane(deph, mi) for mi in lanes]
@@ -281,12 +281,12 @@ def _solve_lane(deph: DephasingModel, m: float) -> float:
 def _constraint(deph: DephasingModel, m: float):
     """h(t) = 2 m t gamma'(t) - 1 at a time t > 0 of the walk.
 
-    gamma' is the route's float function of t for the bath, bound once here
-    (``dgamma_function``), and called with no check: every time the walk or
-    the root solver asks for is finite and > 0. 2 m t is (2 m) t, so 2 m is
-    bound too.
+    gamma' is the model's float function of t, bound once per model
+    (``DephasingModel.dgamma_at``), and called with no check: every time the
+    walk or the root solver asks for is finite and > 0. 2 m t is (2 m) t, so
+    2 m is bound too.
     """
-    dgamma, two_m = deph.route.dgamma_function(deph.bath), 2.0 * m
+    dgamma, two_m = deph.dgamma_at, 2.0 * m
 
     def h(t):
         return two_m * t * dgamma(t) - 1.0

@@ -99,6 +99,26 @@ def test_model_invariants_enforced():
         BathSpec(Lorentzian(1.0, 1.0), FiniteBeta(1.0))
 
 
+_OHMIC = PowerLawExpCutoff(1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("cls,args,name", [
+    (BathSpec, (_OHMIC, 0.0), "temperature"),
+    (BathSpec, (_OHMIC, None), "temperature"),
+    (BathSpec, (GenericPowerLawDephasing(1.0, 2.0), "hot"), "temperature"),
+    (BathSpec, ("ohmic",), "spectral"),
+    (BathSpec, (ZeroTemperature(), _OHMIC), "spectral"),
+    (DephasingModel, (BathSpec(_OHMIC), "quad"), "route"),
+    (DephasingModel, (BathSpec(_OHMIC), Quadrature), "route"),
+    (DephasingModel, (_OHMIC,), "bath"),
+], ids=["temperature-float", "temperature-none", "temperature-str", "spectral-str",
+        "spectral-temperature", "route-str", "route-class", "bath-spectral"])
+def test_fields_of_the_wrong_type_are_rejected(cls, args, name):
+    # at construction, with a typed error naming the field, not at first use
+    with pytest.raises(DomainError, match=f"^{name} must be one of "):
+        cls(*args)
+
+
 # --- closed forms ---------------------------------------------------------------
 
 def test_ohmic_log_form():
@@ -180,8 +200,9 @@ def test_array_gamma_is_the_scalar_gamma():
         gam, dgam = spec.gamma(temp, ts), spec.dgamma(temp, ts)
         assert gam[0] == 0.0 and math.copysign(1.0, gam[0]) == 1.0, (s, temp)
         assert dgam[0] == 0.0, (s, temp)
+        dgamma_at = spec.dgamma_function(temp)
         for t, g, dg in zip(ts.tolist(), gam.tolist(), dgam.tolist()):
-            g_one, dg_one = spec.gamma(temp, t), spec.dgamma(temp, t)
+            g_one, dg_one = spec.gamma(temp, t), dgamma_at(t)
             envelope = wc * sum(abs(a * r) * math.atan(r * wc * t)
                                 * math.hypot(1.0, r * wc * t) ** -p
                                 for a, p, r in spec._terms(temp))
@@ -341,15 +362,15 @@ def test_short_time_coeff_no_quadratic_regime():
         gamma_short_time_coeff(generic(1.0, 1.0))
 
 
-@pytest.mark.parametrize("model", [
-    power_law(1.0, 0.5, 1.0),
-    power_law(1.0, 1.0, 1.0),
-    power_law(1.3, 2.0, 0.5),
-    lorentzian(4.0, 1.0),
-    power_law(1.0, 1.0, 1.0, HighTemperatureOhmic(2.0)),
+@pytest.mark.parametrize("model,wf", [
+    (power_law(1.0, 0.5, 1.0), 1.0),
+    (power_law(1.0, 1.0, 1.0), 1.0),
+    (power_law(1.3, 2.0, 0.5), 0.5),
+    (lorentzian(4.0, 1.0), 1.0),
+    (power_law(1.0, 1.0, 1.0, HighTemperatureOhmic(2.0)), 1.0),
 ], ids=["sub-ohmic", "ohmic", "s2", "lorentzian", "high-T"])
-def test_short_time_law(model):
-    wf = model.omega_fast()
+def test_short_time_law(model, wf):
+    # wf is the bath's fastest frequency, omega_c or g
     t = 1e-3 / wf
     c2 = gamma_short_time_coeff(model)
     assert gamma_closed(model, t) / t ** 2 == pytest.approx(c2, rel=1e-3)
@@ -658,7 +679,8 @@ def test_tail_cutoff_guarantee_on_the_quadratures(monkeypatch):
         return w
     monkeypatch.setattr(dephasing, "_tail_cutoff", recorded)
     for bath in _TAIL_CUTOFF_BATHS:
-        fast = bath.spectral.omega_fast()
+        spec = bath.spectral
+        fast = spec.omega_c if isinstance(spec, PowerLawExpCutoff) else spec.g
         for kernel in (gamma_quadrature, dgamma_quadrature):
             for t in (0.01, 1.0, 30.0):
                 assert _within_contract(*kernel(bath, t / fast))
