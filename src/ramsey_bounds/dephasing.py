@@ -815,6 +815,15 @@ class DephasingModel:
         first use (two threads racing there bind equal functions)."""
         return self.route.dgamma_function(self.bath)
 
+    @functools.cached_property
+    def product_optimum(self):
+        """(t_u, gamma(t_u)) at the product optimum, the root of
+        2 t gamma'(t) = 1, or (nan, nan) where none is finite: solved on first
+        use by the optimizer's lane solver. A solve that raises binds nothing."""
+        from .metrology import _solve_lane  # here, as metrology imports this module
+        t_u = _solve_lane(self, 1.0)
+        return t_u, math.nan if math.isnan(t_u) else float(self.route.gamma(self.bath, t_u))
+
     def gamma(self, t):
         """gamma(t) via the declared route."""
         return _on_times(self.route.gamma, self.bath, t)
@@ -1014,9 +1023,10 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=_SETTINGS):
     bath:
         Bath with a spectral density (not the generic power-law model).
     t:
-        Time, finite and >= 0.
+        Time, a float, an int or a numpy scalar or 0-d array of a real
+        kind, finite and >= 0.
     settings:
-        Tolerances.
+        Tolerances, a :class:`~ramsey_bounds.numerics.QuadratureSettings`.
 
     Returns
     -------
@@ -1031,7 +1041,8 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=_SETTINGS):
         the lower cutoff and on the tail above the upper one.
         :class:`DomainError` is raised before integrating where the head
         cutoff that meets the goal lies below the floats (sub-Ohmic finite
-        beta at s below about 0.035 where alpha = beta = wc = t = 1).
+        beta at s below about 0.035 where alpha = beta = wc = t = 1), and for
+        a ``t`` or ``settings`` of another kind or value.
     """
     return _bath_quadrature(bath, t, settings, derivative=False)
 
@@ -1055,8 +1066,12 @@ def _bath_quadrature(bath, t, settings, derivative):
     still misses the contract (gamma' may be smaller), the cuts are made
     again against a quarter of its tolerance."""
     # a NaN time would make every panel's error NaN, which never refines
-    if not 0.0 <= t < math.inf:
-        raise DomainError("t must be finite and >= 0")
+    if not ((type(t) is float or isinstance(t, (int, np.generic, np.ndarray))
+             and np.ndim(t) == 0 and np.asarray(t).dtype.kind in "biuf")
+            and 0.0 <= t < math.inf):
+        raise DomainError("t must be a real number, finite and >= 0")
+    if settings is not _SETTINGS:
+        _check_kind("settings", settings, QuadratureSettings)
     if t == 0.0:
         return 0.0, 0.0
     # panels run at half tolerance so the head and tail bounds fit inside it

@@ -212,10 +212,11 @@ def optimal_interrogation(deph: DephasingModel, m):
     root solve starts from the walk's values of 2 m t gamma' - 1 at the
     bracket's ends. Where the family's window proves that no root exists
     (:meth:`PowerLawExpCutoff.root_window`), the lane evaluates gamma' not
-    once.
+    once. The lane m = 1, the product optimum, is solved on a model's first
+    call and then read from :attr:`DephasingModel.product_optimum`.
     """
     lanes, scalar = _multipliers(m)
-    times = [_solve_lane(deph, mi) for mi in lanes]
+    times = [deph.product_optimum[0] if mi == 1.0 else _solve_lane(deph, mi) for mi in lanes]
     if not scalar:
         return np.array(times, dtype=float)
     if math.isnan(times[0]):
@@ -357,7 +358,8 @@ def ratio_r(deph: DephasingModel, n) -> RatioResult:
 
     An int or numpy integer n is read as a Python int, with no array built
     for it; either way the distinct multipliers, 1 among them, go to one
-    :func:`optimal_interrogation` call as a list.
+    :func:`optimal_interrogation` call as a list. Calls on one model reuse
+    its t_u and gamma(t_u) (:attr:`DephasingModel.product_optimum`).
     """
     # an int past uint64 goes the array's way, which rejects it as an object
     if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n < 2 ** 64:
@@ -375,8 +377,8 @@ def ratio_r(deph: DephasingModel, n) -> RatioResult:
     # optimal times are finite and > 0, so the route needs no check
     route, bath = deph.route, deph.bath
     optima = {mi: (t, math.nan if math.isnan(t) else float(route.gamma(bath, t)))
-              for mi, t in zip(ms, times)}
-    t_u, g_u = optima[1]
+              for mi, t in zip(ms[1:], times[1:])}
+    t_u, g_u = optima[1] = deph.product_optimum
     rows = []
     for k in flat:
         t_e, g_e = optima[k]

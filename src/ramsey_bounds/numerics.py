@@ -218,8 +218,9 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
     omega up to the cutoff.
     ``max_panel_width`` caps the omega-width of the seeded panels (two
     oscillation periods, 4*pi/t, for integrands containing cos(omega*t); see
-    the module docstring). The caller chooses ``upper_cutoff`` so that the
-    neglected tail is below tolerance, and ``lower_cutoff`` (by default
+    the module docstring); it must be > 0, and inf, the default, sets no
+    cap. The caller chooses ``upper_cutoff`` so that the neglected tail is
+    below tolerance, and ``lower_cutoff`` (by default
     ``LOWER_CUTOFF_FRACTION`` times ``upper_cutoff``) so that the first
     panel's share is; an integrand singular at the origin is only as good
     there as that choice.
@@ -237,6 +238,8 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
         lower_cutoff = LOWER_CUTOFF_FRACTION * upper_cutoff
     if not 0.0 < lower_cutoff < math.inf:
         raise DomainError("lower_cutoff must be finite and > 0")
+    if not max_panel_width > 0.0:
+        raise DomainError("max_panel_width must be > 0")
     lo, hi = _seed_panels(math.sqrt(upper_cutoff), math.sqrt(lower_cutoff),
                           max_panel_width, MAX_PANELS)
 

@@ -1,4 +1,5 @@
 import importlib.util
+import fractions
 import math
 import warnings
 from pathlib import Path
@@ -393,6 +394,33 @@ def test_quadrature_rejects_nonfinite_time(t):
     # a NaN time would make every panel error NaN, which never refines
     with pytest.raises(DomainError):
         gamma_quadrature(BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0)), t)
+
+
+@pytest.mark.parametrize("kernel", ["gamma", "dgamma"])
+def test_quadrature_rejects_times_and_settings_of_another_kind(kernel):
+    quadrature = gamma_quadrature if kernel == "gamma" else dgamma_quadrature
+    bath = BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0), FiniteBeta(2.0))
+    for t in (np.array([1.0, 2.0]), np.array([1.0]), [1.0], [[1.0], [1.0, 2.0]], "1", None,
+              np.array("1"), 1.0 + 0j, fractions.Fraction(1, 2)):
+        with pytest.raises(DomainError):
+            quadrature(bath, t)
+    for settings in ("x", None, 1e-9, {"rel_tol": 1e-9}):
+        for t in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                quadrature(bath, t, settings)
+
+
+@pytest.mark.parametrize("kernel", ["gamma", "dgamma"])
+def test_quadrature_takes_real_scalars(kernel):
+    # every real scalar time gives the bits of its float
+    quadrature = gamma_quadrature if kernel == "gamma" else dgamma_quadrature
+    bath = BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0), FiniteBeta(2.0))
+    for t, ts in ((0.5, (np.float64(0.5), np.array(0.5))),
+                  (2.0, (2, np.int64(2), np.uint8(2), np.array(2)))):
+        want = quadrature(bath, t)
+        for other in ts:
+            assert quadrature(bath, other) == want
+    assert quadrature(bath, 0.5, QuadratureSettings()) == quadrature(bath, 0.5)
 
 
 def test_quadrature_rejects_generic_model():

@@ -23,7 +23,12 @@ from ramsey_bounds.dephasing import (
     gamma_closed,
     spectral_density,
 )
-from ramsey_bounds.errors import DegenerateSignal, DomainError, NoFiniteOptimum
+from ramsey_bounds.errors import (
+    DegenerateSignal,
+    DomainError,
+    NoFiniteOptimum,
+    ToleranceNotMet,
+)
 from ramsey_bounds.metrology import (
     ProbeSpec,
     fisher_information,
@@ -449,23 +454,137 @@ def test_model_binds_its_gamma_prime_once(monkeypatch):
     assert binds == [deph.bath]
 
 
-@pytest.mark.parametrize("use", ["dgamma_dt", "optimal_interrogation"])
+@pytest.mark.parametrize("use", ["dgamma_dt", "optimal_interrogation", "ratio_r"])
 @pytest.mark.parametrize("route", [ClosedForm(), Quadrature()], ids=["closed", "quad"])
 @pytest.mark.parametrize("spec", [PowerLawExpCutoff(2.0, 2.0, 1.3), Lorentzian(1.0, 0.5)],
                          ids=["s2", "lorentzian"])
 def test_used_model_pickles(spec, route, use):
-    # a model that has bound its gamma' (a closure) pickles from its fields,
-    # and the copy is equal, hashes equal and gives the same bits
+    # a model that has bound its gamma' (a closure) and its product optimum
+    # pickles from its fields, and the copy is equal, hashes equal and gives
+    # the same bits
     deph = DephasingModel(BathSpec(spec), route)
     if use == "dgamma_dt":
         deph.dgamma_dt(0.7)
-    else:
+    elif use == "optimal_interrogation":
         optimal_interrogation(deph, 3)
+    else:
+        ratio_r(deph, 3)
+        assert "product_optimum" in vars(deph)
     assert "dgamma_at" in vars(deph)
     copy = pickle.loads(pickle.dumps(deph))
     assert copy == deph and hash(copy) == hash(deph)
     assert copy.dgamma_dt(0.7).hex() == deph.dgamma_dt(0.7).hex()
     assert optimal_interrogation(copy, 3).hex() == optimal_interrogation(deph, 3).hex()
+    assert repr(ratio_r(copy, 3)) == repr(ratio_r(deph, 3))
+
+
+def count_product_lanes(monkeypatch, name):
+    """The models whose product lane (m = 1) metrology's ``name`` (the lane
+    solver, or the constraint it builds) takes."""
+    taken = []
+    original = getattr(metrology, name)
+
+    def counted(deph, m):
+        if m == 1.0:
+            taken.append(deph)
+        return original(deph, m)
+
+    monkeypatch.setattr(metrology, name, counted)
+    return taken
+
+
+def test_product_optimum_is_solved_once_per_model(monkeypatch):
+    # scalar ratio_r and product optimal_resolution calls on one model solve
+    # its product lane once, on the first call, and read it after
+    built = count_product_lanes(monkeypatch, "_constraint")
+    deph = DephasingModel(BathSpec(PowerLawExpCutoff(1.2, 0.7, 1.5), FiniteBeta(3.0)))
+    for n in range(1, 17):
+        assert ratio_r(deph, n).t_u == deph.product_optimum[0]
+        res = optimal_resolution(deph, ProbeSpec(n, 10.0, "product"))
+        assert res.t_opt == deph.product_optimum[0]
+    assert built == [deph]
+
+
+# Ohmic alpha = 2 at T = 0: the quadrature route's gamma is half the closed
+# form's, and its product lane has a root above alpha = 1
+PRODUCT_BATHS = {
+    "ohmic": BathSpec(PowerLawExpCutoff(2.0, 1.0, 1.3)),
+    "sub-ohmic-beta": BathSpec(PowerLawExpCutoff(1.0, 0.6, 1.0), FiniteBeta(2.0)),
+    "s3-beta": BathSpec(PowerLawExpCutoff(2.0, 3.0, 1.0), FiniteBeta(4.0)),
+    "high-T": BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0), HighTemperatureOhmic(2.0)),
+    "lorentzian": BathSpec(Lorentzian(1.0, 0.5)),
+    "lorentzian-static": BathSpec(Lorentzian(2.0, 0.0)),
+    "nu1.5": BathSpec(GenericPowerLawDephasing(1.0, 1.5)),
+    "nu1.5-beta": BathSpec(GenericPowerLawDephasing(1.0, 1.5), FiniteBeta(1.0)),
+}
+
+
+@pytest.mark.parametrize("route", [ClosedForm(), Quadrature()], ids=["closed", "quad"])
+@pytest.mark.parametrize("bath", PRODUCT_BATHS.values(), ids=PRODUCT_BATHS.keys())
+def test_bound_product_optimum_gives_the_bits_of_a_fresh_model(bath, route):
+    # each call on a used model, scalar ratio_r and product optimal_resolution
+    # alike, gives the bits of the same call on a fresh model
+    if isinstance(route, Quadrature) and (isinstance(bath.spectral, GenericPowerLawDephasing)
+                                          or bath.spectral == Lorentzian(2.0, 0.0)):
+        pytest.skip("no spectral density to integrate: the generic power law and "
+                    "the static Lorentzian have closed forms alone")
+    used = DephasingModel(bath, route)
+    for n, budget in ((2, 3.0), (5, 0.2), (2, 40.0)):
+        probe = ProbeSpec(n, budget, "product")
+        for call in (lambda deph: ratio_r(deph, n),
+                     lambda deph: optimal_resolution(deph, probe)):
+            assert repr(call(used)) == repr(call(DephasingModel(bath, route)))
+    assert "product_optimum" in vars(used)
+
+
+def test_rootless_product_lane_raises_on_every_call(monkeypatch):
+    # Ohmic alpha = 0.4 has no product optimum: the model binds that once,
+    # and every scalar call still raises
+    solved = count_product_lanes(monkeypatch, "_solve_lane")
+    deph = ohmic(0.4)
+    for _ in range(3):
+        with pytest.raises(NoFiniteOptimum):
+            ratio_r(deph, 2)
+        with pytest.raises(NoFiniteOptimum):
+            optimal_interrogation(deph, 1)
+        res = optimal_resolution(deph, ProbeSpec(1, 2.0, "product"))
+        assert not res.finite and res.t_opt == 2.0
+        assert np.isnan(ratio_r(deph, np.arange(1, 4)).r).all()
+    assert all(math.isnan(x) for x in deph.product_optimum)
+    assert solved == [deph]
+
+
+@pytest.mark.parametrize("use", ["ratio_r", "optimal_resolution"])
+def test_failed_product_solve_binds_nothing(use, monkeypatch):
+    # a gamma' that fails once fails the first call; the next call solves
+    # the product lane again and gives the bits of a fresh model
+    failures = []
+    bind = ClosedForm.dgamma_function
+
+    def flaky_bind(self, bath):
+        dgamma = bind(self, bath)
+
+        def flaky(t):
+            if not failures:
+                failures.append(t)
+                raise ToleranceNotMet("failed once", value=0.0, error=1.0)
+            return dgamma(t)
+        return flaky
+
+    monkeypatch.setattr(ClosedForm, "dgamma_function", flaky_bind)
+    bath = BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0), FiniteBeta(2.0))
+    deph = DephasingModel(bath)
+    if use == "ratio_r":
+        def call(deph):
+            return ratio_r(deph, 4)
+    else:
+        def call(deph):
+            return optimal_resolution(deph, ProbeSpec(4, 5.0, "product"))
+    with pytest.raises(ToleranceNotMet):
+        call(deph)
+    assert "product_optimum" not in vars(deph)
+    assert repr(call(deph)) == repr(call(DephasingModel(bath)))
+    assert len(failures) == 1 and "product_optimum" in vars(deph)
 
 
 def test_scalar_and_array_arguments_give_the_same_bits():
@@ -761,6 +880,8 @@ def test_walk_bracket_ends_evaluated_once(deph, monkeypatch):
 
     monkeypatch.setattr(metrology, "_constraint", recorded_constraint)
     monkeypatch.setattr(metrology, "solve_bracketed_root", recorded_solve)
+    # a fresh model: one that another test used has bound its product lane
+    deph = DephasingModel(deph.bath, deph.route)
     times = optimal_interrogation(deph, np.array([1.0, 2.0, 10.0, 100.0]))
     assert np.isfinite(times).all() and len(lanes) == 4
     for seen, start, (lo, hi) in lanes:

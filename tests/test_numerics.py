@@ -274,6 +274,14 @@ def test_bad_cutoff_rejected():
         integrate_semi_infinite(lambda w: w, 0.0)
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, -math.inf, math.nan])
+def test_bad_max_panel_width_rejected(width):
+    # a width of 0 divides by zero, a NaN one counts NaN panels, and a
+    # negative one would seed a single piece
+    with pytest.raises(DomainError):
+        integrate_semi_infinite(lambda w: np.exp(-w), 40.0, max_panel_width=width)
+
+
 @pytest.mark.parametrize("call", [
     lambda: reference_gamma(BathSpec(PowerLawExpCutoff(1.0, 2.0, 1.0)), math.nan),
     lambda: reference_gamma(BathSpec(PowerLawExpCutoff(1.0, 0.7, 1.0)), math.inf),
