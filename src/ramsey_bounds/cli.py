@@ -184,7 +184,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s", type=float, help="bath exponent (powerlaw)")
     p.add_argument("--omega-c", type=float, help="cutoff frequency")
     p.add_argument("--a", type=float, help="Lorentzian coupling")
-    p.add_argument("--g", type=float, help="Lorentzian width")
+    p.add_argument("--g", type=float, help="Lorentzian width (> 0)")
     p.add_argument("--nu", type=float, help="exponent of gamma = alpha t^nu")
     p.add_argument("--temp", default="zero",
                    help="zero | beta=<v> | high-t=<v> (default zero)")

@@ -235,12 +235,13 @@ _EXPM1_TAIL = tuple((-1.0) ** k / math.factorial(k) for k in range(10, 1, -1))
 
 
 def _expm1_tail(u):
-    """u + expm1(-u) for 0 <= u < 0.1 by its Taylor series through u^10, whose
-    remainder is below 1e-16 of the value there."""
+    """(u + expm1(-u)) / u^2 for 0 <= u < 0.1 by its Taylor series through
+    u^8, whose remainder is below 1e-16 of the value there; 1/2 at u = 0."""
     series = 0.0
-    for coef in _EXPM1_TAIL:
-        series = series * u + coef
-    return u * u * series
+    for coef in _EXPM1_TAIL:  # in place on an array after the first step: no temporaries
+        series *= u
+        series += coef
+    return series
 
 
 # --- spectral models ---------------------------------------------------------
@@ -502,16 +503,18 @@ class PowerLawExpCutoff:
 
 @dataclass(frozen=True)
 class Lorentzian:
-    """J(w) = (1/pi) * a * g / (g^2 + w^2); a sets the coupling, g the width.
+    """J(w) = (1/pi) * a * g / (g^2 + w^2); a sets the coupling, g > 0 the width.
 
-    Defined at T = 0 only, so its methods ignore the temperature tag.
+    Defined at T = 0 only, so its methods ignore the temperature tag. As g
+    falls it tends continuously to the static bath gamma = a t^2 / 8, the
+    law ``GenericPowerLawDephasing(a / 8, 2)``.
     """
 
     a: float
     g: float
 
     def __post_init__(self):
-        _check_fields(self, zero_ok=("g",))
+        _check_fields(self)
 
     def check_temperature(self, temp):
         if not isinstance(temp, ZeroTemperature):
@@ -519,8 +522,6 @@ class Lorentzian:
             raise DomainError("the Lorentzian bath is only defined at T = 0")
 
     def density(self, w):
-        if self.g == 0.0:
-            return 0.0 * w  # the static limit puts all its weight at w = 0
         # in x = w/g, in place, as for the power law; past x ~ 1e154, x^2
         # overflows and J rounds to its limit 0
         x = np.asarray(w / self.g)
@@ -530,30 +531,33 @@ class Lorentzian:
         return np.divide(self.a / (np.pi * self.g), x, out=x)
 
     def gamma(self, temp, t):
-        a, g = self.a, self.g
-        if g == 0.0:
-            return a * t * t / 8.0
-        # a/(4 g^2) (u + expm1(-u)) with u = g t; its two terms cancel as u
-        # falls, so below u = 0.1 it is their Taylor series
-        out = a / (4.0 * g) * (np.expm1(-g * t) / g + t)
-        short = g * t < 0.1
-        if not isinstance(short, np.ndarray) or not short.ndim:
-            return a / (4.0 * g * g) * _expm1_tail(g * t) if short else out
-        if short.any():
-            out[short] = a / (4.0 * g * g) * _expm1_tail(g * t[short])
-        return out
+        # a/(4 g^2) (u + expm1(-u)) with u = g t, whose two terms cancel as u
+        # falls: below u = 0.1 it is (a t^2/4) S(u), S(u) = (u + expm1(-u))/u^2
+        # by its Taylor series, which never forms g^2 and tends to a t^2/8 as
+        # g falls. The long form is evaluated only from u = 0.1 on, as below
+        # it a/(4 g) times the cancelling sum can overflow where g is tiny
+        if isinstance(t, np.ndarray) and t.ndim:
+            short = self.g * t < 0.1
+            if not short.any():
+                return self._long_time(t)
+            out = np.empty_like(t)
+            out[short], out[~short] = self._short_time(t[short]), self._long_time(t[~short])
+            return out
+        return self._short_time(t) if self.g * t < 0.1 else self._long_time(t)
+
+    def _short_time(self, t):
+        return 0.25 * self.a * t * t * _expm1_tail(self.g * t)
+
+    def _long_time(self, t):
+        return self.a / (4.0 * self.g) * (np.expm1(-self.g * t) / self.g + t)
 
     def dgamma(self, temp, t):
-        if self.g == 0.0:
-            return self.a * t / 4.0
         return self.a / (4.0 * self.g) * (-np.expm1(-self.g * t))
 
     def dgamma_function(self, temp):
         # numpy's expm1, as on an array: math's differs in the last bit on
         # some times
         a, g = self.a, self.g
-        if g == 0.0:
-            return lambda t: a * t / 4.0
         scale, neg_g, expm1 = a / (4.0 * g), -g, np.expm1
         return lambda t: float(scale * -expm1(neg_g * t))
 
@@ -565,9 +569,6 @@ class Lorentzian:
         :meth:`PowerLawExpCutoff.quad_problem`. The head bound is c E from
         J <= a/(pi g); up to w* = min(1/t, g), J >= a/(2 pi g)."""
         a, g = self.a, self.g
-        if g == 0.0:
-            raise DomainError("Lorentzian quadrature needs g > 0 (g = 0 is the static-bath "
-                              "limit; use the closed form)")
         half_j0 = 0.5 * a / (math.pi * g)
         k = 1.0 if derivative else 2.0
         head = ((math.log(a / math.pi) - math.log(g) + k * (math.log(t) - _LN2), 1.0),)
@@ -605,12 +606,11 @@ class Lorentzian:
         return _integrand(self, temp, t, derivative), head, 20.0 / t, tail, min(1.0 / t, g)
 
     def root_window(self, temp, m):
-        # 2 m t gamma' grows without bound for g > 0; for g = 0 (gamma
-        # quadratic) the root is the lower bound itself
+        # 2 m t gamma' grows without bound
         return _zeno_bound(self.c2(temp), m), math.inf
 
     def time_scale(self):
-        return 1.0 / math.sqrt(self.a) if self.g == 0.0 else 1.0 / self.g
+        return 1.0 / self.g
 
 
 @dataclass(frozen=True)
@@ -846,12 +846,14 @@ class DephasingModel:
 
 def _on_times(f, arg, t, at=None):
     """f(arg, t), or at(t) where ``at`` is given and t is a scalar, at the
-    checked time t (NaN, inf and negative times raise): a float on a scalar,
-    else on its array. A float is checked with no array made on the way."""
+    checked time t (NaN, inf, negative and non-real times raise): a float on
+    a scalar, else on its array. A float is checked with no array made on the
+    way."""
     if not isinstance(t, float):
-        t = np.asarray(t, dtype=float)
-        if not ((0.0 <= t) & (t < math.inf)).all():
-            raise DomainError("t must be finite and >= 0")
+        t = np.asarray(t)
+        if t.dtype.kind not in "biuf" or not ((0.0 <= t) & (t < math.inf)).all():
+            raise DomainError("t must be real, finite and >= 0")
+        t = t.astype(float, copy=False)
         if t.ndim:
             return f(arg, t)
     elif not 0.0 <= t < math.inf:

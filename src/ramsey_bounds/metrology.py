@@ -26,14 +26,13 @@ n^(1/4) in the short-time (Zeno) regime where gamma ~ t^2.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dephasing import DephasingModel
 from .errors import DegenerateSignal, DomainError, NoFiniteOptimum
-from .numerics import solve_bracketed_root
+from .numerics import _is_real, solve_bracketed_root
 
 __all__ = [
     "STRATEGIES",
@@ -66,8 +65,8 @@ class ProbeSpec:
         if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
                 or self.n < 1):
             raise DomainError("n must be an int >= 1")
-        if not math.isfinite(self.total_time):
-            raise DomainError("total_time must be finite")
+        if not (_is_real(self.total_time) and math.isfinite(self.total_time)):
+            raise DomainError("total_time must be a finite real number (not bool)")
         if self.total_time <= 0.0:
             raise DomainError("total_time must be > 0")
         if self.strategy not in STRATEGIES:
@@ -119,47 +118,40 @@ def fisher_information(phi, t, gamma_t):
 
     F = t^2 sin^2(phi t) e^(-2 gamma) / (1 - cos^2(phi t) e^(-2 gamma)),
     which reduces to t^2 e^(-2 gamma) at the operating points
-    phi t = k pi/2, odd k.
+    phi t = k pi/2, odd k: the reciprocal of the variance of one probe
+    measured once, n = m = 1 and T = t (which enters squared).
     """
     _check_fringe(phi, t, gamma_t)
-    c = math.cos(phi * t)
-    decay = math.exp(-2.0 * gamma_t)
-    denom = 1.0 - c * c * decay
-    if denom <= 0.0:
-        raise DegenerateSignal(
-            "p0 is 0 or 1 (gamma = 0 and phi t = 0 mod pi): no information")
-    return t * t * (1.0 - c * c) * decay / denom
+    return 1.0 / _variance(gamma_t, phi * t, 1, 1, abs(t), abs(t))
 
 
-def _variance(gam: float, theta: float, probe: ProbeSpec, t: float) -> float:
+def _variance(gam: float, theta: float, n, m, total_time: float, t: float) -> float:
     """dw^2 = (e^(2 m gamma) - cos^2 theta) / (n m T t sin^2 theta) at the
     fringe argument theta; in logarithms where e^(2 m gamma) overflows."""
-    m = probe.m
     c2 = math.cos(theta) ** 2
     try:
         growth = math.exp(2.0 * m * gam)
     except OverflowError:
-        return _overflowed_variance(2.0 * m * gam, 1.0 - c2, probe, t)
+        return _overflowed_variance(2.0 * m * gam, 1.0 - c2, n, m, total_time, t)
     num = growth - c2
     if num <= 0.0:
         raise DegenerateSignal(
             "p0 is 0 or 1 (gamma = 0 and phi t = 0 mod pi): no information")
-    den = probe.n * m * probe.total_time * t * (1.0 - c2)
+    den = n * m * total_time * t * (1.0 - c2)
     if den == math.inf:
         # the product overflows where the quotient need not: divide by T last
-        return num / (probe.n * m * t * (1.0 - c2)) / probe.total_time
+        return num / (n * m * t * (1.0 - c2)) / total_time
     return math.inf if den == 0.0 else num / den
 
 
-def _overflowed_variance(log_growth, sin2, probe, t):
+def _overflowed_variance(log_growth, sin2, n, m, total_time, t):
     """dw^2 where e^(2 m gamma) = e^log_growth overflows, where the quotient
     need not: there cos^2 theta is below 1e-308 of e^(2 m gamma), so ln dw^2 is
     log_growth - ln(n m T t sin^2 theta) to rounding."""
     if sin2 == 0.0:
         return math.inf
     log = math.log
-    log_var = (log_growth - log(probe.n) - log(probe.m) - log(probe.total_time) - log(t)
-               - log(sin2))
+    log_var = log_growth - log(n) - log(m) - log(total_time) - log(t) - log(sin2)
     try:
         return math.exp(log_var)
     except OverflowError:
@@ -179,7 +171,7 @@ def frequency_variance(phi, t, probe: ProbeSpec, deph: DephasingModel):
         raise DomainError("t must be finite and > 0")
     if t > probe.total_time:
         raise DomainError("t must not exceed the probe's total_time")
-    return _variance(deph.gamma(t), probe.m * phi * t, probe, t)
+    return _variance(deph.gamma(t), probe.m * phi * t, probe.n, probe.m, probe.total_time, t)
 
 
 # --- optimal interrogation times ----------------------------------------------
@@ -226,13 +218,6 @@ def optimal_interrogation(deph: DephasingModel, m):
 
 _BAD_M = ("m must be a number or a 1-D integer or floating array (not bool), "
           "finite and >= 1")
-
-
-def _is_real(x):
-    """x is a real number other than a bool: an int, a float, a numpy integer
-    or floating scalar, a Fraction."""
-    return type(x) in (int, float) or (isinstance(x, numbers.Real)
-                                       and not isinstance(x, bool))
 
 
 def _multipliers(m):
@@ -333,12 +318,14 @@ def optimal_resolution(deph: DephasingModel, probe: ProbeSpec) -> Optimum:
         t_star = optimal_interrogation(deph, probe.m)
     except NoFiniteOptimum:
         pass
-    T = probe.total_time
-    var_T = _variance(deph.gamma(T), math.pi / 2.0, probe, T)
+    n, m, T = probe.n, probe.m, probe.total_time
+    var_T = _variance(deph.gamma(T), math.pi / 2.0, n, m, T, T)
     if t_star is not None and t_star <= T * (1.0 + deph.route.root_rel_tol):
-        # a root the route cannot tell from T is T
+        # a root the route cannot tell from T is T; the product root's gamma
+        # is the model's own (DephasingModel.product_optimum)
+        gam = deph.product_optimum[1] if m == 1 and t_star <= T else deph.gamma(min(t_star, T))
         t_star = min(t_star, T)
-        var_star = _variance(deph.gamma(t_star), math.pi / 2.0, probe, t_star)
+        var_star = _variance(gam, math.pi / 2.0, n, m, T, t_star)
         if var_star <= var_T:
             return Optimum(t_opt=t_star, delta_omega_sq=var_star)
         return Optimum(t_opt=T, delta_omega_sq=var_T, boundary_limited=True)

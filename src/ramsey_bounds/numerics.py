@@ -28,6 +28,7 @@ reports it."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,11 +49,20 @@ __all__ = [
 ]
 
 
+def _is_real(x):
+    """x is a real number other than a bool: an int, a float, a numpy integer
+    or floating scalar, a Fraction."""
+    return type(x) in (int, float) or (isinstance(x, numbers.Real)
+                                       and not isinstance(x, bool))
+
+
 def _check_fields(params, zero_ok=()):
-    """Every field of a parameter class must be finite and > 0 (>= 0 for the
-    names in ``zero_ok``)."""
+    """Every field of a parameter class must be a real number (not a bool),
+    finite and > 0 (>= 0 for the names in ``zero_ok``)."""
     for f in fields(params):
         value = getattr(params, f.name)
+        if not _is_real(value):
+            raise DomainError(f"{f.name} must be a real number, not {type(value).__name__}")
         if not math.isfinite(value):
             raise DomainError(f"{f.name} must be finite")
         if f.name in zero_ok and value < 0.0:
@@ -278,7 +288,7 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
 
 
 def solve_bracketed_root(g, bracket, *, values=None):
-    """Find a root of ``g`` inside ``bracket = (lo, hi)``.
+    """Find a root of ``g`` inside ``bracket = (lo, hi)``, both ends finite.
 
     Secant steps are accepted only when they stay inside the current bracket
     and shrink the residual; otherwise the step falls back to bisection, so
@@ -290,8 +300,8 @@ def solve_bracketed_root(g, bracket, *, values=None):
     or the result is not the root of ``g``. The sign checks are the same.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise DomainError("bracket must satisfy lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError("bracket must satisfy -inf < lo < hi < inf")
     if values is None:
         values = g(lo), g(hi)
     flo, fhi = float(values[0]), float(values[1])

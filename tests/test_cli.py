@@ -289,6 +289,9 @@ OHMIC_T1 = ["gamma", "--model", "ohmic", "--alpha", "1", "--omega-c", "1", "--t"
     (None, ["gamma", "--model", "ohmic", "--alpha", "1", "--omega-c", "1",
             "--t-grid", "nan:2:3"]),
     (None, ["gamma", "--model", "ohmic", "--alpha", "1", "--omega-c", "1", "--t", "nan"]),
+    # the static bath g = 0 is the nu = 2 law, --model powerlaw-dephasing
+    (lambda: Lorentzian(2.0, 0.0),
+     ["ratio", "--model", "lorentzian", "--a", "2", "--g", "0", "--n-grid", "1:16:4"]),
 ])
 def test_nonfinite_input_rejected(capsys, build, argv):
     if build is not None:

@@ -55,7 +55,6 @@ ALL_CLOSED_MODELS = [
     power_law(2.0, 3.0, 1.0),
     power_law(1.0, 1.0, 1.0, HighTemperatureOhmic(2.0)),
     lorentzian(4.0, 1.0),
-    lorentzian(1.0, 0.0),
     generic(0.8, 1.0),
     generic(1.2, 2.0),
     generic(0.5, 0.7),

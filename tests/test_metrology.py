@@ -86,6 +86,21 @@ def test_fisher_information_degenerate():
         fisher_information(0.0, 1.0, 0.0)
 
 
+def test_fisher_information_is_the_single_shot_variance_inverted():
+    # F = t^2 sin^2 e^(-2 gamma) / (1 - cos^2 e^(-2 gamma)), the formula
+    # written out, on scattered points, at negative t, and where e^(2 gamma)
+    # overflows (F then underflows to 0 or is taken in logarithms)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        phi, t, gam = rng.uniform(-3.0, 3.0), rng.uniform(-4.0, 4.0), rng.uniform(0.0, 5.0)
+        c, decay = math.cos(phi * t), math.exp(-2.0 * gam)
+        want = t * t * (1.0 - c * c) * decay / (1.0 - c * c * decay)
+        assert fisher_information(phi, t, gam) == pytest.approx(want, rel=1e-12)
+    assert fisher_information(math.pi / 2.0, -1.0, 400.0) == pytest.approx(
+        math.exp(-800.0), rel=1e-12)
+    assert fisher_information(math.pi / 2.0, -1.0, 1e4) == 0.0
+
+
 def test_variance_identity_with_fisher():
     # dw^2 = 1/(N F) with N = (T/t) n, checked on scattered points
     rng = np.random.default_rng(3)
@@ -180,10 +195,16 @@ def test_variance_domain_checks():
     (spectral_density, (PowerLawExpCutoff(1.0, 1.0, 1.0), math.nan)),
     (spectral_density, (PowerLawExpCutoff(1.0, 1.0, 1.0), math.inf)),
     (spectral_density, (Lorentzian(1.0, 1.0), np.array([0.5, math.nan]))),
+    (gamma_closed, (ohmic(), "1")),
+    (gamma_closed, (ohmic(), np.array(["0.5", "1"]))),
+    (DephasingModel.gamma, (ohmic(), "1")),
+    (dgamma_dt, (ohmic(), "1")),
+    (dgamma_dt, (ohmic(), [0.5, fractions.Fraction(1, 2)])),
 ], ids=["gamma-nan", "gamma-inf", "gamma-2d-nan", "dgamma-inf", "dgamma-neg-inf",
         "dgamma-generic-nan", "variance-phi-nan", "variance-phi-inf",
         "variance-t-nan", "variance-t-inf", "density-nan", "density-inf",
-        "density-array-nan"])
+        "density-array-nan", "gamma-str", "gamma-array-str", "model-gamma-str",
+        "dgamma-str", "dgamma-object-array"])
 def test_nonfinite_time_and_phase_rejected(fn, args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -211,11 +232,18 @@ def test_nonfinite_time_and_phase_rejected(fn, args):
     (ramsey_probability, (1.0, 1.0, -1.0)),
     (ramsey_probability, (np.array([1.0, math.nan]), 1.0, 0.0)),
     (QuadratureSettings, (math.nan,)),
+    (QuadratureSettings, (None,)),
+    (PowerLawExpCutoff, (True, 1.0, 1.0)),
+    (FiniteBeta, ("1",)),
+    (ProbeSpec, (1, True)),
+    (ProbeSpec, (1, "1")),
 ], ids=["probe-n-nan", "probe-n-2.5", "probe-n-bool", "ohmic-alpha-nan", "ohmic-n-inf",
         "scaling-nu-nan", "newton-a-nan", "refined-g-inf", "fisher-phi-nan",
         "fisher-t-inf", "fisher-gamma-nan", "fisher-gamma-neg", "fisher-gamma-neg-half-pi",
         "probability-phi-nan", "probability-t-nan", "probability-gamma-inf",
-        "probability-gamma-neg", "probability-array-phi-nan", "quad-rel-tol-nan"])
+        "probability-gamma-neg", "probability-array-phi-nan", "quad-rel-tol-nan",
+        "quad-rel-tol-none", "powerlaw-alpha-bool", "beta-str", "probe-time-bool",
+        "probe-time-str"])
 def test_nonfinite_parameter_or_count_rejected(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
@@ -299,7 +327,7 @@ def test_static_bath_root_is_the_zeno_bound():
     # gamma = a t^2 / 8 is purely quadratic: the root of 2 m t gamma' = 1
     # is the lower end of the window, 1/(2 sqrt(m c2)) = sqrt(2/(m a))
     for a in (0.3, 2.0, 7.5):
-        deph = DephasingModel(BathSpec(Lorentzian(a, 0.0)))
+        deph = generic(a / 8.0, 2.0)
         for m in (1, 2, 17, 1000):
             lo, hi = deph.bath.spectral.root_window(deph.bath.temperature, m)
             assert lo == pytest.approx(math.sqrt(2.0 / (m * a)), rel=1e-15)
@@ -390,8 +418,6 @@ def unbound_dgamma(spec, temp, t):
     """gamma'(t) on a float as the families wrote it before their constants
     were bound: each term's a r, r wc and p worked out at the call."""
     if isinstance(spec, Lorentzian):
-        if spec.g == 0.0:
-            return spec.a * t / 4.0
         return float(spec.a / (4.0 * spec.g) * (-np.expm1(-spec.g * t)))
     if isinstance(spec, GenericPowerLawDephasing):
         return float(spec.alpha * spec.nu * np.asarray(t) ** (spec.nu - 1.0))
@@ -417,7 +443,7 @@ LANE_BATHS = [BathSpec(PowerLawExpCutoff(1.3, s, 0.7), temp)
               for s in (0.3, 0.5, 1.0, 1.0 + 1e-8, 2.2, 3.0, 5.5)
               for temp in (ZeroTemperature(), FiniteBeta(0.4), FiniteBeta(9.0))]
 LANE_BATHS += [BathSpec(PowerLawExpCutoff(0.8, 1.0, 2.0), HighTemperatureOhmic(0.5)),
-               BathSpec(Lorentzian(1.7, 0.3)), BathSpec(Lorentzian(1.7, 0.0)),
+               BathSpec(Lorentzian(1.7, 0.3)),
                *(BathSpec(GenericPowerLawDephasing(0.9, nu), temp)
                  for nu in (0.6, 1.0, 1.5, 2.0, 2.7)
                  for temp in (ZeroTemperature(), FiniteBeta(1.0)))]
@@ -505,6 +531,24 @@ def test_product_optimum_is_solved_once_per_model(monkeypatch):
     assert built == [deph]
 
 
+def test_used_product_resolution_evaluates_gamma_once(monkeypatch):
+    # a model that holds its product optimum evaluates gamma at T alone: the
+    # root's gamma is the one it holds, with the same bits
+    deph = DephasingModel(BathSpec(PowerLawExpCutoff(1.2, 0.7, 1.5), FiniteBeta(3.0)))
+    fresh = optimal_resolution(deph, ProbeSpec(3, 10.0, "product"))
+    times = []
+    gamma = ClosedForm.gamma
+
+    def counted(self, bath, t):
+        times.append(t)
+        return gamma(self, bath, t)
+
+    monkeypatch.setattr(ClosedForm, "gamma", counted)
+    used = optimal_resolution(deph, ProbeSpec(3, 10.0, "product"))
+    assert times == [10.0]
+    assert repr(used) == repr(fresh) and not used.boundary_limited
+
+
 # Ohmic alpha = 2 at T = 0: the quadrature route's gamma is half the closed
 # form's, and its product lane has a root above alpha = 1
 PRODUCT_BATHS = {
@@ -513,7 +557,7 @@ PRODUCT_BATHS = {
     "s3-beta": BathSpec(PowerLawExpCutoff(2.0, 3.0, 1.0), FiniteBeta(4.0)),
     "high-T": BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0), HighTemperatureOhmic(2.0)),
     "lorentzian": BathSpec(Lorentzian(1.0, 0.5)),
-    "lorentzian-static": BathSpec(Lorentzian(2.0, 0.0)),
+    "nu2": BathSpec(GenericPowerLawDephasing(0.25, 2.0)),
     "nu1.5": BathSpec(GenericPowerLawDephasing(1.0, 1.5)),
     "nu1.5-beta": BathSpec(GenericPowerLawDephasing(1.0, 1.5), FiniteBeta(1.0)),
 }
@@ -524,10 +568,9 @@ PRODUCT_BATHS = {
 def test_bound_product_optimum_gives_the_bits_of_a_fresh_model(bath, route):
     # each call on a used model, scalar ratio_r and product optimal_resolution
     # alike, gives the bits of the same call on a fresh model
-    if isinstance(route, Quadrature) and (isinstance(bath.spectral, GenericPowerLawDephasing)
-                                          or bath.spectral == Lorentzian(2.0, 0.0)):
-        pytest.skip("no spectral density to integrate: the generic power law and "
-                    "the static Lorentzian have closed forms alone")
+    if isinstance(route, Quadrature) and isinstance(bath.spectral, GenericPowerLawDephasing):
+        pytest.skip("no spectral density to integrate: the generic power law has "
+                    "closed forms alone")
     used = DephasingModel(bath, route)
     for n, budget in ((2, 3.0), (5, 0.2), (2, 40.0)):
         probe = ProbeSpec(n, budget, "product")
@@ -768,6 +811,22 @@ def test_markov_ratio_is_one():
         assert res.t_u / res.t_e == pytest.approx(n, rel=1e-9)
 
 
+@pytest.mark.parametrize("g", [1e-160, 1e-200, 1e-300])
+def test_narrow_lorentzian_is_the_static_bath(g):
+    # as g falls the Lorentzian tends to gamma = a t^2 / 8, the nu = 2 law,
+    # with no g^2 formed on the way (it underflows below g ~ 1e-154)
+    for a in (0.3, 2.0, 7.5):
+        lorentz = DephasingModel(BathSpec(Lorentzian(a, g)))
+        static = generic(a / 8.0, 2.0)
+        for t in (0.0, 1e-3, 0.7, 40.0, 1e6):
+            assert lorentz.gamma(t) == pytest.approx(static.gamma(t), rel=1e-12, abs=0.0)
+        for m in (1, 2, 17, 1000):
+            assert optimal_interrogation(lorentz, m) == pytest.approx(
+                optimal_interrogation(static, m), rel=1e-12)
+        for n in (2, 16, 1000):
+            assert ratio_r(lorentz, n).r == pytest.approx(ratio_r(static, n).r, rel=1e-12)
+
+
 def test_static_bath_ratio():
     res = ratio_r(generic(0.9, 2.0), 16)
     assert res.r == pytest.approx(2.0, rel=1e-10)
@@ -799,7 +858,7 @@ SWEEP_MODELS = {
     "high-T": DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0),
                                       HighTemperatureOhmic(2.0))),
     "lorentzian": DephasingModel(BathSpec(Lorentzian(1.0, 0.5))),
-    "lorentzian-static": DephasingModel(BathSpec(Lorentzian(2.0, 0.0))),
+    "nu2": generic(0.25, 2.0),
     "nu0.6": generic(0.7, 0.6),
     "nu1.5": generic(1.0, 1.5),
 }

@@ -372,6 +372,15 @@ def test_known_end_values_keep_the_sign_checks():
         solve_bracketed_root(g, (2.0, 1.0), values=(2.0, -1.0))
 
 
+@pytest.mark.parametrize("bracket", [(0.0, math.inf), (-math.inf, 2.0), (-math.inf, math.inf),
+                                     (math.nan, 2.0), (0.0, math.nan)])
+def test_bracket_ends_must_be_finite(bracket):
+    # an infinite or NaN end is no bracket: on (0, inf) and (-inf, 2) x - 1
+    # changes sign, and the solver returned an end that is not its root
+    with pytest.raises(DomainError):
+        solve_bracketed_root(lambda x: x - 1.0, bracket)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_root_stays_inside_bracket(seed):
     rng = np.random.default_rng(seed)
