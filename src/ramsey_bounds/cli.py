@@ -196,8 +196,6 @@ def cmd_gamma(args) -> int:
     deph = _build_model(args)
     if args.t is None and args.t_grid is None:
         raise UsageError("gamma needs --t or --t-grid")
-    if args.t is not None and not math.isfinite(args.t):
-        raise UsageError("--t must be finite")
     ts = np.array([args.t]) if args.t is not None else _parse_grid(args.t_grid, "t-grid")
     rows = [[("t", t), ("gamma", g), ("dgamma_dt", dg)] for t, g, dg in
             zip(ts.tolist(), deph.gamma(ts).tolist(), deph.dgamma_dt(ts).tolist())]
@@ -256,6 +254,8 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     rng = np.random.default_rng(args.seed)
     ok = True
     lines = []
@@ -313,8 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="evaluate gamma(t) and its derivative")
     _add_model_flags(p)
-    p.add_argument("--t", type=float)
-    p.add_argument("--t-grid", help="min:max:points[:log]")
+    times = p.add_mutually_exclusive_group()
+    times.add_argument("--t", type=float)
+    times.add_argument("--t-grid", help="min:max:points[:log]")
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("optimize", help="optimal interrogation time and variance")

@@ -80,6 +80,8 @@ from .numerics import (
     ROOT_X_TOL,
     QuadratureSettings,
     _check_fields,
+    _real,
+    _real_array,
     integrate_semi_infinite,
 )
 
@@ -846,18 +848,12 @@ class DephasingModel:
 
 def _on_times(f, arg, t, at=None):
     """f(arg, t), or at(t) where ``at`` is given and t is a scalar, at the
-    checked time t (NaN, inf, negative and non-real times raise): a float on
-    a scalar, else on its array. A float is checked with no array made on the
-    way."""
-    if not isinstance(t, float):
-        t = np.asarray(t)
-        if t.dtype.kind not in "biuf" or not ((0.0 <= t) & (t < math.inf)).all():
-            raise DomainError("t must be real, finite and >= 0")
-        t = t.astype(float, copy=False)
+    time t read as numpy reads it (``numerics._real_array``): a float on a
+    scalar or 0-d array, else on its array. A valid float makes no array."""
+    if not (isinstance(t, float) and 0.0 <= t < math.inf):
+        t = _real_array("t", t, 0.0)
         if t.ndim:
             return f(arg, t)
-    elif not 0.0 <= t < math.inf:
-        raise DomainError("t must be finite and >= 0")
     return at(float(t)) if at else float(f(arg, float(t)))
 
 
@@ -877,11 +873,9 @@ def spectral_density(model: SpectralModel, omega):
     model:
         A :class:`PowerLawExpCutoff` or :class:`Lorentzian`.
     omega:
-        Frequency (scalar or array), finite and >= 0.
+        Frequency, a scalar or an array, >= 0 (see "Inputs" in the README).
     """
-    w = np.asarray(omega, dtype=float)
-    if not ((0.0 <= w) & (w < math.inf)).all():
-        raise DomainError("omega must be finite and >= 0")
+    w = _real_array("omega", omega, 0.0)
     out = model.density(w)
     return out if out.ndim else float(out)
 
@@ -899,14 +893,14 @@ def gamma_closed(deph: DephasingModel, t):
     deph:
         Dephasing model (the route tag is ignored here).
     t:
-        Time, scalar or array, finite and >= 0.
+        Time, a scalar or an array, >= 0 (see "Inputs" in the README).
     """
     return _on_times(deph.bath.spectral.gamma, deph.bath.temperature, t)
 
 
 def dgamma_dt(deph: DephasingModel, t):
-    """Time derivative of gamma via the model's route, for a time t (an array,
-    or a scalar through :attr:`DephasingModel.dgamma_at`), finite and >= 0.
+    """Time derivative of gamma via the model's route at a time t >= 0, an
+    array or a scalar (through :attr:`DephasingModel.dgamma_at`).
 
     Analytic for every closed form; on the quadrature route the integral
     (1/2) Int J(w) W(w) sin(w t) / w dw (:func:`dgamma_quadrature`).
@@ -1025,8 +1019,7 @@ def gamma_quadrature(bath: BathSpec, t: float, settings=_SETTINGS):
     bath:
         Bath with a spectral density (not the generic power-law model).
     t:
-        Time, a float, an int or a numpy scalar or 0-d array of a real
-        kind, finite and >= 0.
+        One time, >= 0 (see "Inputs" in the README).
     settings:
         Tolerances, a :class:`~ramsey_bounds.numerics.QuadratureSettings`.
 
@@ -1067,11 +1060,10 @@ def _bath_quadrature(bath, t, settings, derivative):
     docstring), for gamma a lower bound on the tolerance; where the result
     still misses the contract (gamma' may be smaller), the cuts are made
     again against a quarter of its tolerance."""
-    # a NaN time would make every panel's error NaN, which never refines
-    if not ((type(t) is float or isinstance(t, (int, np.generic, np.ndarray))
-             and np.ndim(t) == 0 and np.asarray(t).dtype.kind in "biuf")
-            and 0.0 <= t < math.inf):
-        raise DomainError("t must be a real number, finite and >= 0")
+    # one time, read as numpy reads it (as in _on_times); a NaN time would
+    # make every panel's error NaN, which never refines
+    if not (type(t) is float and 0.0 <= t < math.inf):
+        t = _real("t", _real_array("t", t, 0.0))
     if settings is not _SETTINGS:
         _check_kind("settings", settings, QuadratureSettings)
     if t == 0.0:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dephasing import DephasingModel
 from .errors import DegenerateSignal, DomainError, NoFiniteOptimum
-from .numerics import _is_real, solve_bracketed_root
+from .numerics import _is_real, _real, _real_array, solve_bracketed_root
 
 __all__ = [
     "STRATEGIES",
@@ -65,10 +65,8 @@ class ProbeSpec:
         if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
                 or self.n < 1):
             raise DomainError("n must be an int >= 1")
-        if not (_is_real(self.total_time) and math.isfinite(self.total_time)):
-            raise DomainError("total_time must be a finite real number (not bool)")
-        if self.total_time <= 0.0:
-            raise DomainError("total_time must be > 0")
+        object.__setattr__(self, "total_time",
+                           _real("total_time", self.total_time, 0.0, strict=True))
         if self.strategy not in STRATEGIES:
             raise DomainError(f"strategy must be one of {STRATEGIES}")
 
@@ -98,19 +96,10 @@ class RatioResult:
     exponential_factor: float
 
 
-def _check_fringe(phi, t, gamma_t):
-    """Raise DomainError unless phi, t and gamma_t (numbers or arrays) are
-    finite and gamma_t >= 0."""
-    g = np.asarray(gamma_t)
-    if not (np.isfinite(phi).all() and np.isfinite(t).all()
-            and ((0.0 <= g) & (g < math.inf)).all()):
-        raise DomainError("phi, t and gamma_t must be finite, and gamma_t >= 0")
-
-
 def ramsey_probability(phi, t, gamma_t):
     """Fringe probability p0 = (1 + cos(phi t) e^(-gamma))/2."""
-    _check_fringe(phi, t, gamma_t)
-    return 0.5 * (1.0 + np.cos(np.asarray(phi) * t) * np.exp(-np.asarray(gamma_t)))
+    phi, t = _real_array("phi", phi), _real_array("t", t)
+    return 0.5 * (1.0 + np.cos(phi * t) * np.exp(-_real_array("gamma_t", gamma_t, 0.0)))
 
 
 def fisher_information(phi, t, gamma_t):
@@ -121,8 +110,8 @@ def fisher_information(phi, t, gamma_t):
     phi t = k pi/2, odd k: the reciprocal of the variance of one probe
     measured once, n = m = 1 and T = t (which enters squared).
     """
-    _check_fringe(phi, t, gamma_t)
-    return 1.0 / _variance(gamma_t, phi * t, 1, 1, abs(t), abs(t))
+    phi, t = _real("phi", phi), _real("t", t)
+    return 1.0 / _variance(_real("gamma_t", gamma_t, 0.0), phi * t, 1, 1, abs(t), abs(t))
 
 
 def _variance(gam: float, theta: float, n, m, total_time: float, t: float) -> float:
@@ -165,10 +154,7 @@ def frequency_variance(phi, t, probe: ProbeSpec, deph: DephasingModel):
     decay e^(-gamma). GHZ states: N = T/t fringes with argument n phi t and
     decay e^(-n gamma).
     """
-    if not math.isfinite(phi):
-        raise DomainError("phi must be finite")
-    if not 0.0 < t < math.inf:
-        raise DomainError("t must be finite and > 0")
+    phi, t = _real("phi", phi), _real("t", t, 0.0, strict=True)
     if t > probe.total_time:
         raise DomainError("t must not exceed the probe's total_time")
     return _variance(deph.gamma(t), probe.m * phi * t, probe.n, probe.m, probe.total_time, t)
@@ -193,9 +179,8 @@ def optimal_interrogation(deph: DephasingModel, m):
 
     ``m`` may also be a 1-D array of multipliers: the result is then an
     array of times, NaN where no finite optimum exists, each one the time
-    the scalar call for that multiplier returns. ``m`` is a real number or
-    an integer or floating array, finite and >= 1; :class:`DomainError` is
-    raised for a bool, a string or another non-numeric value or dtype.
+    the scalar call for that multiplier returns. ``m`` is >= 1 (see "Inputs"
+    in the README).
 
     A scalar ``m`` is read as a Python float and gives a Python float, with
     no array built; a list of numbers is read the same way, and an array is
@@ -216,27 +201,17 @@ def optimal_interrogation(deph: DephasingModel, m):
     return times[0]
 
 
-_BAD_M = ("m must be a number or a 1-D integer or floating array (not bool), "
-          "finite and >= 1")
-
-
 def _multipliers(m):
     """``m`` as a list of Python floats, and whether it is a scalar. A number,
     or a list or tuple of numbers, is read without an array."""
-    if _is_real(m):
-        lanes, scalar = [float(m)], True
-    elif isinstance(m, (list, tuple)):
-        if not all(map(_is_real, m)):
-            raise DomainError(_BAD_M)
-        lanes, scalar = [float(mi) for mi in m], False
-    else:
-        ms = np.asarray(m)
-        if ms.ndim > 1 or ms.dtype.kind not in "iuf":
-            raise DomainError(_BAD_M)
-        lanes, scalar = ms.astype(float).reshape(-1).tolist(), not ms.ndim
-    if not all(1.0 <= mi < math.inf for mi in lanes):
-        raise DomainError(_BAD_M)
-    return lanes, scalar
+    if isinstance(m, (list, tuple)):
+        return [_real("m", mi, 1.0) for mi in m], False
+    if _is_real(m) or not np.ndim(m):
+        return [_real("m", m, 1.0)], True
+    ms = _real_array("m", m, 1.0)
+    if ms.ndim > 1:
+        raise DomainError("m must be a number or a 1-D array")
+    return ms.tolist(), False
 
 
 def _solve_lane(deph: DephasingModel, m: float) -> float:
@@ -393,12 +368,11 @@ def ohmic_exact_ratio(alpha: float, n) -> float:
 
     Requires alpha > 1/2 (below it no finite optimum exists).
     """
-    if not (0.5 < alpha < math.inf and 1.0 <= n < math.inf):
-        raise DomainError("need finite alpha > 1/2 (a finite Ohmic optimum) and n >= 1")
-    a, na = float(alpha), float(alpha) * float(n)
+    a, n = _real("alpha", alpha, 0.5, strict=True), _real("n", n, 1.0)
+    na = a * n
     # logs via log1p keep n*alpha ~ 1e9 accurate
     log_f_sq = (-a * math.log1p(-0.5 / a)
                 + na * math.log1p(-0.5 / na)
                 + 0.5 * (math.log(2.0 * a - 1.0) - math.log(2.0 * na - 1.0)))
-    return math.sqrt(float(n)) * math.exp(0.5 * log_f_sq)
+    return math.sqrt(n) * math.exp(0.5 * log_f_sq)
 

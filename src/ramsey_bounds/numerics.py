@@ -56,19 +56,53 @@ def _is_real(x):
                                        and not isinstance(x, bool))
 
 
+def _real(name, x, lower=None, strict=False):
+    """``x`` as a float, the one scalar check: a real number other than a
+    bool (:func:`_is_real`) or a 0-d array of an integer or floating dtype,
+    finite and >= ``lower`` (> ``lower`` where ``strict``; no bound where
+    ``lower`` is None). Anything else raises DomainError naming ``name``."""
+    if not (_is_real(x) or isinstance(x, np.ndarray) and x.ndim == 0
+            and x.dtype.kind in "iuf"):
+        raise DomainError(f"{name} must be a real number (not bool), not {type(x).__name__}")
+    try:
+        v = float(x)
+    except OverflowError:  # an int or a Fraction past the floats
+        v = math.inf
+    if not (-math.inf < v < math.inf if lower is None
+            else lower < v < math.inf if strict else lower <= v < math.inf):
+        bound = "" if lower is None else f" and {'>' if strict else '>='} {lower:g}"
+        raise DomainError(f"{name} must be finite{bound}")
+    return v
+
+
+def _real_array(name, x, lower=None, strict=False):
+    """``x`` as a float array, the one array check: what ``np.asarray`` reads
+    with an integer or floating dtype, every entry checked as by
+    :func:`_real`."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nesting of sequences
+        raise DomainError(f"{name} must be an array of real numbers") from None
+    if a.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must have an integer or floating dtype, not {a.dtype}")
+    a = a.astype(float, copy=False)
+    if lower is None:
+        ok = np.isfinite(a)
+    else:
+        ok = lower < a if strict else lower <= a
+        ok &= a < math.inf
+    if not ok.all():
+        _real(name, a[~ok].flat[0], lower, strict)  # raises, for the first bad entry
+    return a
+
+
 def _check_fields(params, zero_ok=()):
     """Every field of a parameter class must be a real number (not a bool),
-    finite and > 0 (>= 0 for the names in ``zero_ok``)."""
+    finite and > 0 (>= 0 for the names in ``zero_ok``); each is stored as
+    its float (:func:`_real`)."""
     for f in fields(params):
-        value = getattr(params, f.name)
-        if not _is_real(value):
-            raise DomainError(f"{f.name} must be a real number, not {type(value).__name__}")
-        if not math.isfinite(value):
-            raise DomainError(f"{f.name} must be finite")
-        if f.name in zero_ok and value < 0.0:
-            raise DomainError(f"{f.name} must be >= 0")
-        if f.name not in zero_ok and value <= 0.0:
-            raise DomainError(f"{f.name} must be > 0")
+        object.__setattr__(params, f.name, _real(f.name, getattr(params, f.name), 0.0,
+                                                 strict=f.name not in zero_ok))
 
 
 @dataclass(frozen=True)
@@ -242,14 +276,12 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
     once when the error estimate is not finite (a NaN or infinite integrand),
     which no refinement can mend.
     """
-    if not 0.0 < upper_cutoff < math.inf:
-        raise DomainError("upper_cutoff must be finite and > 0")
+    upper_cutoff = _real("upper_cutoff", upper_cutoff, 0.0, strict=True)
     if lower_cutoff is None:
         lower_cutoff = LOWER_CUTOFF_FRACTION * upper_cutoff
-    if not 0.0 < lower_cutoff < math.inf:
-        raise DomainError("lower_cutoff must be finite and > 0")
-    if not max_panel_width > 0.0:
-        raise DomainError("max_panel_width must be > 0")
+    lower_cutoff = _real("lower_cutoff", lower_cutoff, 0.0, strict=True)
+    if not (_is_real(max_panel_width) and max_panel_width == math.inf):  # inf: no cap
+        max_panel_width = _real("max_panel_width", max_panel_width, 0.0, strict=True)
     lo, hi = _seed_panels(math.sqrt(upper_cutoff), math.sqrt(lower_cutoff),
                           max_panel_width, MAX_PANELS)
 
@@ -299,9 +331,9 @@ def solve_bracketed_root(g, bracket, *, values=None):
     evaluations at the ends; they must be the values ``g`` returns there,
     or the result is not the root of ``g``. The sign checks are the same.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not -math.inf < lo < hi < math.inf:
-        raise DomainError("bracket must satisfy -inf < lo < hi < inf")
+    lo, hi = _real("bracket[0]", bracket[0]), _real("bracket[1]", bracket[1])
+    if not lo < hi:
+        raise DomainError("bracket must satisfy lo < hi")
     if values is None:
         values = g(lo), g(hi)
     flo, fhi = float(values[0]), float(values[1])
@@ -351,16 +383,14 @@ def solve_bracketed_root(g, bracket, *, values=None):
 def fit_power_law(xs, ys):
     """Least-squares fit of ln(y) = p*ln(x) + c; returns a :class:`PowerLawFit`
     with the exponent p, the log-prefactor c and the rms residual in ln(y)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs = _real_array("xs", xs, 0.0, strict=True)
+    ys = _real_array("ys", ys, 0.0, strict=True)
     if xs.ndim != 1 or xs.size < 3:
         raise DomainError("need at least 3 samples")
     if ys.shape != xs.shape:
         raise DomainError("ys must have the shape of xs")
     if not np.all(np.diff(xs) > 0.0):
         raise DomainError("xs must be strictly increasing")
-    if not ((0.0 < xs) & (xs < math.inf) & (0.0 < ys) & (ys < math.inf)).all():
-        raise DomainError("power-law fit needs finite, strictly positive data")
     lx, ly = np.log(xs), np.log(ys)
     lxm, lym = lx.mean(), ly.mean()
     slope = float(np.sum((lx - lxm) * (ly - lym)) / np.sum((lx - lxm) ** 2))

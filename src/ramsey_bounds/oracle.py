@@ -39,6 +39,7 @@ from .dephasing import (
 )
 from .errors import DomainError, GridTooCoarse, NoSpectralDensity
 from .metrology import Optimum, ProbeSpec, optimal_interrogation
+from .numerics import _real
 
 __all__ = [
     "brute_force_optimum",
@@ -159,12 +160,9 @@ def brute_force_optimum(deph: DephasingModel, probe: ProbeSpec, *,
     With ``with_theta`` the recovered fringe argument is returned alongside
     the :class:`Optimum` (expected pi/2 up to grid resolution).
     """
-    for name, value in (("t_min", t_min), ("t_max", t_max)):
-        if value is not None and not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be finite and > 0")
     t_ref = deph.time_scale()
-    t_lo = t_min if t_min is not None else 1e-4 * t_ref
-    t_hi = t_max if t_max is not None else 1e4 * t_ref
+    t_lo = 1e-4 * t_ref if t_min is None else _real("t_min", t_min, 0.0, strict=True)
+    t_hi = 1e4 * t_ref if t_max is None else _real("t_max", t_max, 0.0, strict=True)
     t_hi = min(t_hi, probe.total_time)
     if not t_lo > 0.0:
         raise DomainError("empty time grid: 1e-4 of the model's time scale "
@@ -211,8 +209,7 @@ def brute_force_optimum(deph: DephasingModel, probe: ProbeSpec, *,
 def reference_gamma(bath: BathSpec, t: float) -> float:
     """gamma(t), the bath integral itself: the family's closed form, halved
     for the Ohmic bath at T = 0, where (alpha/2) ln(1 + wc^2 t^2) is twice it."""
-    if not 0.0 <= t < math.inf:
-        raise DomainError("t must be finite and >= 0")
+    t = _real("t", t, 0.0)
     spec, temp = bath.spectral, bath.temperature
     if isinstance(spec, GenericPowerLawDephasing):
         raise NoSpectralDensity("no bath integral for generic power-law dephasing")

@@ -520,13 +520,25 @@ LORENTZIAN = ["--model", "lorentzian", "--a", "1", "--g", "0.5"]
     ["gamma", *LORENTZIAN],
     ["ratio", *LORENTZIAN, "--n-grid", "0:3:4"],
     ["figure1", "--alpha", "1", "--n-max", "0", "--out", "unused.csv"],
+    ["validate", "--trials", "0"],
+    ["validate", "--trials", "-3"],
 ], ids=["grid-parts", "grid-number", "grid-spacing", "temp-no-beta", "temp-unknown",
-        "no-time", "n-below-1", "n-max-0"])
+        "no-time", "n-below-1", "n-max-0", "validate-no-trials", "validate-negative-trials"])
 def test_usage_error_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gamma_time_and_grid_exclusive_exit_2(capsys):
+    # one source of times: --t would silently drop the grid
+    with pytest.raises(SystemExit) as info:
+        main(["gamma", *LORENTZIAN, "--t", "1", "--t-grid", "1:2:2"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --t" in captured.err
 
 
 def test_unknown_model_exit_2(capsys):

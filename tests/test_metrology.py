@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ramsey_bounds import metrology
+from ramsey_bounds import metrology, oracle
 from ramsey_bounds.dephasing import (
     BathSpec,
     ClosedForm,
@@ -21,6 +21,7 @@ from ramsey_bounds.dephasing import (
     ZeroTemperature,
     dgamma_dt,
     gamma_closed,
+    gamma_quadrature,
     spectral_density,
 )
 from ramsey_bounds.errors import (
@@ -200,11 +201,21 @@ def test_variance_domain_checks():
     (DephasingModel.gamma, (ohmic(), "1")),
     (dgamma_dt, (ohmic(), "1")),
     (dgamma_dt, (ohmic(), [0.5, fractions.Fraction(1, 2)])),
+    (spectral_density, (PowerLawExpCutoff(1.0, 1.0, 1.0), "1")),
+    (spectral_density, (PowerLawExpCutoff(1.0, 1.0, 1.0), True)),
+    (gamma_closed, (ohmic(), True)),
+    (gamma_quadrature, (BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0)), True)),
+    (frequency_variance, (1.0, "1", ProbeSpec(1, 1.0), ohmic())),
+    (frequency_variance, ("1", 1.0, ProbeSpec(1, 1.0), ohmic())),
+    (frequency_variance, (1.0, np.array([1.0, 2.0]), ProbeSpec(1, 1.0), ohmic())),
+    (frequency_variance, (True, 1.0, ProbeSpec(1, 1.0), ohmic())),
 ], ids=["gamma-nan", "gamma-inf", "gamma-2d-nan", "dgamma-inf", "dgamma-neg-inf",
         "dgamma-generic-nan", "variance-phi-nan", "variance-phi-inf",
         "variance-t-nan", "variance-t-inf", "density-nan", "density-inf",
         "density-array-nan", "gamma-str", "gamma-array-str", "model-gamma-str",
-        "dgamma-str", "dgamma-object-array"])
+        "dgamma-str", "dgamma-object-array", "density-str", "density-bool", "gamma-bool",
+        "quad-bool", "variance-t-str", "variance-phi-str", "variance-t-array",
+        "variance-phi-bool"])
 def test_nonfinite_time_and_phase_rejected(fn, args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -237,16 +248,62 @@ def test_nonfinite_time_and_phase_rejected(fn, args):
     (FiniteBeta, ("1",)),
     (ProbeSpec, (1, True)),
     (ProbeSpec, (1, "1")),
+    (fisher_information, (np.array([1.0, 2.0]), 1.0, 0.1)),
+    (ramsey_probability, ("1", 1.0, 0.1)),
+    (ohmic_exact_ratio, ("1", 2)),
+    (ohmic_exact_ratio, (1.0, True)),
 ], ids=["probe-n-nan", "probe-n-2.5", "probe-n-bool", "ohmic-alpha-nan", "ohmic-n-inf",
         "scaling-nu-nan", "newton-a-nan", "refined-g-inf", "fisher-phi-nan",
         "fisher-t-inf", "fisher-gamma-nan", "fisher-gamma-neg", "fisher-gamma-neg-half-pi",
         "probability-phi-nan", "probability-t-nan", "probability-gamma-inf",
         "probability-gamma-neg", "probability-array-phi-nan", "quad-rel-tol-nan",
         "quad-rel-tol-none", "powerlaw-alpha-bool", "beta-str", "probe-time-bool",
-        "probe-time-str"])
+        "probe-time-str", "fisher-phi-array", "probability-phi-str", "ohmic-alpha-str",
+        "ohmic-n-bool"])
 def test_nonfinite_parameter_or_count_rejected(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
+
+
+# each kind of real scalar, built from a float x
+SCALAR_KINDS = {"0d": np.array, "float32": np.float32, "int64": np.int64,
+                "fraction": fractions.Fraction}
+FV_MODEL = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 0.7, 1.0)))
+FV_PROBE = ProbeSpec(2, 3.0)
+THERMAL_BATH = BathSpec(PowerLawExpCutoff(1.0, 0.7, 1.0), FiniteBeta(2.0))
+
+
+@pytest.mark.parametrize("call,kinds", [
+    (lambda v: frequency_variance(v, 0.5, FV_PROBE, FV_MODEL), "0d float32 int64 fraction"),
+    (lambda v: frequency_variance(1.0, v, FV_PROBE, FV_MODEL), "0d int64"),
+    (lambda v: ohmic_exact_ratio(v, 3), "0d float32 int64 fraction"),
+    (lambda v: ohmic_exact_ratio(1.5, v), "0d float32 int64 fraction"),
+    (lambda v: oracle.reference_gamma(THERMAL_BATH, v), "0d int64 fraction"),
+    (lambda v: gamma_quadrature(THERMAL_BATH, v), "0d float32 int64"),
+], ids=["variance-phi", "variance-t", "ohmic-alpha", "ohmic-n", "reference-gamma",
+        "quadrature"])
+def test_real_scalars_give_the_bits_of_their_float(call, kinds):
+    # what was accepted stays accepted: each kind gives its float's bits
+    for kind in kinds.split():
+        assert call(SCALAR_KINDS[kind](2.0)) == call(2.0), kind
+
+
+def test_scalars_are_read_as_their_float():
+    # a float32 time or a Fraction phase is its float, with no float32
+    # arithmetic and no Fraction left on the way
+    assert (frequency_variance(1.0, np.float32(2.0), FV_PROBE, FV_MODEL)
+            == frequency_variance(1.0, 2.0, FV_PROBE, FV_MODEL))
+    assert (frequency_variance(1.0, fractions.Fraction(1, 2), FV_PROBE, FV_MODEL)
+            == frequency_variance(1.0, 0.5, FV_PROBE, FV_MODEL))
+    assert oracle.reference_gamma(THERMAL_BATH, np.float32(0.1)) == oracle.reference_gamma(
+        THERMAL_BATH, float(np.float32(0.1)))
+    spec = PowerLawExpCutoff(np.array(1.0), fractions.Fraction(7, 10), np.int64(1))
+    assert spec == PowerLawExpCutoff(1.0, 0.7, 1.0)
+    assert all(type(v) is float for v in dataclasses.astuple(spec))
+    assert type(ProbeSpec(2, np.float32(3.0)).total_time) is float
+    # a time of the dephasing module is read as numpy reads it
+    with pytest.raises(DomainError):
+        gamma_closed(FV_MODEL, fractions.Fraction(1, 2))
 
 
 def test_variance_overflow_is_inf():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ramsey_bounds import numerics
-from ramsey_bounds.dephasing import BathSpec, PowerLawExpCutoff
+from ramsey_bounds.dephasing import BathSpec, DephasingModel, PowerLawExpCutoff
+from ramsey_bounds.metrology import ProbeSpec
 from ramsey_bounds.errors import DomainError, NoSignChange, ToleranceNotMet
 from ramsey_bounds.numerics import (
     QuadratureSettings,
@@ -14,7 +15,7 @@ from ramsey_bounds.numerics import (
     integrate_semi_infinite,
     solve_bracketed_root,
 )
-from ramsey_bounds.oracle import reference_gamma
+from ramsey_bounds.oracle import brute_force_optimum, reference_gamma
 
 
 def bisect(f, lo, hi, tol=1e-10):
@@ -292,9 +293,17 @@ def test_bad_max_panel_width_rejected(width):
     lambda: fit_power_law([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
     lambda: fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0]),
     lambda: fit_power_law([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]]),
+    lambda: reference_gamma(BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0)), "1"),
+    lambda: reference_gamma(BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0)), np.array([1.0, 2.0])),
+    lambda: brute_force_optimum(DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0))),
+                                ProbeSpec(1, 10.0), t_min="1"),
+    lambda: integrate_semi_infinite(lambda w: np.exp(-w), "1"),
+    lambda: solve_bracketed_root(lambda x: x, ("a", 1.0)),
+    lambda: fit_power_law(["1", "2", "3"], [1, 2, 3]),
 ], ids=["reference-gamma-nan", "reference-gamma-inf", "cutoff-nan", "cutoff-inf",
         "lower-cutoff-nan", "lower-cutoff-zero", "fit-nan", "fit-short-ys",
-        "fit-2d-ys"])
+        "fit-2d-ys", "reference-gamma-str", "reference-gamma-array", "oracle-t-min-str",
+        "cutoff-str", "bracket-str", "fit-str"])
 def test_nonfinite_inputs_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
