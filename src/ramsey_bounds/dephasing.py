@@ -29,14 +29,16 @@ new route for an existing one, touches one class. A family provides:
   with the terms and constants of ``temp`` bound once, which a model binds
   once (:attr:`DephasingModel.dgamma_at`);
 * ``c2(temp)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
-* ``quad_problem(temp, t, derivative)``: the bath integral at time t, or
-  with ``derivative`` that of its t-derivative, (1/2) J(w) W(w) sin(w t) / w,
-  as ``(integrand, head, tail_start, tail, w_star)``: the integrand in w, the
-  terms ``(log c, p)`` of a bound Sum c E^p on its integral below any E, the
-  least upper cutoff W to try, ``tail(W)``, a bound on the part above W not
-  known in closed form, which ``tail(W, value=True)`` returns with that part,
-  and w*, the largest head cutoff (see :meth:`PowerLawExpCutoff.quad_problem`).
-  The quadrature
+* ``quad_problem(temp)``: a function of ``(t, derivative=False)`` with the
+  constants of ``temp`` that do not depend on t bound once, which a bath
+  binds once (:attr:`BathSpec.quad_problem`). It sets up the bath integral
+  at time t, or with ``derivative`` that of its t-derivative,
+  (1/2) J(w) W(w) sin(w t) / w, as ``(integrand, head, tail_start, tail,
+  w_star)``: the integrand in w, the terms ``(log c, p)`` of a bound
+  Sum c E^p on its integral below any E, the least upper cutoff W to try,
+  ``tail(W)``, a bound on the part above W not known in closed form, which
+  ``tail(W, value=True)`` returns with that part, and w*, the largest head
+  cutoff (see :meth:`PowerLawExpCutoff.quad_problem`). The quadrature
   (:func:`_bath_quadrature`) makes both cuts; the change of variable and the
   panel layout belong to :func:`~ramsey_bounds.numerics.integrate_semi_infinite`;
 * ``time_scale()``: the characteristic time, which seeds the oracle's grid;
@@ -45,7 +47,7 @@ new route for an existing one, touches one class. A family provides:
   family's bounds prove there is none. For the spectral families
   ``lo`` is 1/(2 sqrt(m c2)); the optimizer walks up from it.
 
-Temperature tags supply the thermal weight W(w) through ``weight(w)``. An
+Temperature tags apply the thermal weight W(w) in place, ``weigh(j, w)``. An
 evaluation route (closed form or quadrature) supplies ``gamma(bath, t)`` on a
 time or an array of times, ``dgamma(bath, t)`` on an array, both checked by
 the caller, and ``dgamma_function(bath)``, the float gamma' as a function of t.
@@ -368,10 +370,11 @@ class PowerLawExpCutoff:
             out.append((a, s + n - 1.0, r))
         return tuple(out)
 
-    def quad_problem(self, temp, t: float, derivative=False):
-        """The bath integral at time t > 0, or with ``derivative`` its
-        t-derivative (see :func:`_integrand`), set up for quadrature in omega
-        as ``(integrand, head, tail_start, tail, w_star)``.
+    def quad_problem(self, temp):
+        """A function of ``(t, derivative=False)`` that sets up the bath
+        integral at time t > 0, or with ``derivative`` its t-derivative (see
+        :func:`_integrand`), for quadrature in omega as ``(integrand, head,
+        tail_start, tail, w_star)``; what does not depend on t is bound once.
 
         ``head`` holds the terms ``(log c, p)`` of a bound Sum c E^p on
         Int_0^E |integrand| for every E > 0: 1 - cos u <= u^2/2 (|sin u|/u <= 1
@@ -403,26 +406,41 @@ class PowerLawExpCutoff:
         """
         s, wc = self.s, self.omega_c
         a0, a1 = temp.weight_bound()
+        log, exp, inf = math.log, math.exp, math.inf  # local names: the tail search is hot
+        log_alpha, log_wc = log(self.alpha), log(wc)
         # in logarithms, as c underflows where wc t is moderate and t tiny
-        k = 1.0 if derivative else 2.0
-        log_t = math.log(t)
-        log_scale = math.log(self.alpha) + (1.0 - s) * math.log(wc) + k * (log_t - _LN2)
-        head = tuple((log_scale + math.log(a / q), p)
-                     for a, q, p in ((a0, s + 1.0, s + 1.0), (a1, s, s)) if a)
+        log_scale_0 = log_alpha + (1.0 - s) * log_wc
+        head_terms = [(log(a / q), p) for a, q, p in ((a0, s + 1.0, s + 1.0), (a1, s, s)) if a]
+        # (k, log 2 alpha wc^d, s - 2 + d) for gamma (d = 0) and its derivative
+        constants = ((2.0, _LN2 + log_alpha, s - 2.0),
+                     (1.0, _LN2 + log_alpha + log_wc, s - 1.0))
+        tail_start = 2.0 * s * wc
 
-        log_front = _LN2 + math.log(self.alpha) + (math.log(wc) if derivative else 0.0)
-        power = s - 1.0 if derivative else s - 2.0
-        log_slow = -(_LN2 + math.log(wc) + log_t)  # log 1/(2 wc t)
+        def problem(t, derivative=False):
+            k, log_front, power = constants[derivative]
+            log_t = log(t)
+            log_scale = log_scale_0 + k * (log_t - _LN2)
+            head = [(log_scale + log_aq, p) for log_aq, p in head_terms]
+            log_slow = -(_LN2 + log_wc + log_t)  # log 1/(2 wc t)
 
-        def tail(om, value=False):
-            x = om / wc
-            log_wt = math.log(om) + log_t - _LN2  # log Wt/2
-            log_kern = min(0.0, log_wt, log_slow) if derivative else min(0.0, 2.0 * log_wt)
-            log_bound = log_front + power * math.log(x) - x + math.log(a0 + a1 / om) + log_kern
-            bound = math.exp(log_bound) if log_bound < _LOG_HUGE else math.inf
-            return (0.0, bound) if value else bound
+            def tail(om, value=False):
+                x = om / wc
+                log_wt = log(om) + log_t - _LN2  # log Wt/2
+                # min(0, log Wt/2, log_slow), or min(0, log (Wt/2)^2)
+                if derivative:
+                    log_kern = log_wt if log_wt < 0.0 else 0.0
+                    if log_slow < log_kern:
+                        log_kern = log_slow
+                else:
+                    log_kern = 2.0 * log_wt
+                    if not log_kern < 0.0:
+                        log_kern = 0.0
+                log_bound = log_front + power * log(x) - x + log(a0 + a1 / om) + log_kern
+                bound = exp(log_bound) if log_bound < _LOG_HUGE else inf
+                return (0.0, bound) if value else bound
 
-        return _integrand(self, temp, t, derivative), head, 2.0 * s * wc, tail, min(1.0 / t, wc)
+            return _integrand(self, temp, t, derivative), head, tail_start, tail, min(1.0 / t, wc)
+        return problem
 
     def root_window(self, temp, m):
         """A window ``(lo, hi)`` holding every root of 2 m t gamma'(t) = 1, or
@@ -566,46 +584,51 @@ class Lorentzian:
     def c2(self, temp):
         return self.a / 8.0
 
-    def quad_problem(self, temp, t: float, derivative=False):
-        """The bath integral at time t > 0, or its t-derivative; see
-        :meth:`PowerLawExpCutoff.quad_problem`. The head bound is c E from
-        J <= a/(pi g); up to w* = min(1/t, g), J >= a/(2 pi g)."""
+    def quad_problem(self, temp):
+        """The bath integral at time t > 0, or its t-derivative, as a function
+        of ``(t, derivative=False)``; see :meth:`PowerLawExpCutoff.quad_problem`.
+        The head bound is c E from J <= a/(pi g); up to w* = min(1/t, g),
+        J >= a/(2 pi g)."""
         a, g = self.a, self.g
         half_j0 = 0.5 * a / (math.pi * g)
-        k = 1.0 if derivative else 2.0
-        head = ((math.log(a / math.pi) - math.log(g) + k * (math.log(t) - _LN2), 1.0),)
+        log_c_0 = math.log(a / math.pi) - math.log(g)
 
-        # The tail above the cutoff W, Int_W^inf H(w) sin(wt) dw or
-        # Int_W^inf H(w) (1 - cos(wt)) dw with H(w) = J(w) / (2 w^k), is
-        # integrated by parts twice: the mean part Int_W^inf H and the surface
-        # terms are exact, and as H is convex the remainder is within
-        # |H'(W)| / t^2, which the bound takes k-fold (twice for gamma, a
-        # margin). J is taken in x = W/g, as in ``density``; where W is large
-        # these products underflow to 0, and none overflows.
-        def tail(om, value=False):
-            x = om / g
-            h = half_j0 / (1.0 + x * x) / om
-            if not derivative:
-                h /= om
-            dh = -h * (2.0 / (om + g * (g / om)) + k / om)
-            bound = k * abs(dh) / t / t
-            if not value:
-                return bound
-            sin, cos = math.sin(om * t), math.cos(om * t)
-            if derivative:
-                known = h * cos / t - dh * sin / t / t
-            else:
-                # Int_W^inf H dw = (u - arctan u) / g times J(0)/2, u = g/W:
-                # a series below u ~ 1e-2, where the two terms nearly cancel
-                u = g / om
-                u_minus_atan = (u ** 3 * (1.0 / 3.0 - u * u / 5.0 + u ** 4 / 7.0) if u < 1e-2
-                                else u - math.atan(u))
-                known = half_j0 * (u_minus_atan / g) + h * sin / t + dh * cos / t / t
-            return known, bound
+        def problem(t, derivative=False):
+            k = 1.0 if derivative else 2.0
+            head = ((log_c_0 + k * (math.log(t) - _LN2), 1.0),)
 
-        # the search starts W at 20/t, so the number of periods of cos(wt)
-        # below it stays bounded in gt
-        return _integrand(self, temp, t, derivative), head, 20.0 / t, tail, min(1.0 / t, g)
+            # The tail above the cutoff W, Int_W^inf H(w) sin(wt) dw or
+            # Int_W^inf H(w) (1 - cos(wt)) dw with H(w) = J(w) / (2 w^k), is
+            # integrated by parts twice: the mean part Int_W^inf H and the
+            # surface terms are exact, and as H is convex the remainder is
+            # within |H'(W)| / t^2, which the bound takes k-fold (twice for
+            # gamma, a margin). J is taken in x = W/g, as in ``density``; where
+            # W is large these products underflow to 0, and none overflows.
+            def tail(om, value=False):
+                x = om / g
+                h = half_j0 / (1.0 + x * x) / om
+                if not derivative:
+                    h /= om
+                dh = -h * (2.0 / (om + g * (g / om)) + k / om)
+                bound = k * abs(dh) / t / t
+                if not value:
+                    return bound
+                sin, cos = math.sin(om * t), math.cos(om * t)
+                if derivative:
+                    known = h * cos / t - dh * sin / t / t
+                else:
+                    # Int_W^inf H dw = (u - arctan u) / g times J(0)/2, u = g/W:
+                    # a series below u ~ 1e-2, where the two terms nearly cancel
+                    u = g / om
+                    u_minus_atan = (u ** 3 * (1.0 / 3.0 - u * u / 5.0 + u ** 4 / 7.0) if u < 1e-2
+                                    else u - math.atan(u))
+                    known = half_j0 * (u_minus_atan / g) + h * sin / t + dh * cos / t / t
+                return known, bound
+
+            # the search starts W at 20/t, so the number of periods of cos(wt)
+            # below it stays bounded in gt
+            return _integrand(self, temp, t, derivative), head, 20.0 / t, tail, min(1.0 / t, g)
+        return problem
 
     def root_window(self, temp, m):
         # 2 m t gamma' grows without bound
@@ -663,7 +686,7 @@ class GenericPowerLawDephasing:
                 f"gamma = alpha*t^nu with nu={self.nu} has no quadratic regime")
         return self.alpha
 
-    def quad_problem(self, temp, t: float, derivative=False):
+    def quad_problem(self, temp):
         raise NoSpectralDensity("no bath integral for generic power-law dephasing")
 
     def root_window(self, temp, m):
@@ -684,8 +707,8 @@ SpectralModel = Union[PowerLawExpCutoff, Lorentzian, GenericPowerLawDephasing]
 class ZeroTemperature:
     """T = 0: the quadrature weight is 1."""
 
-    def weight(self, w):
-        return 1.0
+    def weigh(self, j, w):
+        """Multiply ``j`` by the weight W(w) in place: by 1, so nothing."""
 
     def weight_bound(self):
         """``(a0, a1)`` with W(w) <= a0 + a1 / w."""
@@ -701,8 +724,11 @@ class FiniteBeta:
     def __post_init__(self):
         _check_fields(self)
 
-    def weight(self, w):
-        return 1.0 / np.tanh(0.5 * self.beta * w)
+    def weigh(self, j, w):
+        # 1/tanh, then the product, as the bits of j * coth(beta w / 2)
+        y = np.multiply(w, 0.5 * self.beta)
+        np.tanh(y, out=y)
+        j *= np.divide(1.0, y, out=y)
 
     def weight_bound(self):
         # coth y <= 1 + 1/y at y = beta w / 2, and coth y >= max(1, 1/y) is at
@@ -719,8 +745,9 @@ class HighTemperatureOhmic:
     def __post_init__(self):
         _check_fields(self)
 
-    def weight(self, w):
-        return 2.0 / (self.beta * w)
+    def weigh(self, j, w):
+        y = np.multiply(w, self.beta)
+        j *= np.divide(2.0, y, out=y)
 
     def weight_bound(self):
         return 0.0, 2.0 / self.beta
@@ -740,6 +767,16 @@ class BathSpec:
         _check_kind("spectral", self.spectral, SpectralModel)
         _check_kind("temperature", self.temperature, Temperature)
         self.spectral.check_temperature(self.temperature)
+
+    def __reduce__(self):  # from the fields: the bound problem does not pickle
+        return type(self), (self.spectral, self.temperature)
+
+    @functools.cached_property
+    def quad_problem(self):
+        """The family's ``quad_problem`` at this temperature, a function of
+        ``(t, derivative=False)``, bound on first use, as
+        :attr:`DephasingModel.dgamma_at` binds gamma'."""
+        return self.spectral.quad_problem(self.temperature)
 
 
 def _check_kind(name, value, kinds):
@@ -865,6 +902,10 @@ def _each(f, t):
     return np.array([f(ti) for ti in t.ravel().tolist()]).reshape(t.shape)
 
 
+# ndarray.min and max without their Python wrappers; axis None takes every axis
+_least, _largest = np.minimum.reduce, np.maximum.reduce
+
+
 def spectral_density(model: SpectralModel, omega):
     """Evaluate J(omega) for a model that has a spectral density.
 
@@ -875,7 +916,12 @@ def spectral_density(model: SpectralModel, omega):
     omega:
         Frequency, a scalar or an array, >= 0 (see "Inputs" in the README).
     """
-    w = _real_array("omega", omega, 0.0)
+    # a float array of valid frequencies, as the quadrature's nodes are, is
+    # read as it is: the checks are two reductions
+    w = omega
+    if not (type(w) is np.ndarray and w.dtype == float and w.size
+            and 0.0 <= _least(w, None) and _largest(w, None) < math.inf):
+        w = _real_array("omega", omega, 0.0)
     out = model.density(w)
     return out if out.ndim else float(out)
 
@@ -936,7 +982,7 @@ def _integrand(spec, temp, t, derivative=False):
         u /= w
         j = spectral_density(spec, w)
         j *= u
-        j *= temp.weight(w)
+        temp.weigh(j, w)
         j *= 0.5 if derivative else u
         return j
     return f
@@ -969,15 +1015,16 @@ def _tail_cutoff(bound, omega_max, goal):
     b = bound(omega_max)
     if b <= goal or not b < math.inf:
         return omega_max
-    log_goal = math.log(goal)
-    lo, hi = omega_max, math.inf
-    w_last, v_last = omega_max, math.log(b) - log_goal
+    log, inf = math.log, math.inf
+    log_goal = log(goal)
+    lo, hi = omega_max, inf
+    w_last, v_last = omega_max, log(b) - log_goal
     w = _FIRST_PROBE * omega_max
     for _ in range(50):
         b = bound(w)
-        if not b < math.inf:
+        if not b < inf:
             return w
-        v = math.log(b) - log_goal if b > 0.0 else -math.inf
+        v = log(b) - log_goal if b > 0.0 else -inf
         if v <= 0.0:
             hi = w
         else:
@@ -989,7 +1036,8 @@ def _tail_cutoff(bound, omega_max, goal):
         zero = w - v * (w - w_last) / (v - v_last) if v != v_last else math.nan
         if not lo < zero < hi:
             zero = math.sqrt(lo) * math.sqrt(hi)
-        zero = min(zero, _FIRST_PROBE * lo)
+        if zero > _FIRST_PROBE * lo:  # min(zero, _FIRST_PROBE * lo)
+            zero = _FIRST_PROBE * lo
         w_last, v_last = w, v
         if zero <= lo * _RESOLUTION:
             w = lo * _RESOLUTION
@@ -1070,13 +1118,14 @@ def _bath_quadrature(bath, t, settings, derivative):
         return 0.0, 0.0
     # panels run at half tolerance so the head and tail bounds fit inside it
     inner = _HALF_SETTINGS if settings is _SETTINGS else _halved(settings)
-    problem = bath.spectral.quad_problem(bath.temperature, t, derivative)
+    problem = bath.quad_problem(t, derivative)
+    log_w_star = math.log(problem[4])
     goal = max(settings.abs_tol, settings.rel_tol * 0.15 * math.fsum(
-        math.exp(log_c + p * math.log(problem[4])) for log_c, p in problem[1]))
-    value, err = _cut_and_integrate(bath, problem, t, goal, inner)
+        [math.exp(log_c + p * log_w_star) for log_c, p in problem[1]]))
+    value, err = _cut_and_integrate(bath, problem, log_w_star, t, goal, inner)
     tol = max(settings.abs_tol, settings.rel_tol * abs(value))
     if err > tol:
-        value, err = _cut_and_integrate(bath, problem, t, 0.25 * tol, inner)
+        value, err = _cut_and_integrate(bath, problem, log_w_star, t, 0.25 * tol, inner)
         tol = max(settings.abs_tol, settings.rel_tol * abs(value))
     # at t > 0 a value of 0 has underflowed and is not exact: it meets no
     # tolerance of 0, even with an estimate of 0
@@ -1092,19 +1141,20 @@ def _bath_quadrature(bath, t, settings, derivative):
 _GOAL_FLOOR = 16.0 * math.ulp(0.0)
 
 
-def _cut_and_integrate(bath, problem, t, goal, inner):
+def _cut_and_integrate(bath, problem, log_w_star, t, goal, inner):
     """The integral of ``problem`` (see ``quad_problem`` in the module
     docstring) with its tail and its head each cut at a quarter of ``goal``,
-    the head at most at its w*: ``(value, error estimate)``, the estimate
-    the panels' plus the head and tail bounds."""
-    f, head, tail_start, tail, w_star = problem
-    goal = max(goal, _GOAL_FLOOR)
-    omega_max = _tail_cutoff(tail, tail_start, 0.25 * goal)
+    the head at most at its w*, whose log is ``log_w_star``:
+    ``(value, error estimate)``, the estimate the panels' plus the head and
+    tail bounds."""
+    f, head, tail_start, tail, _ = problem
+    quarter = 0.25 * max(goal, _GOAL_FLOOR)
+    omega_max = _tail_cutoff(tail, tail_start, quarter)
     tail_val, tail_err = tail(omega_max, value=True)
-    log_min = _head_cutoff(head, 0.25 * goal, w_star, bath)
-    head_err = math.fsum(math.exp(log_c + p * log_min) for log_c, p in head)
+    log_min = _head_cutoff(head, quarter, log_w_star, bath)
+    head_err = math.fsum([math.exp(log_c + p * log_min) for log_c, p in head])
     # seeded panels are at most two oscillation periods of cos(w t) wide
-    value, err = integrate_semi_infinite(f, omega_max, inner, max_panel_width=4.0 * math.pi / t,
+    value, err = integrate_semi_infinite(f, omega_max, inner, max_panel_width=_4PI / t,
                                          lower_cutoff=math.exp(log_min))
     return value + tail_val, err + tail_err + head_err
 
@@ -1113,16 +1163,23 @@ def _cut_and_integrate(bath, problem, t, goal, inner):
 _LOG_TINY = math.log(sys.float_info.min)
 _LOG_HUGE = math.log(sys.float_info.max)
 _LN2, _LN10 = math.log(2.0), math.log(10.0)
+_LOG_INNER = math.log(INNER_NODE_FRACTION)
+_4PI = 4.0 * math.pi
 
 
-def _head_cutoff(head, goal, w_star, bath):
-    """The log of the largest E up to ``w_star`` at which each term c E^p of
-    the head bound is within its share of ``goal``, taken in logarithms,
-    where E alone may underflow. :class:`DomainError` where the innermost
-    quadrature node below E would fall below the smallest normal float."""
+def _head_cutoff(head, goal, log_w_star, bath):
+    """The log of the largest E up to w* (``log_w_star`` its log) at which
+    each term c E^p of the head bound is within its share of ``goal``, taken
+    in logarithms, where E alone may underflow. :class:`DomainError` where
+    the innermost quadrature node below E would fall below the smallest
+    normal float."""
     share = math.log(goal / len(head))
-    log_e = min(math.log(w_star), *((share - log_c) / p for log_c, p in head))
-    if log_e + math.log(INNER_NODE_FRACTION) < _LOG_TINY:
+    log_e = log_w_star
+    for log_c, p in head:  # the least, as min() takes it
+        log_p = (share - log_c) / p
+        if log_p < log_e:
+            log_e = log_p
+    if log_e + _LOG_INNER < _LOG_TINY:
         bound = " + ".join(f"1e{log_c / _LN10:.1f} E^{p:.3g}" for log_c, p in head)
         raise DomainError(
             f"the quadrature of {bath.spectral} at {bath.temperature} would cut its head "

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dephasing import DephasingModel
 from .errors import DegenerateSignal, DomainError, NoFiniteOptimum
-from .numerics import _is_real, _real, _real_array, solve_bracketed_root
+from .numerics import _count, _is_real, _real, _real_array, solve_bracketed_root
 
 __all__ = [
     "STRATEGIES",
@@ -62,9 +62,7 @@ class ProbeSpec:
     strategy: str = "product"
 
     def __post_init__(self):
-        if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
-                or self.n < 1):
-            raise DomainError("n must be an int >= 1")
+        object.__setattr__(self, "n", _count("n", self.n))
         object.__setattr__(self, "total_time",
                            _real("total_time", self.total_time, 0.0, strict=True))
         if self.strategy not in STRATEGIES:
@@ -323,16 +321,17 @@ def ratio_r(deph: DephasingModel, n) -> RatioResult:
     :func:`optimal_interrogation` call as a list. Calls on one model reuse
     its t_u and gamma(t_u) (:attr:`DephasingModel.product_optimum`).
     """
-    # an int past uint64 goes the array's way, which rejects it as an object
-    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n < 2 ** 64:
-        flat, shape = [int(n)], ()
-    else:
+    if type(n) is int and n >= 1:  # a valid int, as a sweep passes it, calls nothing
+        flat, shape = [n], ()
+    elif isinstance(n, np.ndarray) or np.ndim(n):
         ns = np.asarray(n)
         if ns.ndim > 1 or ns.dtype.kind not in "iu":
             raise DomainError("n must be an int or a 1-D array of ints")
         flat, shape = ns.reshape(-1).tolist(), ns.shape
-    if any(k < 1 for k in flat):
-        raise DomainError("n must be >= 1")
+        if any(k < 1 for k in flat):
+            raise DomainError("n must be >= 1")
+    else:
+        flat, shape = [_count("n", n)], ()
     # the distinct multipliers, m = 1 (the product optimum) among them
     ms = sorted(set(flat) | {1})
     times = optimal_interrogation(deph, ms).tolist()

@@ -96,6 +96,17 @@ def _real_array(name, x, lower=None, strict=False):
     return a
 
 
+def _count(name, x, lower=1):
+    """``x`` as a Python int, the one count check: an int or a numpy integer
+    other than a bool, >= ``lower``. Anything else raises DomainError naming
+    ``name``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise DomainError(f"{name} must be an int (not bool), not {type(x).__name__}")
+    if not x >= lower:
+        raise DomainError(f"{name} must be an int >= {lower}")
+    return int(x)
+
+
 def _check_fields(params, zero_ok=()):
     """Every field of a parameter class must be a real number (not a bool),
     finite and > 0 (>= 0 for the names in ``zero_ok``); each is stored as
@@ -194,12 +205,21 @@ INNER_NODE_FRACTION = (0.5 * (1.0 - _GK_X[-1])) ** 2
 def _refined_panels(f, lo, hi):
     """Per-panel value (K33) and error estimate (|G16 - K33| plus the
     rounding term), from one call of ``f`` on every node of every panel."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid[:, None] + half[:, None] * _GK_NODES[None, :]
+    half = hi - lo
+    half *= 0.5
+    mid = hi + lo
+    mid *= 0.5
+    x = np.multiply.outer(half, _GK_NODES)
+    x += mid[:, None]
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    kronrod, diff = (y @ _GK_WEIGHTS).T
-    return half * kronrod, half * (np.abs(diff) + _ROUNDING * (np.abs(y) @ _KRONROD))
+    sums = y @ _GK_WEIGHTS
+    kronrod, diff = sums[:, 0], sums[:, 1]  # columns: unpacking .T iterates in Python
+    err = np.abs(y) @ _KRONROD
+    err *= _ROUNDING
+    err += np.abs(diff)
+    err *= half
+    half *= kronrod
+    return half, err
 
 
 def _seed_panels(upper_cutoff, lower_edge, max_panel_width, max_panels):
@@ -224,13 +244,13 @@ def _seed_panels(upper_cutoff, lower_edge, max_panel_width, max_panels):
                               f"omega = {upper_cutoff:.3g}^2 (max_panels={max_panels})")
     # the omega spans of [0, r_0], [r_0, r_1], ... grow, so the rungs within
     # the width are a prefix
-    rungs = []
+    edges = [0.0]
     rung, below = lower_edge, 0.0
     while rung < upper_cutoff and rung * rung - below <= max_panel_width:
-        rungs.append(rung)
+        edges.append(rung)
         below = rung * rung
         rung *= 4.0
-    ladder = len(rungs)
+    ladder = len(edges) - 1
     span = upper_cutoff * upper_cutoff - below
     # a Python int, as the count of pieces may pass a C long
     pieces = max(math.ceil(span / max_panel_width), 1)
@@ -239,17 +259,24 @@ def _seed_panels(upper_cutoff, lower_edge, max_panel_width, max_panels):
         count = total if total < 2 ** 53 else f"{total:.3g}"
         raise ToleranceNotMet(
             f"seeding would need {count} panels (max_panels={max_panels})")
+    if pieces == 1:  # the edges are 0, the rungs and the cutoff: no square roots
+        edges.append(upper_cutoff)
+        edges = np.array(edges)
+        return edges[:-1], edges[1:]
     # one array of edges: 0, the rungs, then piece i above the ladder's top r
     # starting at sqrt(r^2 + i * span / pieces), then the cutoff
-    edges = np.empty(total + 1)
-    edges[0] = 0.0
-    edges[1:ladder + 1] = rungs
+    edges, rungs = np.empty(total + 1), edges
+    edges[:ladder + 1] = rungs
     inner = edges[ladder + 1:total]
     np.multiply(np.arange(1.0, pieces), span / pieces, out=inner)
     inner += below
     np.sqrt(inner, out=inner)
     edges[total] = upper_cutoff
     return edges[:-1], edges[1:]
+
+
+# ndarray.sum's own reduction, without its Python wrapper
+_sum = np.add.reduce
 
 
 def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings(),
@@ -276,23 +303,30 @@ def integrate_semi_infinite(integrand, upper_cutoff, settings=QuadratureSettings
     once when the error estimate is not finite (a NaN or infinite integrand),
     which no refinement can mend.
     """
-    upper_cutoff = _real("upper_cutoff", upper_cutoff, 0.0, strict=True)
-    if lower_cutoff is None:
-        lower_cutoff = LOWER_CUTOFF_FRACTION * upper_cutoff
-    lower_cutoff = _real("lower_cutoff", lower_cutoff, 0.0, strict=True)
-    if not (_is_real(max_panel_width) and max_panel_width == math.inf):  # inf: no cap
-        max_panel_width = _real("max_panel_width", max_panel_width, 0.0, strict=True)
+    # valid floats, as a caller's quadrature passes them, skip the checks
+    if not (type(upper_cutoff) is float and 0.0 < upper_cutoff < math.inf
+            and type(lower_cutoff) is float and 0.0 < lower_cutoff < math.inf
+            and type(max_panel_width) is float and 0.0 < max_panel_width):
+        upper_cutoff = _real("upper_cutoff", upper_cutoff, 0.0, strict=True)
+        if lower_cutoff is None:
+            lower_cutoff = LOWER_CUTOFF_FRACTION * upper_cutoff
+        lower_cutoff = _real("lower_cutoff", lower_cutoff, 0.0, strict=True)
+        if not (_is_real(max_panel_width) and max_panel_width == math.inf):  # inf: no cap
+            max_panel_width = _real("max_panel_width", max_panel_width, 0.0, strict=True)
     lo, hi = _seed_panels(math.sqrt(upper_cutoff), math.sqrt(lower_cutoff),
                           max_panel_width, MAX_PANELS)
 
     def f(x):
-        return integrand(x * x) * 2.0 * x
+        # the factor 2 x in place, on the fresh array the first product makes
+        y = np.multiply(integrand(x * x), 2.0, dtype=float)
+        y *= x
+        return y
 
     val, err = _refined_panels(f, lo, hi)
 
     while True:
-        total = float(val.sum())
-        total_err = float(err.sum())
+        total = float(_sum(val))
+        total_err = float(_sum(err))
         tol = max(settings.abs_tol, settings.rel_tol * abs(total))
         if not math.isfinite(total_err):
             raise ToleranceNotMet(

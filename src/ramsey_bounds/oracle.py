@@ -39,7 +39,7 @@ from .dephasing import (
 )
 from .errors import DomainError, GridTooCoarse, NoSpectralDensity
 from .metrology import Optimum, ProbeSpec, optimal_interrogation
-from .numerics import _real
+from .numerics import _count, _real
 
 __all__ = [
     "brute_force_optimum",
@@ -237,9 +237,10 @@ def _powerlaw_with_root(rng):
 
 def scenario_draws(rng, trials):
     """Deterministic (model, probe) pairs cycling through the three spectral
-    families; every draw admits a finite interior optimum."""
+    families; every draw admits a finite interior optimum. ``trials`` is a
+    count >= 1."""
     out = []
-    for k in range(trials):
+    for k in range(_count("trials", trials)):
         fam = k % 3
         if fam == 0:
             spec = _powerlaw_with_root(rng)
@@ -260,9 +261,10 @@ def scenario_draws(rng, trials):
 
 def gamma_consistency_draws(rng, trials):
     """Deterministic (bath, t) pairs for cross-checking the quadrature route
-    against :func:`reference_gamma`, spanning all temperature modes."""
+    against :func:`reference_gamma`, spanning all temperature modes.
+    ``trials`` is a count >= 1."""
     out = []
-    for k in range(trials):
+    for k in range(_count("trials", trials)):
         fam = k % 4
         if fam == 0:
             s = float(rng.uniform(0.5, 3.0))

@@ -235,7 +235,7 @@ def test_power_law_tail_bound_holds_from_its_floor(s, temp, derivative):
     bath = PowerLawExpCutoff(alpha, s, wc)
     for wct in (0.01, 1.0, 30.0):
         t = wct / wc
-        _, _, start, tail, w_star = bath.quad_problem(temp, t, derivative)
+        _, _, start, tail, w_star = bath.quad_problem(temp)(t, derivative)
         assert start == 2.0 * s * wc
         assert w_star == min(1.0 / t, wc)
         for k in range(6):

@@ -80,6 +80,46 @@ def test_spectral_density_errors():
         spectral_density(Lorentzian(1.0, 1.0), -0.5)
 
 
+DENSITIES = [PowerLawExpCutoff(0.7, 0.5, 2.0), PowerLawExpCutoff(1.3, 2.0, 0.5),
+             Lorentzian(1.3, 0.6)]
+
+
+@pytest.mark.parametrize("spec", DENSITIES, ids=["sub-ohmic", "super-ohmic", "lorentzian"])
+@pytest.mark.parametrize("omega", [
+    np.array([0.5, -1.0]), np.array([0.5, math.inf]), np.array([0.5, -math.inf]),
+    np.array([math.nan, 0.5]), np.array([0.5, 2.0, math.nan]), np.array(math.nan),
+    np.array(-1.0), np.array([-0.5]), np.array([True, False]), np.array(["1"]),
+], ids=["negative", "inf", "minus-inf", "nan-first", "nan-last", "0d-nan", "0d-negative",
+        "one-negative", "bool-array", "str-array"])
+def test_spectral_density_float_arrays_are_checked(spec, omega):
+    # the float-array fast path lets no bad frequency through
+    with pytest.raises(DomainError):
+        spectral_density(spec, omega)
+
+
+@pytest.mark.parametrize("spec", DENSITIES, ids=["sub-ohmic", "super-ohmic", "lorentzian"])
+def test_spectral_density_reads_every_array_kind_as_before(spec):
+    # a float64 array takes the fast path and gives the bits of the same
+    # frequencies read by the checked path (a list); 0-d, int, float32 and
+    # empty arrays give what the checked path gives
+    w = np.array([0.0, 1e-300, 0.3, 2.0, 50.0, 1e6])
+    want = spectral_density(spec, w.tolist())
+    assert spectral_density(spec, w).tobytes() == want.tobytes()
+    assert spectral_density(spec, w.reshape(2, 3)).tobytes() == want.tobytes()
+    assert spectral_density(spec, w[::2]).tobytes() == want[::2].tobytes()
+    zero_d = spectral_density(spec, np.array(2.0))
+    assert type(zero_d) is float and zero_d == spectral_density(spec, 2.0)
+    ints = np.array([0, 1, 3])
+    want_ints = spectral_density(spec, [0.0, 1.0, 3.0])
+    assert spectral_density(spec, ints).tobytes() == want_ints.tobytes()
+    single = w.astype(np.float32)
+    assert (spectral_density(spec, single).tobytes()
+            == spectral_density(spec, single.astype(float).tolist()).tobytes())
+    for empty in (np.array([]), np.array([], dtype=int)):
+        out = spectral_density(spec, empty)
+        assert out.shape == (0,) and out.dtype == float
+
+
 def test_model_invariants_enforced():
     with pytest.raises(DomainError):
         PowerLawExpCutoff(-1.0, 1.0, 1.0)
@@ -569,6 +609,54 @@ def test_refinement_loop_meets_contract(monkeypatch):
         assert len(passes) > 1
         assert _within_contract(value, err, tight)
         assert value == pytest.approx(kernel(bath, 1.0)[0], rel=2e-9)
+
+
+# one bath per family and temperature mode, with its fast frequency
+CHECKED_BATHS = [(BathSpec(PowerLawExpCutoff(0.7, 0.5, 2.0)), 2.0),
+                 (BathSpec(PowerLawExpCutoff(0.7, 1.5, 2.0), FiniteBeta(0.8)), 2.0),
+                 (BathSpec(PowerLawExpCutoff(0.7, 1.0, 2.0), HighTemperatureOhmic(0.8)), 2.0),
+                 (BathSpec(Lorentzian(1.3, 0.6)), 0.6)]
+CHECKED_IDS = ["zero-T", "finite-beta", "high-T", "lorentzian"]
+
+
+def _quadratures(bath, w_fast):
+    return [(gamma_quadrature(bath, t), dgamma_quadrature(bath, t))
+            for t in (wct / w_fast for wct in (0.01, 1.0, 30.0))]
+
+
+@pytest.mark.parametrize("bath,w_fast", CHECKED_BATHS, ids=CHECKED_IDS)
+def test_quadrature_fast_paths_give_the_checked_paths_bits(bath, w_fast, monkeypatch):
+    # the same times and cutoffs as numpy scalars, and the same frequencies
+    # as a list, go through every argument check, and give the same bits
+    fast = _quadratures(bath, w_fast)
+    integrate, density = dephasing.integrate_semi_infinite, dephasing.spectral_density
+
+    def checked_integrate(f, upper, settings, max_panel_width, lower_cutoff):
+        return integrate(f, np.float64(upper), settings,
+                         max_panel_width=np.float64(max_panel_width),
+                         lower_cutoff=np.float64(lower_cutoff))
+
+    monkeypatch.setattr(dephasing, "integrate_semi_infinite", checked_integrate)
+    monkeypatch.setattr(dephasing, "spectral_density", lambda spec, w: density(spec, w.tolist()))
+    checked = [(gamma_quadrature(bath, np.float64(t)), dgamma_quadrature(bath, np.float64(t)))
+               for t in (wct / w_fast for wct in (0.01, 1.0, 30.0))]
+    assert checked == fast
+
+
+@pytest.mark.parametrize("bath,w_fast", CHECKED_BATHS, ids=CHECKED_IDS)
+def test_quadrature_of_a_float_time_checks_nothing_again(bath, w_fast, monkeypatch):
+    # a float time is checked once by its float test; the quadrature's own
+    # cutoffs and nodes never reach the scalar or the array check
+    calls = []
+    for module in (dephasing, numerics):
+        for name in ("_real", "_real_array"):
+            check = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, check=check: calls.append(args[0]) or check(*args))
+    _quadratures(bath, w_fast)
+    assert calls == []
+    gamma_quadrature(bath, np.float64(1.0))
+    assert calls
 
 
 @pytest.mark.parametrize("a,g", [(0.3, 0.1), (1.0, 0.5), (3.0, 2.0)])

@@ -223,6 +223,9 @@ def test_nonfinite_time_and_phase_rejected(fn, args):
             fn(*args)
 
 
+FV_MODEL = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 0.7, 1.0)))
+
+
 @pytest.mark.parametrize("fn,args", [
     (ProbeSpec, (math.nan, 1.0)),
     (ProbeSpec, (2.5, 1.0)),
@@ -252,6 +255,14 @@ def test_nonfinite_time_and_phase_rejected(fn, args):
     (ramsey_probability, ("1", 1.0, 0.1)),
     (ohmic_exact_ratio, ("1", 2)),
     (ohmic_exact_ratio, (1.0, True)),
+    (ProbeSpec, ("3", 1.0)),
+    (ProbeSpec, (np.bool_(True), 1.0)),
+    (ratio_r, (FV_MODEL, True)),
+    (ratio_r, (FV_MODEL, 0)),
+    (ratio_r, (FV_MODEL, -3)),
+    (ratio_r, (FV_MODEL, 2.5)),
+    (ratio_r, (FV_MODEL, "3")),
+    (ratio_r, (FV_MODEL, np.int64(0))),
 ], ids=["probe-n-nan", "probe-n-2.5", "probe-n-bool", "ohmic-alpha-nan", "ohmic-n-inf",
         "scaling-nu-nan", "newton-a-nan", "refined-g-inf", "fisher-phi-nan",
         "fisher-t-inf", "fisher-gamma-nan", "fisher-gamma-neg", "fisher-gamma-neg-half-pi",
@@ -259,7 +270,8 @@ def test_nonfinite_time_and_phase_rejected(fn, args):
         "probability-gamma-neg", "probability-array-phi-nan", "quad-rel-tol-nan",
         "quad-rel-tol-none", "powerlaw-alpha-bool", "beta-str", "probe-time-bool",
         "probe-time-str", "fisher-phi-array", "probability-phi-str", "ohmic-alpha-str",
-        "ohmic-n-bool"])
+        "ohmic-n-bool", "probe-n-str", "probe-n-numpy-bool", "ratio-n-bool", "ratio-n-0",
+        "ratio-n-neg", "ratio-n-float", "ratio-n-str", "ratio-n-int64-0"])
 def test_nonfinite_parameter_or_count_rejected(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
@@ -268,7 +280,6 @@ def test_nonfinite_parameter_or_count_rejected(fn, args):
 # each kind of real scalar, built from a float x
 SCALAR_KINDS = {"0d": np.array, "float32": np.float32, "int64": np.int64,
                 "fraction": fractions.Fraction}
-FV_MODEL = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 0.7, 1.0)))
 FV_PROBE = ProbeSpec(2, 3.0)
 THERMAL_BATH = BathSpec(PowerLawExpCutoff(1.0, 0.7, 1.0), FiniteBeta(2.0))
 
@@ -304,6 +315,17 @@ def test_scalars_are_read_as_their_float():
     # a time of the dephasing module is read as numpy reads it
     with pytest.raises(DomainError):
         gamma_closed(FV_MODEL, fractions.Fraction(1, 2))
+
+
+def test_counts_are_read_as_python_ints():
+    # an int, a numpy integer and (for ratio_r) a 0-d int array are one count,
+    # stored or used as its Python int
+    probe = ProbeSpec(np.int64(3), 1.0, "ghz")
+    assert type(probe.n) is int and probe == ProbeSpec(3, 1.0, "ghz")
+    assert type(probe.m) is int
+    want = dataclasses.astuple(ratio_r(FV_MODEL, 3))
+    for n in (np.int64(3), np.uint8(3), np.array(3)):
+        assert dataclasses.astuple(ratio_r(FV_MODEL, n)) == want, repr(n)
 
 
 def test_variance_overflow_is_inf():
@@ -554,6 +576,8 @@ def test_used_model_pickles(spec, route, use):
         ratio_r(deph, 3)
         assert "product_optimum" in vars(deph)
     assert "dgamma_at" in vars(deph)
+    # the quadrature route binds its bath's problem (a closure) too
+    assert ("quad_problem" in vars(deph.bath)) == isinstance(route, Quadrature)
     copy = pickle.loads(pickle.dumps(deph))
     assert copy == deph and hash(copy) == hash(deph)
     assert copy.dgamma_dt(0.7).hex() == deph.dgamma_dt(0.7).hex()

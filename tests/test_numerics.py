@@ -283,6 +283,48 @@ def test_bad_max_panel_width_rejected(width):
         integrate_semi_infinite(lambda w: np.exp(-w), 40.0, max_panel_width=width)
 
 
+def _exp(w):
+    return np.exp(-w)
+
+
+@pytest.mark.parametrize("upper,lower,width", [
+    (math.nan, 1e-30, 1.0), (math.inf, 1e-30, 1.0), (-math.inf, 1e-30, 1.0),
+    (-40.0, 1e-30, 1.0), (0.0, 1e-30, 1.0), (True, 1e-30, 1.0), ("40", 1e-30, 1.0),
+    (40.0, math.nan, 1.0), (40.0, math.inf, 1.0), (40.0, -1e-30, 1.0), (40.0, 0.0, 1.0),
+    (40.0, True, 1.0), (40.0, "1e-30", 1.0),
+    (40.0, 1e-30, math.nan), (40.0, 1e-30, -math.inf), (40.0, 1e-30, -1.0),
+    (40.0, 1e-30, 0.0), (40.0, 1e-30, True), (40.0, 1e-30, "1"),
+])
+def test_float_cutoffs_are_checked(upper, lower, width):
+    # three floats take the fast path only when all are valid: one bad value
+    # among valid floats still raises the checked path's DomainError
+    with pytest.raises(DomainError):
+        integrate_semi_infinite(_exp, upper, lower_cutoff=lower, max_panel_width=width)
+
+
+@pytest.mark.parametrize("kind", [np.array, np.float32, np.float64, int])
+def test_cutoffs_of_every_real_kind_give_the_floats_bits(kind):
+    want = integrate_semi_infinite(_exp, 40.0, lower_cutoff=1.0 / 1024, max_panel_width=8.0)
+    for i in range(3):
+        args = [40.0, 1.0 / 1024, 8.0]
+        if kind is not int or args[i] == int(args[i]):
+            args[i] = kind(args[i])
+        upper, lower, width = args
+        assert integrate_semi_infinite(_exp, upper, lower_cutoff=lower,
+                                       max_panel_width=width) == want, (kind, i)
+
+
+def test_integrand_of_any_array_like_integrates():
+    # a list, an int array or a Python scalar is read as its float array
+    ones = integrate_semi_infinite(lambda w: np.ones(w.shape), 4.0)
+    assert ones == integrate_semi_infinite(lambda w: np.ones(w.shape, dtype=int), 4.0)
+    assert ones == integrate_semi_infinite(lambda w: 1.0, 4.0)
+    assert ones == integrate_semi_infinite(lambda w: 1, 4.0)
+    assert ones[0] == pytest.approx(4.0, rel=1e-14)
+    want = integrate_semi_infinite(_exp, 40.0)
+    assert want == integrate_semi_infinite(lambda w: np.exp(-w).tolist(), 40.0)
+
+
 @pytest.mark.parametrize("call", [
     lambda: reference_gamma(BathSpec(PowerLawExpCutoff(1.0, 2.0, 1.0)), math.nan),
     lambda: reference_gamma(BathSpec(PowerLawExpCutoff(1.0, 0.7, 1.0)), math.inf),

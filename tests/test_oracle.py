@@ -205,6 +205,22 @@ def test_oracle_is_bit_for_bit_on_scenario_draws(seed):
         _same_as_allocating(deph, probe)
 
 
+@pytest.mark.parametrize("draws", [scenario_draws, gamma_consistency_draws])
+@pytest.mark.parametrize("trials", [-3, 0, True, "3", 2.5, None])
+def test_draws_take_a_count_of_trials(draws, trials):
+    # no empty list for a count below 1, no one draw for True, and DomainError
+    # where a bare TypeError escaped
+    with pytest.raises(DomainError, match="^trials must be an int"):
+        draws(np.random.default_rng(0), trials)
+
+
+def test_draws_read_a_numpy_count_as_its_int():
+    for draws in (scenario_draws, gamma_consistency_draws):
+        got = draws(np.random.default_rng(5), np.int64(2))
+        want = draws(np.random.default_rng(5), 2)
+        assert repr(got) == repr(want)
+
+
 def test_oracle_is_bit_for_bit_on_special_cases():
     ohmic = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 1.0, 1.0)))
     markov = DephasingModel(BathSpec(GenericPowerLawDephasing(1.0, 1.0)))
