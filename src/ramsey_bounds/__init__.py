@@ -44,13 +44,7 @@ from .metrology import (
     ramsey_probability,
     ratio_r,
 )
-from .numerics import (
-    PowerLawFit,
-    QuadratureSettings,
-    fit_power_law,
-    integrate_semi_infinite,
-    solve_bracketed_root,
-)
+from .numerics import QuadratureSettings, integrate_semi_infinite, solve_bracketed_root
 from .oracle import brute_force_optimum, reference_gamma
 
 __version__ = "0.1.0"
@@ -68,8 +62,7 @@ __all__ = [
     "Optimum", "ProbeSpec", "RatioResult",
     "fisher_information", "frequency_variance", "ohmic_exact_ratio",
     "optimal_interrogation", "optimal_resolution", "ramsey_probability", "ratio_r",
-    "PowerLawFit", "QuadratureSettings", "fit_power_law",
-    "integrate_semi_infinite", "solve_bracketed_root",
+    "QuadratureSettings", "integrate_semi_infinite", "solve_bracketed_root",
     "brute_force_optimum", "reference_gamma",
     "__version__",
 ]

@@ -12,52 +12,49 @@ quadrature route everywhere a spectral density is defined:
 
 * power law with exponential cutoff, J(w) = alpha * wc^(1-s) * w^s * e^(-w/wc),
   whose closed form in every temperature mode is one sum of a pole-free
-  kernel (see ``PowerLawExpCutoff._terms``)
+  kernel, over the terms its temperature tag states
 * Lorentzian, J(w) = (1/pi) * a * g / (g^2 + w^2)
 * a generic power-law decoherence function gamma(t) = alpha * t^nu with no
   underlying J (nu = 1 is Markovian dephasing, nu = 2 a static bath).
 
-Each family is one class that holds every formula for its bath and decides
-on the temperature mode only inside its own methods, so a new family, or a
-new route for an existing one, touches one class. A family provides:
+Each family is one class that holds every formula for its bath; what
+differs with the temperature, the family asks its tag (double dispatch). A
+family provides:
 
-* ``check_temperature(temp)``: reject temperature modes it does not support;
+* ``temperatures``: the tags it supports, which a bath checks on construction;
 * ``density(w)``: J(w) on an array of frequencies w >= 0;
-* ``gamma(temp, t)`` and ``dgamma(temp, t)``: the closed forms, on an array
-  of times (gamma also at a time); every supported temperature mode has one;
-* ``dgamma_function(temp)``: gamma' on a float t as a function of t alone,
-  with the terms and constants of ``temp`` bound once, which a model binds
-  once (:attr:`DephasingModel.dgamma_at`);
-* ``c2(temp)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
-* ``quad_problem(temp)``: a function of ``(t, derivative=False)`` with the
-  constants of ``temp`` that do not depend on t bound once, which a bath
-  binds once (:attr:`BathSpec.quad_problem`). It sets up the bath integral
-  at time t, or with ``derivative`` that of its t-derivative,
-  (1/2) J(w) W(w) sin(w t) / w, as ``(integrand, head, tail_start, tail,
-  w_star)``: the integrand in w, the terms ``(log c, p)`` of a bound
-  Sum c E^p on its integral below any E, the least upper cutoff W to try,
-  ``tail(W)``, a bound on the part above W not known in closed form, which
-  ``tail(W, value=True)`` returns with that part, and w*, the largest head
-  cutoff (see :meth:`PowerLawExpCutoff.quad_problem`). The quadrature
-  (:func:`_bath_quadrature`) makes both cuts; the change of variable and the
-  panel layout belong to :func:`~ramsey_bounds.numerics.integrate_semi_infinite`;
-* ``time_scale()``: the characteristic time, which seeds the oracle's grid;
-* ``root_window(temp, m)``: a window ``(lo, hi)`` of times that holds every
-  root of 2 m t gamma'(t) = 1 (``hi`` may be inf), or None where the
-  family's bounds prove there is none. For the spectral families
-  ``lo`` is 1/(2 sqrt(m c2)); the optimizer walks up from it.
+* ``gamma(bath, t)`` and ``dgamma(bath, t)``: the closed forms, on an array
+  of times (gamma also at a time); every supported tag has one;
+* ``dgamma_function(bath)``: gamma' on a float t as a function of t alone,
+  which a model binds once (:attr:`DephasingModel.dgamma_at`);
+* ``c2(bath)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
+* ``root_window(bath)``: a function of m that gives a window ``(lo, hi)``
+  holding every root of 2 m t gamma'(t) = 1 (``hi`` may be inf), or None
+  where the family's bounds prove there is none. For the spectral families
+  ``lo`` is 1/(2 sqrt(m c2)); the optimizer walks up from it;
+* ``quad_problem(temp)``: a function of ``(t, derivative=False)`` that sets
+  up the bath integral at time t, or with ``derivative`` that of its
+  t-derivative, (1/2) J(w) W(w) sin(w t) / w, as ``(integrand, head,
+  tail_start, tail, w_star)`` (see :meth:`PowerLawExpCutoff.quad_problem`),
+  which :func:`_bath_quadrature` cuts and integrates;
+* ``time_scale()``: the characteristic time, which seeds the oracle's grid.
 
-Temperature tags apply the thermal weight W(w) in place, ``weigh(j, w)``. An
-evaluation route (closed form or quadrature) supplies ``gamma(bath, t)`` on a
-time or an array of times, ``dgamma(bath, t)`` on an array, both checked by
-the caller, and ``dgamma_function(bath)``, the float gamma' as a function of t.
+A :class:`BathSpec` binds the power law's terms, c2, the root window and
+the quadrature problem once each. A temperature tag applies its weight
+W(w) in place, ``weigh(j, w)``, bounds it, ``weight_bound()``, and states
+the power law's terms and root window, ``power_law_terms(spec)`` and
+``power_law_window(spec, c2)``. An evaluation route (closed form or
+quadrature) supplies ``gamma(bath, t)`` on a time or an array of times,
+``dgamma(bath, t)`` on an array, both checked by the caller, and
+``dgamma_function(bath)``, the float gamma' as a function of t.
 
 Convention note: the Ohmic (s = 1) closed form at T = 0,
 gamma(t) = (alpha/2) ln(1 + wc^2 t^2), is exactly twice the integral above,
 so the quadrature route reproduces it up to the constant factor 1/2. That
-factor is one constant, in the T = 0 term of ``PowerLawExpCutoff._terms``;
-every other closed form is the integral itself. Metrological ratios computed
-from a single route are unaffected.
+factor is one constant, in :meth:`ZeroTemperature.power_law_terms`; every
+other closed form is the integral itself. It moves metrological ratios too,
+as the optimal times move with it: at alpha = 2, n = 200 the closed route
+gives r = 3.6345932667487544 and the quadrature route r = 3.4839924694463447.
 """
 
 from __future__ import annotations
@@ -114,9 +111,15 @@ __all__ = [
 # factor 2 of the Ohmic convention, and the high-temperature expansion holds.
 OHMIC_S_TOL = 1e-9
 
-_HIGH_T_OHMIC_ONLY = ("the high-temperature expansion is only valid for an Ohmic "
-                      "power-law bath (s = 1)")
 _SINGULAR_AT_ZERO = "derivative is singular at t = 0 for nu < 1"
+
+
+class _Parameters:
+    """A frozen dataclass whose every field is checked on construction: a
+    finite real > 0, stored as its float (``numerics._check_fields``)."""
+
+    def __post_init__(self):
+        _check_fields(self)
 
 
 def _zeno_bound(c2, m):
@@ -248,26 +251,195 @@ def _expm1_tail(u):
     return series
 
 
+# --- temperature tags --------------------------------------------------------
+
+def _open_window(c2):
+    """The window ``(lo, inf)`` as a function of m, where a root is certain."""
+    return lambda m: (_zeno_bound(c2, m), math.inf)
+
+
+def _power(x, p):
+    """x ** p, or inf where it overflows a float."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
+@dataclass(frozen=True)
+class ZeroTemperature:
+    """T = 0: the quadrature weight is 1."""
+
+    def weigh(self, j, w):
+        """Multiply ``j`` by the weight W(w) in place: by 1, so nothing."""
+
+    def weight_bound(self):
+        """``(a0, a1)`` with W(w) <= a0 + a1 / w."""
+        return 1.0, 0.0
+
+    def power_law_terms(self, spec):
+        """The power law's terms (:attr:`BathSpec.terms`): one kernel, p = s."""
+        # the Ohmic closed form is twice the bath integral: this factor k is the
+        # whole of that convention (ROADMAP F1 makes it 2 at every s)
+        k = 2.0 if spec.is_ohmic else 1.0
+        return ((0.5 * spec.alpha * math.gamma(spec.s + 1.0) * k, spec.s, 1.0),)
+
+    def power_law_window(self, spec, c2):
+        """The power law's root window as a function of m. With s > 1,
+        x = wc t and theta = arctan x,
+
+            2 m t gamma' = m alpha Gamma(s) sin(theta) sin(s theta) cos(theta)^(s-1)
+                        <= m alpha Gamma(s) x (1 + x^2)^(-s/2),
+
+        which peaks at x^2 = 1/(s - 1) at m alpha Gamma(s) B(s), with
+        B(s) = (s - 1)^((s-1)/2) / s^(s/2). Where that is below 1 no root
+        exists, and the optimizer evaluates gamma' not once. The bound is exact
+        at s = 2, within 1.6 % of the true peak for s <= 3 and 4.8 % at s = 4;
+        near a threshold the optimizer's rescue search finds a narrow window
+        the walk steps over. ``hi`` comes from the looser bound
+        m alpha Gamma(s) (1 + x^2)^(-(s-1)/2).
+        """
+        alpha, s, wc = spec.alpha, spec.s, spec.omega_c
+        if spec.is_ohmic:
+            # 2 m t gamma' rises to 2 m alpha
+            return lambda m: (_zeno_bound(c2, m), math.inf) if 2.0 * m * alpha > 1.0 else None
+        if s < 1.0:
+            return _open_window(c2)
+        # the peak bound m alpha Gamma(s) B(s) (see the docstring), in
+        # logarithms, its terms summed per m in this order, from |sin(s theta)|
+        # <= 1 and sin(theta) cos(theta)^(s-1) = x (1 + x^2)^(-s/2). Where it is
+        # 1 (s = 2, m alpha = 2), 2 m t gamma' touches 1 at x = 1, a root the
+        # walk may find. As sin(theta) <= 1 too, it is at most
+        # m alpha Gamma(s) (1 + x^2)^(-(s-1)/2), which is 1 at the window's end;
+        # B(s) < 1, so that peak is above 1
+        log, log_alpha, lgamma_s = math.log, math.log(alpha), math.lgamma(s)
+        log_b = 0.5 * ((s - 1.0) * math.log(s - 1.0) - s * math.log(s))
+        gamma_s, power = math.gamma(s), 2.0 / (s - 1.0)
+
+        def window(m):
+            if log(m) + log_alpha + lgamma_s + log_b < 0.0:
+                return None
+            return _zeno_bound(c2, m), math.sqrt(_power(m * alpha * gamma_s, power) - 1.0) / wc
+        return window
+
+
+@dataclass(frozen=True)
+class FiniteBeta(_Parameters):
+    """Finite inverse temperature: quadrature weight coth(beta*w/2)."""
+
+    beta: float
+
+    def weigh(self, j, w):
+        # 1/tanh, then the product, as the bits of j * coth(beta w / 2)
+        y = np.multiply(w, 0.5 * self.beta)
+        np.tanh(y, out=y)
+        j *= np.divide(1.0, y, out=y)
+
+    def weight_bound(self):
+        # coth y <= 1 + 1/y at y = beta w / 2, and coth y >= max(1, 1/y) is at
+        # least half of that
+        return 1.0, 2.0 / self.beta
+
+    def power_law_terms(self, spec):
+        """The power law's terms: Matsubara and Bernoulli (``_MATSUBARA_TERMS``)."""
+        s, bw = spec.s, self.beta * spec.omega_c
+        # (weight, n, r) for the kernel at p = s + n - 1, cutoff r wc: the
+        # Matsubara terms have n = 1
+        terms = [(1.0 if k == 0 else 2.0, 1, 1.0 / (1.0 + k * bw))
+                 for k in range(_MATSUBARA_TERMS + 1)]
+        r = 1.0 / (1.0 + (_MATSUBARA_TERMS + 1) * bw)
+        terms += [(2.0 * b, n, r) for n, b in _BERNOULLI_TERMS]
+        # a = (alpha w / 2) Gamma(s + n) r^(s-1) (beta wc r)^(n-1), in logs, as
+        # Gamma(s + n) alone overflows for s near 170 where a does not
+        out = []
+        for w, n, r in terms:
+            try:
+                a = 0.5 * spec.alpha * w * math.exp(
+                    math.lgamma(s + n) + (s - 1.0) * math.log(r) + (n - 1) * math.log(bw * r))
+            except (OverflowError, ValueError):  # log(0.0) where beta wc overflows
+                a = math.inf
+            if not abs(a) < math.inf:
+                raise DomainError(f"alpha * Gamma(p + 1) times the weight of term "
+                                  f"p = {s + n - 1:g} overflows a float for {spec}")
+            out.append((a, s + n - 1.0, r))
+        return tuple(out)
+
+    def power_law_window(self, spec, c2):
+        alpha, s, wc = spec.alpha, spec.s, spec.omega_c
+        if s < 2.0:
+            return _open_window(c2)
+        bw = self.beta * wc
+        if s == 2.0:
+            # 2 m t gamma' = m alpha x Int psi(u) sin(u x) du, x = wc t, with
+            # psi = u coth(bw u/2) e^(-u), tends to m alpha psi(0) = 2 m alpha/bw;
+            # past 1 a root exists. Else every root lies where 2 m t gamma'
+            # exceeds its limit. Integrating by parts three times,
+            # x Int psi sin = psi(0) - psi''(0)/x^2 + Int psi'''' sin(u x) du/x^3
+            # with psi''(0) = bw/3 + 2/bw, and from the derivatives of
+            # v coth v (Int |G'''| = 2/3, Int |G''''| < 0.68),
+            # Int |psi''''| <= 0.17 bw^2 + 4 bw/3 + 11 + 2/bw: past the x where
+            # that meets psi''(0) x, 2 m t gamma' stays below its limit
+            hi = ((0.17 * bw * bw + 4.0 * bw / 3.0 + 11.0 + 2.0 / bw)
+                  / ((bw / 3.0 + 2.0 / bw) * wc))
+
+            def window(m):
+                lo, end = _zeno_bound(c2, m), math.inf if 2.0 * m * alpha > bw else hi
+                return (lo, end) if lo <= end else None
+            return window
+        # Matsubara term k is the T = 0 form at cutoff r_k wc, r_k =
+        # 1/(1 + k beta wc), times 2 r_k^(s-1). With x = wc t its share of
+        # 2 m t gamma' is at most m alpha Gamma(s) 2 x (r_k / sqrt(1 + r_k^2 x^2))^s,
+        # which falls with k, so the terms k >= 1 sum to at most their
+        # integral over k, 2 C x^(2-s) / (beta wc) with
+        # C = Int_0^inf u^(s-2) (1 + u^2)^(-s/2) du. For x >= 1 then
+        # 2 m t gamma' <= m alpha Gamma(s) (1 + 2 C / (beta wc)) x^(2-s).
+        c = 0.5 * math.sqrt(math.pi) * math.gamma(0.5 * (s - 1.0)) / math.gamma(0.5 * s)
+        gamma_s, spread, power = math.gamma(s), 1.0 + 2.0 * c / bw, 1.0 / (s - 2.0)
+        return lambda m: (_zeno_bound(c2, m),
+                          max(1.0, _power(m * alpha * gamma_s * spread, power)) / wc)
+
+
+@dataclass(frozen=True)
+class HighTemperatureOhmic(_Parameters):
+    """Leading high-temperature expansion, weight 2/(beta*w); Ohmic baths only."""
+
+    beta: float
+
+    def weigh(self, j, w):
+        y = np.multiply(w, self.beta)
+        j *= np.divide(2.0, y, out=y)
+
+    def weight_bound(self):
+        return 0.0, 2.0 / self.beta
+
+    def power_law_terms(self, spec):
+        """The Ohmic power law's terms: one kernel, at p = 0."""
+        return ((spec.alpha / (self.beta * spec.omega_c), 0.0, 1.0),)
+
+    def power_law_window(self, spec, c2):
+        return _open_window(c2)
+
+
+Temperature = Union[ZeroTemperature, FiniteBeta, HighTemperatureOhmic]
+
+
 # --- spectral models ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class PowerLawExpCutoff:
+class PowerLawExpCutoff(_Parameters):
     """J(w) = alpha * wc^(1-s) * w^s * e^(-w/wc); s < 1 sub-Ohmic, s = 1 Ohmic."""
 
     alpha: float
     s: float
     omega_c: float
 
-    def __post_init__(self):
-        _check_fields(self)
-
     @property
     def is_ohmic(self) -> bool:
         return abs(self.s - 1.0) < OHMIC_S_TOL
 
-    def check_temperature(self, temp):
-        if isinstance(temp, HighTemperatureOhmic) and not self.is_ohmic:
-            raise DomainError(_HIGH_T_OHMIC_ONLY)
+    # the high-temperature expansion holds for an Ohmic bath only
+    temperatures = property(
+        lambda self: get_args(Temperature) if self.is_ohmic else (ZeroTemperature, FiniteBeta))
 
     def density(self, w):
         # in x = w/wc, which neither over- nor underflows where J does not, and
@@ -288,9 +460,9 @@ class PowerLawExpCutoff:
         j *= np.exp(np.negative(x, out=x), out=x)
         return j
 
-    def gamma(self, temp, t):
+    def gamma(self, bath, t):
         # + 0.0 turns the -0.0 of a kernel at t = 0 into 0.0 and moves no other bit
-        terms, wc = self._terms(temp), self.omega_c
+        terms, wc = bath.terms, self.omega_c
         if isinstance(t, np.ndarray) and t.ndim:
             return functools.reduce(np.add, (a * _kernel(p, r * wc * t, _ARRAYS)
                                              for a, p, r in terms)) + 0.0
@@ -300,75 +472,34 @@ class PowerLawExpCutoff:
         # exactly rounded
         return math.fsum(a * _kernel(p, r * wc * t) for a, p, r in terms) + 0.0
 
-    def dgamma(self, temp, t):
+    def dgamma(self, bath, t):
         wc = self.omega_c
         return wc * functools.reduce(np.add, (a * r * _kernel_dt(p, r * wc * t)
-                                              for a, p, r in self._terms(temp)))
+                                              for a, p, r in bath.terms))
 
-    def dgamma_function(self, temp):
-        # wc Sum a r D_p(r wc t) over the terms of temp, with a r, r wc and each
+    def dgamma_function(self, bath):
+        # wc Sum a r D_p(r wc t) over the bath's terms, with a r, r wc and each
         # D_p bound; r * wc * t is (r * wc) * t, so the bits are the sum's
         wc = self.omega_c
-        terms = [(a * r, r * wc, _bound_kernel_dt(p)) for a, p, r in self._terms(temp)]
+        terms = [(a * r, r * wc, _bound_kernel_dt(p)) for a, p, r in bath.terms]
         if len(terms) == 1:
             (ar, rw, kernel_dt), = terms
             return lambda t: wc * (ar * kernel_dt(rw * t))
         fsum = math.fsum
         return lambda t: wc * fsum([ar * kernel_dt(rw * t) for ar, rw, kernel_dt in terms])
 
-    def c2(self, temp):
+    def c2(self, bath):
         # each kernel goes as Gamma(p + 1) Om^(p + 1) t^2 / 2 at short times;
         # wc enters twice, not squared, which alone could overflow
         try:
-            c2 = (0.5 * self.omega_c * math.fsum(a * r * r for a, p, r in self._terms(temp))
+            c2 = (0.5 * self.omega_c * math.fsum(a * r * r for a, p, r in bath.terms)
                   * self.omega_c)
         except OverflowError:
             c2 = math.inf
         if c2 < math.inf:
             return c2
-        raise DomainError(f"the short-time coefficient c2 overflows a float for {self} at {temp}")
-
-    def _terms(self, temp):
-        """``(a, p, r)`` with gamma(t) = Sum a K_p(r wc t) in temperature mode
-        ``temp``: the one place the power-law family tells the modes apart."""
-        if isinstance(temp, ZeroTemperature):
-            return self._zero_temperature_terms
-        if isinstance(temp, HighTemperatureOhmic):
-            return ((self.alpha / (temp.beta * self.omega_c), 0.0, 1.0),)
-        return self._thermal_terms(temp.beta)
-
-    @functools.cached_property
-    def _zero_temperature_terms(self):
-        # the Ohmic closed form is twice the bath integral: this factor k is the
-        # whole of that convention (ROADMAP F1 makes it 2 at every s)
-        k = 2.0 if self.is_ohmic else 1.0
-        return ((0.5 * self.alpha * math.gamma(self.s + 1.0) * k, self.s, 1.0),)
-
-    @functools.lru_cache(maxsize=32)
-    def _thermal_terms(self, beta):
-        """``(a, p, r)`` with finite-beta gamma(t) = Sum a K_p(r wc t); cached,
-        as the optimizer asks for one time at a time."""
-        s, bw = self.s, beta * self.omega_c
-        # (weight, n, r) for the kernel at p = s + n - 1, cutoff r wc: the
-        # Matsubara terms have n = 1
-        terms = [(1.0 if k == 0 else 2.0, 1, 1.0 / (1.0 + k * bw))
-                 for k in range(_MATSUBARA_TERMS + 1)]
-        r = 1.0 / (1.0 + (_MATSUBARA_TERMS + 1) * bw)
-        terms += [(2.0 * b, n, r) for n, b in _BERNOULLI_TERMS]
-        # a = (alpha w / 2) Gamma(s + n) r^(s-1) (beta wc r)^(n-1), in logs, as
-        # Gamma(s + n) alone overflows for s near 170 where a does not
-        out = []
-        for w, n, r in terms:
-            try:
-                a = 0.5 * self.alpha * w * math.exp(
-                    math.lgamma(s + n) + (s - 1.0) * math.log(r) + (n - 1) * math.log(bw * r))
-            except (OverflowError, ValueError):  # log(0.0) where beta wc overflows
-                a = math.inf
-            if not abs(a) < math.inf:
-                raise DomainError(f"alpha * Gamma(p + 1) times the weight of term "
-                                  f"p = {s + n - 1:g} overflows a float for {self}")
-            out.append((a, s + n - 1.0, r))
-        return tuple(out)
+        raise DomainError(f"the short-time coefficient c2 overflows a float for {self} "
+                          f"at {bath.temperature}")
 
     def quad_problem(self, temp):
         """A function of ``(t, derivative=False)`` that sets up the bath
@@ -442,90 +573,18 @@ class PowerLawExpCutoff:
             return _integrand(self, temp, t, derivative), head, tail_start, tail, min(1.0 / t, wc)
         return problem
 
-    def root_window(self, temp, m):
-        """A window ``(lo, hi)`` holding every root of 2 m t gamma'(t) = 1, or
-        None where the bounds below prove there is none.
-
-        ``lo`` is the Zeno bound. At T = 0 with s > 1, with x = wc t and
-        theta = arctan x,
-
-            2 m t gamma' = m alpha Gamma(s) sin(theta) sin(s theta) cos(theta)^(s-1)
-                        <= m alpha Gamma(s) x (1 + x^2)^(-s/2),
-
-        which peaks at x^2 = 1/(s - 1) at m alpha Gamma(s) B(s), with
-        B(s) = (s - 1)^((s-1)/2) / s^(s/2). Where that is below 1 no root
-        exists, and the optimizer evaluates gamma' not once. The bound is exact
-        at s = 2, within 1.6 % of the true peak for s <= 3 and 4.8 % at s = 4;
-        near a threshold the optimizer's rescue search finds a narrow window
-        the walk steps over. ``hi`` comes from the looser bound
-        m alpha Gamma(s) (1 + x^2)^(-(s-1)/2), and at finite beta from the
-        bounds in the comments below.
-        """
-        lo = _zeno_bound(self.c2(temp), m)
-        if isinstance(temp, FiniteBeta) and self.s >= 2.0:
-            bw = temp.beta * self.omega_c
-            if self.s == 2.0:
-                # 2 m t gamma' = m alpha x Int psi(u) sin(u x) du, x = wc t, with
-                # psi = u coth(bw u/2) e^(-u), tends to m alpha psi(0) = 2 m alpha/bw;
-                # past 1 a root exists. Else every root lies where 2 m t gamma'
-                # exceeds its limit. Integrating by parts three times,
-                # x Int psi sin = psi(0) - psi''(0)/x^2 + Int psi'''' sin(u x) du/x^3
-                # with psi''(0) = bw/3 + 2/bw, and from the derivatives of
-                # v coth v (Int |G'''| = 2/3, Int |G''''| < 0.68),
-                # Int |psi''''| <= 0.17 bw^2 + 4 bw/3 + 11 + 2/bw: past the x where
-                # that meets psi''(0) x, 2 m t gamma' stays below its limit
-                if 2.0 * m * self.alpha > bw:
-                    return lo, math.inf
-                hi = ((0.17 * bw * bw + 4.0 * bw / 3.0 + 11.0 + 2.0 / bw)
-                      / ((bw / 3.0 + 2.0 / bw) * self.omega_c))
-                return (lo, hi) if lo <= hi else None
-            # Matsubara term k is the T = 0 form at cutoff r_k wc, r_k =
-            # 1/(1 + k beta wc), times 2 r_k^(s-1). With x = wc t its share of
-            # 2 m t gamma' is at most m alpha Gamma(s) 2 x (r_k / sqrt(1 + r_k^2 x^2))^s,
-            # which falls with k, so the terms k >= 1 sum to at most their
-            # integral over k, 2 C x^(2-s) / (beta wc) with
-            # C = Int_0^inf u^(s-2) (1 + u^2)^(-s/2) du. For x >= 1 then
-            # 2 m t gamma' <= m alpha Gamma(s) (1 + 2 C / (beta wc)) x^(2-s).
-            s = self.s
-            c = 0.5 * math.sqrt(math.pi) * math.gamma(0.5 * (s - 1.0)) / math.gamma(0.5 * s)
-            peak = m * self.alpha * math.gamma(s) * (1.0 + 2.0 * c / bw)
-            try:
-                return lo, max(1.0, peak ** (1.0 / (s - 2.0))) / self.omega_c
-            except OverflowError:
-                return lo, math.inf
-        if not isinstance(temp, ZeroTemperature):
-            return lo, math.inf
-        if self.is_ohmic:
-            # 2 m t gamma' rises to 2 m alpha
-            return (lo, math.inf) if 2.0 * m * self.alpha > 1.0 else None
-        s = self.s
-        if s < 1.0:
-            return lo, math.inf
-        # the peak bound m alpha Gamma(s) B(s) (see the docstring), in
-        # logarithms, from |sin(s theta)| <= 1 and sin(theta) cos(theta)^(s-1)
-        # = x (1 + x^2)^(-s/2). Where it is 1 (s = 2, m alpha = 2),
-        # 2 m t gamma' touches 1 at x = 1, a root the walk may find
-        log_peak = (math.log(m) + math.log(self.alpha) + math.lgamma(s)
-                    + 0.5 * ((s - 1.0) * math.log(s - 1.0) - s * math.log(s)))
-        if log_peak < 0.0:
-            return None
-        # as sin(theta) <= 1 too, it is at most m alpha Gamma(s) (1 + x^2)^(-(s-1)/2),
-        # which is 1 at the window's end; B(s) < 1, so that peak is above 1
-        peak = m * self.alpha * math.gamma(s)
-        try:
-            return lo, math.sqrt(peak ** (2.0 / (s - 1.0)) - 1.0) / self.omega_c
-        except OverflowError:
-            return lo, math.inf
+    def root_window(self, bath):
+        return bath.temperature.power_law_window(self, bath.c2)
 
     def time_scale(self):
         return 1.0 / self.omega_c
 
 
 @dataclass(frozen=True)
-class Lorentzian:
+class Lorentzian(_Parameters):
     """J(w) = (1/pi) * a * g / (g^2 + w^2); a sets the coupling, g > 0 the width.
 
-    Defined at T = 0 only, so its methods ignore the temperature tag. As g
+    Defined at T = 0 only, so its methods ignore the bath's temperature tag. As g
     falls it tends continuously to the static bath gamma = a t^2 / 8, the
     law ``GenericPowerLawDephasing(a / 8, 2)``.
     """
@@ -533,13 +592,8 @@ class Lorentzian:
     a: float
     g: float
 
-    def __post_init__(self):
-        _check_fields(self)
-
-    def check_temperature(self, temp):
-        if not isinstance(temp, ZeroTemperature):
-            # J(0) > 0 makes the thermal integral diverge logarithmically
-            raise DomainError("the Lorentzian bath is only defined at T = 0")
+    # J(0) > 0 makes the thermal integral diverge logarithmically
+    temperatures = (ZeroTemperature,)
 
     def density(self, w):
         # in x = w/g, in place, as for the power law; past x ~ 1e154, x^2
@@ -550,7 +604,7 @@ class Lorentzian:
         x += 1.0
         return np.divide(self.a / (np.pi * self.g), x, out=x)
 
-    def gamma(self, temp, t):
+    def gamma(self, bath, t):
         # a/(4 g^2) (u + expm1(-u)) with u = g t, whose two terms cancel as u
         # falls: below u = 0.1 it is (a t^2/4) S(u), S(u) = (u + expm1(-u))/u^2
         # by its Taylor series, which never forms g^2 and tends to a t^2/8 as
@@ -569,19 +623,26 @@ class Lorentzian:
         return 0.25 * self.a * t * t * _expm1_tail(self.g * t)
 
     def _long_time(self, t):
-        return self.a / (4.0 * self.g) * (np.expm1(-self.g * t) / self.g + t)
+        scale, g_or_1 = self._quarter_over_g()
+        return scale * ((np.expm1(-self.g * t) / self.g + t) / g_or_1)
 
-    def dgamma(self, temp, t):
-        return self.a / (4.0 * self.g) * (-np.expm1(-self.g * t))
+    def _quarter_over_g(self):
+        # (c, d) with a/(4 g) y = c (y / d): d = 1 (y / 1 is y), or g where
+        # a/(4 g) overflows and gamma and gamma' need not
+        scale = self.a / (4.0 * self.g)
+        return (scale, 1.0) if scale < math.inf else (0.25 * self.a, self.g)
 
-    def dgamma_function(self, temp):
+    def dgamma(self, bath, t):
+        scale, g_or_1 = self._quarter_over_g()
+        return scale * (-np.expm1(-self.g * t) / g_or_1)
+
+    def dgamma_function(self, bath):
         # numpy's expm1, as on an array: math's differs in the last bit on
         # some times
-        a, g = self.a, self.g
-        scale, neg_g, expm1 = a / (4.0 * g), -g, np.expm1
-        return lambda t: float(scale * -expm1(neg_g * t))
+        (scale, g_or_1), neg_g, expm1 = self._quarter_over_g(), -self.g, np.expm1
+        return lambda t: scale * (-float(expm1(neg_g * t)) / g_or_1)
 
-    def c2(self, temp):
+    def c2(self, bath):
         return self.a / 8.0
 
     def quad_problem(self, temp):
@@ -630,47 +691,43 @@ class Lorentzian:
             return _integrand(self, temp, t, derivative), head, 20.0 / t, tail, min(1.0 / t, g)
         return problem
 
-    def root_window(self, temp, m):
+    def root_window(self, bath):
         # 2 m t gamma' grows without bound
-        return _zeno_bound(self.c2(temp), m), math.inf
+        return _open_window(bath.c2)
 
     def time_scale(self):
         return 1.0 / self.g
 
 
 @dataclass(frozen=True)
-class GenericPowerLawDephasing:
+class GenericPowerLawDephasing(_Parameters):
     """Direct decoherence law gamma(t) = alpha * t^nu, with no spectral density.
 
     The law holds at zero and finite temperature alike, so its methods
-    ignore the temperature tag.
+    ignore the bath's temperature tag.
     """
 
     alpha: float
     nu: float
 
-    def __post_init__(self):
-        _check_fields(self)
-
-    def check_temperature(self, temp):
-        if isinstance(temp, HighTemperatureOhmic):
-            raise DomainError(_HIGH_T_OHMIC_ONLY)
+    # the high-temperature expansion is the Ohmic power law's alone
+    temperatures = (ZeroTemperature, FiniteBeta)
 
     def density(self, w):
         raise NoSpectralDensity(
             "generic power-law dephasing is defined directly via gamma(t)")
 
-    def gamma(self, temp, t):
+    def gamma(self, bath, t):
         # numpy's power on an array, for a single time too, so that a time
         # gives the same bits alone and inside an array
         return self.alpha * np.asarray(t) ** self.nu
 
-    def dgamma(self, temp, t):
+    def dgamma(self, bath, t):
         if self.nu < 1.0 and (t <= 0.0).any():
             raise DomainError(_SINGULAR_AT_ZERO)
         return self.alpha * self.nu * t ** (self.nu - 1.0)
 
-    def dgamma_function(self, temp):
+    def dgamma_function(self, bath):
         # numpy's power, as in gamma
         scale, power, singular = self.alpha * self.nu, self.nu - 1.0, self.nu < 1.0
 
@@ -680,7 +737,7 @@ class GenericPowerLawDephasing:
             return float(scale * np.asarray(t) ** power)
         return dgamma
 
-    def c2(self, temp):
+    def c2(self, bath):
         if self.nu != 2.0:
             raise NoQuadraticRegime(
                 f"gamma = alpha*t^nu with nu={self.nu} has no quadratic regime")
@@ -689,99 +746,45 @@ class GenericPowerLawDephasing:
     def quad_problem(self, temp):
         raise NoSpectralDensity("no bath integral for generic power-law dephasing")
 
-    def root_window(self, temp, m):
+    def root_window(self, bath):
         # the exact root of 2 m t gamma'(t) = 1
-        root = (2.0 * m * self.alpha * self.nu) ** (-1.0 / self.nu)
-        return root, root
+        alpha, nu, power = self.alpha, self.nu, -1.0 / self.nu
+        return lambda m: ((2.0 * m * alpha * nu) ** power,) * 2
 
     def time_scale(self):
-        return self.root_window(None, 1)[0]
+        return self.root_window(None)(1)[0]
 
 
 SpectralModel = Union[PowerLawExpCutoff, Lorentzian, GenericPowerLawDephasing]
 
 
-# --- temperature tags --------------------------------------------------------
-
-@dataclass(frozen=True)
-class ZeroTemperature:
-    """T = 0: the quadrature weight is 1."""
-
-    def weigh(self, j, w):
-        """Multiply ``j`` by the weight W(w) in place: by 1, so nothing."""
-
-    def weight_bound(self):
-        """``(a0, a1)`` with W(w) <= a0 + a1 / w."""
-        return 1.0, 0.0
-
-
-@dataclass(frozen=True)
-class FiniteBeta:
-    """Finite inverse temperature: quadrature weight coth(beta*w/2)."""
-
-    beta: float
-
-    def __post_init__(self):
-        _check_fields(self)
-
-    def weigh(self, j, w):
-        # 1/tanh, then the product, as the bits of j * coth(beta w / 2)
-        y = np.multiply(w, 0.5 * self.beta)
-        np.tanh(y, out=y)
-        j *= np.divide(1.0, y, out=y)
-
-    def weight_bound(self):
-        # coth y <= 1 + 1/y at y = beta w / 2, and coth y >= max(1, 1/y) is at
-        # least half of that
-        return 1.0, 2.0 / self.beta
-
-
-@dataclass(frozen=True)
-class HighTemperatureOhmic:
-    """Leading high-temperature expansion, weight 2/(beta*w); Ohmic baths only."""
-
-    beta: float
-
-    def __post_init__(self):
-        _check_fields(self)
-
-    def weigh(self, j, w):
-        y = np.multiply(w, self.beta)
-        j *= np.divide(2.0, y, out=y)
-
-    def weight_bound(self):
-        return 0.0, 2.0 / self.beta
-
-
-Temperature = Union[ZeroTemperature, FiniteBeta, HighTemperatureOhmic]
-
-
 @dataclass(frozen=True)
 class BathSpec:
-    """A spectral model together with its temperature mode."""
+    """A spectral model together with a temperature mode it supports."""
 
     spectral: SpectralModel
     temperature: Temperature = field(default_factory=ZeroTemperature)
 
     def __post_init__(self):
         _check_kind("spectral", self.spectral, SpectralModel)
-        _check_kind("temperature", self.temperature, Temperature)
-        self.spectral.check_temperature(self.temperature)
+        _check_kind("temperature", self.temperature, self.spectral.temperatures)
 
-    def __reduce__(self):  # from the fields: the bound problem does not pickle
+    def __reduce__(self):  # from the fields: a copy binds again
         return type(self), (self.spectral, self.temperature)
 
-    @functools.cached_property
-    def quad_problem(self):
-        """The family's ``quad_problem`` at this temperature, a function of
-        ``(t, derivative=False)``, bound on first use, as
-        :attr:`DephasingModel.dgamma_at` binds gamma'."""
-        return self.spectral.quad_problem(self.temperature)
+    # bound on first use, and not where that raises (a bath whose terms overflow
+    # still integrates): the power law's (a, p, r), gamma(t) = Sum a K_p(r wc t),
+    # and the family's c2, root window and quadrature problem
+    terms = functools.cached_property(lambda self: self.temperature.power_law_terms(self.spectral))
+    c2 = functools.cached_property(lambda self: self.spectral.c2(self))
+    root_window = functools.cached_property(lambda self: self.spectral.root_window(self))
+    quad_problem = functools.cached_property(
+        lambda self: self.spectral.quad_problem(self.temperature))
 
 
 def _check_kind(name, value, kinds):
-    """DomainError unless ``value`` is an instance of a class of ``kinds``."""
-    kinds = get_args(kinds) or (kinds,)
+    """DomainError unless ``value`` is an instance of ``kinds``, a Union or a tuple."""
+    kinds = get_args(kinds) or kinds
     if not isinstance(value, kinds):
         names = ", ".join(k.__name__ for k in kinds)
         raise DomainError(f"{name} must be one of {names}, not {type(value).__name__}")
@@ -798,13 +801,13 @@ class ClosedForm:
     root_rel_tol = ROOT_X_TOL
 
     def gamma(self, bath: BathSpec, t):
-        return bath.spectral.gamma(bath.temperature, t)
+        return bath.spectral.gamma(bath, t)
 
     def dgamma(self, bath: BathSpec, t):
-        return bath.spectral.dgamma(bath.temperature, t)
+        return bath.spectral.dgamma(bath, t)
 
     def dgamma_function(self, bath: BathSpec):
-        return bath.spectral.dgamma_function(bath.temperature)
+        return bath.spectral.dgamma_function(bath)
 
 
 @dataclass(frozen=True)
@@ -842,7 +845,7 @@ class DephasingModel:
     route: Route = field(default_factory=ClosedForm)
 
     def __post_init__(self):
-        _check_kind("bath", self.bath, BathSpec)
+        _check_kind("bath", self.bath, (BathSpec,))
         _check_kind("route", self.route, Route)
 
     def __reduce__(self):  # from the fields: the bound gamma' does not pickle
@@ -870,10 +873,6 @@ class DephasingModel:
     def dgamma_dt(self, t):
         """dgamma/dt via the declared route."""
         return dgamma_dt(self, t)
-
-    def short_time_coeff(self) -> float:
-        """Quadratic coefficient c2 with gamma(t) -> c2 * t^2 as t -> 0."""
-        return gamma_short_time_coeff(self)
 
     def time_scale(self) -> float:
         """Characteristic time that seeds the oracle's grid
@@ -932,7 +931,7 @@ def gamma_closed(deph: DephasingModel, t):
     Every supported pair has one: the power-law cutoff bath at T = 0, at
     finite beta and (Ohmic) in the high-temperature expansion, each a sum of
     one pole-free kernel; the Lorentzian at T = 0; and the generic power law
-    at any temperature tag.
+    at T = 0 and finite beta.
 
     Parameters
     ----------
@@ -941,7 +940,7 @@ def gamma_closed(deph: DephasingModel, t):
     t:
         Time, a scalar or an array, >= 0 (see "Inputs" in the README).
     """
-    return _on_times(deph.bath.spectral.gamma, deph.bath.temperature, t)
+    return _on_times(deph.bath.spectral.gamma, deph.bath, t)
 
 
 def dgamma_dt(deph: DephasingModel, t):
@@ -961,7 +960,7 @@ def gamma_short_time_coeff(deph: DephasingModel) -> float:
     model's own convention (the Ohmic T = 0 closed form carries its factor 2);
     the generic power law supports this only at nu = 2.
     """
-    return deph.bath.spectral.c2(deph.bath.temperature)
+    return deph.bath.c2
 
 
 # --- quadrature route --------------------------------------------------------
@@ -1113,7 +1112,7 @@ def _bath_quadrature(bath, t, settings, derivative):
     if not (type(t) is float and 0.0 <= t < math.inf):
         t = _real("t", _real_array("t", t, 0.0))
     if settings is not _SETTINGS:
-        _check_kind("settings", settings, QuadratureSettings)
+        _check_kind("settings", settings, (QuadratureSettings,))
     if t == 0.0:
         return 0.0, 0.0
     # panels run at half tolerance so the head and tail bounds fit inside it

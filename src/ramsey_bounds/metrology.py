@@ -186,7 +186,7 @@ def optimal_interrogation(deph: DephasingModel, m):
     model's float gamma', bound once per model (:func:`_constraint`), and its
     root solve starts from the walk's values of 2 m t gamma' - 1 at the
     bracket's ends. Where the family's window proves that no root exists
-    (:meth:`PowerLawExpCutoff.root_window`), the lane evaluates gamma' not
+    (:attr:`BathSpec.root_window`), the lane evaluates gamma' not
     once. The lane m = 1, the product optimum, is solved on a model's first
     call and then read from :attr:`DephasingModel.product_optimum`.
     """
@@ -215,12 +215,11 @@ def _multipliers(m):
 def _solve_lane(deph: DephasingModel, m: float) -> float:
     """The optimal time for one multiplier, NaN where none exists.
 
-    The family's window [lo, hi] holds every root; the walk steps up from
+    The bath's window [lo, hi] at m holds every root; the walk steps up from
     one step below lo, and its first upward crossing brackets the root. It
     ends one step past hi, or after _WALK_MAX_STEPS when hi is infinite.
     """
-    bath = deph.bath
-    window = bath.spectral.root_window(bath.temperature, m)
+    window = deph.bath.root_window(m)
     if window is None or window[0] == math.inf:
         return math.nan
     lo, hi = window

@@ -1,5 +1,5 @@
 """Generic numerical machinery: adaptive panel quadrature on a semi-infinite
-range, safeguarded bracketed root finding, and log-log power-law fitting.
+range and safeguarded bracketed root finding.
 
 The quadrature takes an integral f(omega) d omega and integrates it in
 x = sqrt(omega), as f(x^2) 2x dx. Bath integrands go as omega^(s-1) (finite
@@ -42,10 +42,8 @@ from .errors import (
 
 __all__ = [
     "QuadratureSettings",
-    "PowerLawFit",
     "integrate_semi_infinite",
     "solve_bracketed_root",
-    "fit_power_law",
 ]
 
 
@@ -139,15 +137,6 @@ LOWER_CUTOFF_FRACTION = 1e-36
 ROOT_X_TOL = 1e-12
 ROOT_F_TOL = 1e-12
 ROOT_MAX_ITER = 200
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    """Result of a least-squares line fit in log-log space: y ~ e^c * x^p."""
-
-    exponent: float
-    log_prefactor: float
-    residual_rms: float
 
 
 # Gauss-Kronrod 16/33 rule on [-1, 1] (Piessens et al., QUADPACK, 1983):
@@ -412,24 +401,3 @@ def solve_bracketed_root(g, bracket, *, values=None):
         if (hi - lo) <= ROOT_X_TOL * max(abs(lo), abs(hi)):
             return lo if abs(flo) <= abs(fhi) else hi
     raise MaxIterations(f"no convergence in {ROOT_MAX_ITER} iterations")
-
-
-def fit_power_law(xs, ys):
-    """Least-squares fit of ln(y) = p*ln(x) + c; returns a :class:`PowerLawFit`
-    with the exponent p, the log-prefactor c and the rms residual in ln(y)."""
-    xs = _real_array("xs", xs, 0.0, strict=True)
-    ys = _real_array("ys", ys, 0.0, strict=True)
-    if xs.ndim != 1 or xs.size < 3:
-        raise DomainError("need at least 3 samples")
-    if ys.shape != xs.shape:
-        raise DomainError("ys must have the shape of xs")
-    if not np.all(np.diff(xs) > 0.0):
-        raise DomainError("xs must be strictly increasing")
-    lx, ly = np.log(xs), np.log(ys)
-    lxm, lym = lx.mean(), ly.mean()
-    slope = float(np.sum((lx - lxm) * (ly - lym)) / np.sum((lx - lxm) ** 2))
-    intercept = float(lym - slope * lxm)
-    resid = ly - (slope * lx + intercept)
-    return PowerLawFit(exponent=slope, log_prefactor=intercept,
-                       residual_rms=float(np.sqrt(np.mean(resid ** 2))))
-

@@ -215,7 +215,7 @@ def reference_gamma(bath: BathSpec, t: float) -> float:
         raise NoSpectralDensity("no bath integral for generic power-law dephasing")
     ohmic_t0 = (isinstance(temp, ZeroTemperature) and isinstance(spec, PowerLawExpCutoff)
                 and spec.is_ohmic)
-    return (0.5 if ohmic_t0 else 1.0) * float(spec.gamma(temp, t))
+    return (0.5 if ohmic_t0 else 1.0) * float(spec.gamma(bath, t))
 
 
 # --- seeded random scenarios ---------------------------------------------------

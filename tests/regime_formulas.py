@@ -1,10 +1,44 @@
 """Reference formulas of the paper's regimes, which the tests check the
-optimizer against: the exact power-law scaling (criterion 2) and the
-Lorentzian bath's Newton-refined optimum (criterion 6)."""
+optimizer against: the exact power-law scaling (criterion 2), the
+Lorentzian bath's Newton-refined optimum (criterion 6), and the log-log line
+fit that measures a scaling exponent."""
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from ramsey_bounds.errors import DomainError
+from ramsey_bounds.numerics import _real_array
+
+
+@dataclass(frozen=True)
+class PowerLawFit:
+    """Result of a least-squares line fit in log-log space: y ~ e^c * x^p."""
+
+    exponent: float
+    log_prefactor: float
+    residual_rms: float
+
+
+def fit_power_law(xs, ys):
+    """Least-squares fit of ln(y) = p*ln(x) + c; returns a :class:`PowerLawFit`
+    with the exponent p, the log-prefactor c and the rms residual in ln(y)."""
+    xs = _real_array("xs", xs, 0.0, strict=True)
+    ys = _real_array("ys", ys, 0.0, strict=True)
+    if xs.ndim != 1 or xs.size < 3:
+        raise DomainError("need at least 3 samples")
+    if ys.shape != xs.shape:
+        raise DomainError("ys must have the shape of xs")
+    if not np.all(np.diff(xs) > 0.0):
+        raise DomainError("xs must be strictly increasing")
+    lx, ly = np.log(xs), np.log(ys)
+    lxm, lym = lx.mean(), ly.mean()
+    slope = float(np.sum((lx - lxm) * (ly - lym)) / np.sum((lx - lxm) ** 2))
+    intercept = float(lym - slope * lxm)
+    resid = ly - (slope * lx + intercept)
+    return PowerLawFit(exponent=slope, log_prefactor=intercept,
+                       residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
 
 def power_law_scaling(nu: float, n):

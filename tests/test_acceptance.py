@@ -17,6 +17,7 @@ from ramsey_bounds.dephasing import (
     PowerLawExpCutoff,
     gamma_closed,
     gamma_quadrature,
+    gamma_short_time_coeff,
 )
 from ramsey_bounds.metrology import (
     ohmic_exact_ratio,
@@ -24,7 +25,6 @@ from ramsey_bounds.metrology import (
     optimal_resolution,
     ratio_r,
 )
-from ramsey_bounds.numerics import fit_power_law
 from ramsey_bounds.oracle import (
     brute_force_optimum,
     gamma_consistency_draws,
@@ -32,6 +32,7 @@ from ramsey_bounds.oracle import (
     scenario_draws,
 )
 from regime_formulas import (
+    fit_power_law,
     lorentzian_newton_refined,
     lorentzian_newton_time,
     power_law_scaling,
@@ -163,7 +164,7 @@ def test_criterion_7_zeno_scaling():
         ("high-T", power_law(1.0, 1.0, temperature=HighTemperatureOhmic(1.0)), 1.0),
     ]
     for label, deph, w_fast in cases:
-        c2 = deph.short_time_coeff()
+        c2 = gamma_short_time_coeff(deph)
         n_lo = int(4 * 2500.0 * w_fast ** 2 / c2) + 1
         ns = np.unique(np.geomspace(n_lo, 1000 * n_lo, 12).astype(int))
         rs, tes = [], []

@@ -192,7 +192,7 @@ def test_ratio_rejects_n_beyond_64_bits(capsys):
 def test_ratio_sweep_slope_quarter_power(capsys):
     import numpy as np
 
-    from ramsey_bounds.numerics import fit_power_law
+    from regime_formulas import fit_power_law
 
     code, out, _ = run(capsys, "ratio", "--model", "ohmic", "--alpha", "1",
                        "--omega-c", "1", "--n-grid", "100:100000:15:log")
@@ -301,6 +301,23 @@ def test_nonfinite_input_rejected(capsys, build, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_lorentzian_whose_prefactor_overflows_is_the_static_bath(capsys):
+    # a/(4 g) overflows a float at a = 1e10, g = 1e-300, where gamma' ~ a t/4
+    # does not: the bath is static to rounding, and its r column that of the
+    # nu = 2 law at alpha = a/8
+    code, out, err = run(capsys, "ratio", "--model", "lorentzian", "--a", "1e10",
+                         "--g", "1e-300", "--n-grid", "1:16:4")
+    assert code == 0 and err == ""
+    code, want, _ = run(capsys, "ratio", "--model", "powerlaw-dephasing", "--alpha", "1.25e9",
+                        "--nu", "2", "--n-grid", "1:16:4")
+    assert code == 0
+    rows, want_rows = out.splitlines()[1:], want.splitlines()[1:]
+    assert len(rows) == len(want_rows) == 4
+    for row, want_row in zip(rows, want_rows):
+        r, want_r = float(row.split(",")[1]), float(want_row.split(",")[1])
+        assert abs(r / want_r - 1.0) <= 1e-12, row
 
 
 def test_closed_route_finite_beta_exit_0(capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ramsey_bounds import dephasing, numerics
+from ramsey_bounds.cli import main
 from ramsey_bounds.dephasing import (
     BathSpec,
     DephasingModel,
@@ -131,12 +132,49 @@ def test_model_invariants_enforced():
         GenericPowerLawDephasing(1.0, 0.0)
     with pytest.raises(DomainError):
         FiniteBeta(0.0)
-    with pytest.raises(DomainError):
-        # the high-temperature expansion needs an Ohmic bath
-        BathSpec(PowerLawExpCutoff(1.0, 2.0, 1.0), HighTemperatureOhmic(1.0))
-    with pytest.raises(DomainError):
-        # thermal Lorentzian integral diverges at small frequency
-        BathSpec(Lorentzian(1.0, 1.0), FiniteBeta(1.0))
+
+
+# (spectral model, temperature, CLI flags) for every pair a family does not
+# support: the high-temperature expansion needs an Ohmic bath, and the
+# thermal Lorentzian integral diverges at small frequency
+UNSUPPORTED_PAIRS = [
+    (PowerLawExpCutoff(1.0, 2.0, 1.0), HighTemperatureOhmic(1.0),
+     ["--model", "powerlaw", "--alpha", "1", "--s", "2", "--omega-c", "1", "--temp", "high-t=1"]),
+    (Lorentzian(1.0, 1.0), FiniteBeta(1.0),
+     ["--model", "lorentzian", "--a", "1", "--g", "1", "--temp", "beta=1"]),
+    (Lorentzian(1.0, 1.0), HighTemperatureOhmic(1.0),
+     ["--model", "lorentzian", "--a", "1", "--g", "1", "--temp", "high-t=1"]),
+    (GenericPowerLawDephasing(1.0, 2.0), HighTemperatureOhmic(1.0),
+     ["--model", "powerlaw-dephasing", "--alpha", "1", "--nu", "2", "--temp", "high-t=1"]),
+]
+
+
+@pytest.mark.parametrize("spec,temp,flags", UNSUPPORTED_PAIRS,
+                         ids=["powerlaw-s2-high-t", "lorentzian-beta", "lorentzian-high-t",
+                              "generic-high-t"])
+def test_unsupported_pairs_are_rejected(spec, temp, flags, capsys):
+    # at construction, naming the tags the family supports; through the CLI
+    # with exit 2 and that message on one line
+    names = ", ".join(kind.__name__ for kind in spec.temperatures)
+    with pytest.raises(DomainError, match=f"^temperature must be one of {names}, not "
+                                          f"{type(temp).__name__}$"):
+        BathSpec(spec, temp)
+    for command in (["gamma", *flags, "--t", "1"], ["ratio", *flags, "--n-grid", "1:4:4"]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: temperature must be one of {names}, "
+                                f"not {type(temp).__name__}\n")
+
+
+def test_supported_temperatures_are_declared():
+    # the high-temperature expansion is declared for the Ohmic power law alone
+    every = (ZeroTemperature, FiniteBeta, HighTemperatureOhmic)
+    assert PowerLawExpCutoff(1.0, 1.0, 1.0).temperatures == every
+    assert PowerLawExpCutoff(1.0, 1.0 + 1e-10, 1.0).temperatures == every
+    assert PowerLawExpCutoff(1.0, 1.0 + 1e-8, 1.0).temperatures == every[:2]
+    assert Lorentzian(1.0, 1.0).temperatures == every[:1]
+    assert GenericPowerLawDephasing(1.0, 2.0).temperatures == every[:2]
 
 
 _OHMIC = PowerLawExpCutoff(1.0, 1.0, 1.0)
@@ -236,16 +274,17 @@ def test_array_gamma_is_the_scalar_gamma():
               for s in (0.05, 0.5, 1.0, 2.5, 6.0) for beta_wc in (0.2, 5.0)]
     for s, temp, far in modes:
         spec = PowerLawExpCutoff(alpha, s, wc)
+        bath = BathSpec(spec, temp)
         ts = (x_grid if far is None else np.append(x_grid, far)) / wc
-        gam, dgam = spec.gamma(temp, ts), spec.dgamma(temp, ts)
+        gam, dgam = spec.gamma(bath, ts), spec.dgamma(bath, ts)
         assert gam[0] == 0.0 and math.copysign(1.0, gam[0]) == 1.0, (s, temp)
         assert dgam[0] == 0.0, (s, temp)
-        dgamma_at = spec.dgamma_function(temp)
+        dgamma_at = spec.dgamma_function(bath)
         for t, g, dg in zip(ts.tolist(), gam.tolist(), dgam.tolist()):
-            g_one, dg_one = spec.gamma(temp, t), dgamma_at(t)
+            g_one, dg_one = spec.gamma(bath, t), dgamma_at(t)
             envelope = wc * sum(abs(a * r) * math.atan(r * wc * t)
                                 * math.hypot(1.0, r * wc * t) ** -p
-                                for a, p, r in spec._terms(temp))
+                                for a, p, r in bath.terms)
             assert abs(g - g_one) <= ulps * g_one, (s, temp, t)
             assert abs(dg - dg_one) <= ulps * envelope, (s, temp, t)
 
@@ -263,13 +302,14 @@ def test_finite_beta_limits():
     spec = PowerLawExpCutoff(alpha, 1.0, wc)
     for beta_wc in (1e-2, 1e-3, 1e-4):
         beta = beta_wc / wc
-        got = spec.gamma(FiniteBeta(beta), t)
-        want = spec.gamma(HighTemperatureOhmic(beta), t)
+        got = spec.gamma(BathSpec(spec, FiniteBeta(beta)), t)
+        want = spec.gamma(BathSpec(spec, HighTemperatureOhmic(beta)), t)
         assert got == pytest.approx(want, rel=beta_wc ** 2)
     # gamma rises as beta falls
     for s in (0.05, 1.0, 2.0, 6.0):
         spec = PowerLawExpCutoff(alpha, s, wc)
-        values = [float(spec.gamma(FiniteBeta(b), t)) for b in np.geomspace(1e2, 1e-2, 13)]
+        values = [float(spec.gamma(BathSpec(spec, FiniteBeta(b)), t))
+                  for b in np.geomspace(1e2, 1e-2, 13)]
         assert all(a < b for a, b in zip(values, values[1:])), s
 
 
@@ -295,6 +335,19 @@ def test_overflowing_power_law_constant_is_a_domain_error():
         assert math.isfinite(value)
     # an arbitrary beta wc, not only 1, keeps c2 finite there
     assert math.isfinite(gamma_short_time_coeff(power_law(1.0, 160.0, 1.0, FiniteBeta(0.1))))
+
+
+def test_a_bath_whose_terms_overflow_still_integrates():
+    # the bath binds its closed form lazily: at s = 171 the finite-beta terms
+    # need Gamma(172), which overflows a float where J and the bath integral
+    # do not, so the bath builds, its closed form raises, and its quadrature
+    # integrates without binding the terms
+    bath = BathSpec(PowerLawExpCutoff(1e-300, 171.0, 1.0), FiniteBeta(1.0))
+    with pytest.raises(DomainError, match="Gamma\\(p \\+ 1\\)"):
+        gamma_closed(DephasingModel(bath), 1.0)
+    value, err = gamma_quadrature(bath, 1.0)
+    assert math.isfinite(value) and err <= 1e-9 * value
+    assert "terms" not in vars(bath)
 
 
 def test_negative_time_rejected():
@@ -351,6 +404,31 @@ def test_markovian_derivative_is_rate():
 def test_lorentzian_derivative_value():
     assert dgamma_dt(lorentzian(4.0, 1.0), 1.0) == pytest.approx(
         1.0 - math.exp(-1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("a,g,ts", [(1e10, 1e-300, [1e-6, 1.4e-5, 1.0]),
+                                    (1.7e308, 0.2, [0.1, 0.6, 2.0])],
+                         ids=["narrow", "huge-coupling"])
+def test_lorentzian_whose_prefactor_overflows(a, g, ts):
+    # a/(4 g) overflows, gamma and gamma' = a/(4 g) (1 - e^(-g t)) need not:
+    # on a float, on an array and on the lane's bound gamma', within 1e-14 of
+    # mpmath (the precision of the Lorentzian's closed form), from the
+    # short-time form and the long one; g t + expm1(-g t) cancels to u^2/2
+    # at u = g t = 1e-306, hence 700 digits
+    mpmath = pytest.importorskip("mpmath")
+    assert a / (4.0 * g) == math.inf
+    deph = DephasingModel(BathSpec(Lorentzian(a, g)))
+    gam, dgam = deph.gamma(np.array(ts)), deph.dgamma_dt(np.array(ts))
+    with mpmath.workdps(700):
+        a_, g_ = mpmath.mpf(a), mpmath.mpf(g)
+        for t, g_t, dg_t in zip(ts, gam.tolist(), dgam.tolist()):
+            t_ = mpmath.mpf(t)
+            want = a_ / (4 * g_ * g_) * (g_ * t_ + mpmath.expm1(-g_ * t_))
+            want_dg = a_ / (4 * g_) * -mpmath.expm1(-g_ * t_)
+            for got in (g_t, deph.gamma(t)):
+                assert abs(got / float(want) - 1.0) <= 1e-14, (t, got)
+            for got in (dg_t, deph.dgamma_dt(t), deph.dgamma_at(t)):
+                assert abs(got / float(want_dg) - 1.0) <= 1e-14, (t, got)
 
 
 def test_singular_derivative_rejected():
@@ -749,7 +827,7 @@ def test_power_law_cutoff_doubles_to_meet_contract(kernel, bath, t):
     value, err = kernel(bath, t)
     assert _within_contract(value, err)
     closed = bath.spectral.dgamma if kernel is dgamma_quadrature else bath.spectral.gamma
-    assert abs(value - closed(bath.temperature, t)) <= 1e-14
+    assert abs(value - closed(bath, t)) <= 1e-14
 
 
 @pytest.mark.parametrize("kernel,bath,t", FIRST_CUTOFF_MISSES, ids=["dgamma", "gamma"])
@@ -843,7 +921,7 @@ def test_sub_ohmic_finite_beta_quadrature_at_long_times(kernel):
     bath = BathSpec(PowerLawExpCutoff(1.0, 0.05, 1.0), FiniteBeta(1.0))
     value, err = kernel(bath, 30.0)
     closed = (bath.spectral.dgamma if kernel is dgamma_quadrature
-              else bath.spectral.gamma)(bath.temperature, 30.0)
+              else bath.spectral.gamma)(bath, 30.0)
     assert _within_contract(value, err)
     assert _within_contract(value, abs(value - closed))
 
@@ -856,7 +934,7 @@ def test_quadrature_of_a_steep_power_law():
         warnings.simplefilter("error")
         assert np.isfinite(spectral_density(bath.spectral, np.array([113.0, 760.0]))).all()
         value, err = gamma_quadrature(bath, 1.0)
-    closed = bath.spectral.gamma(bath.temperature, 1.0)
+    closed = bath.spectral.gamma(bath, 1.0)
     assert closed == 1.2781619589364327e+258
     assert _within_contract(value, err)
     assert _within_contract(value, abs(value - closed))
@@ -887,7 +965,7 @@ def test_quadrature_at_short_times(bath, factor, kernel, t):
     # gamma itself underflows to 0 from t ~ 1e-162 down, where no estimate
     # meets a tolerance of 0
     closed = (bath.spectral.dgamma if kernel is dgamma_quadrature
-              else bath.spectral.gamma)(bath.temperature, t)
+              else bath.spectral.gamma)(bath, t)
     for settings in (QuadratureSettings(), QuadratureSettings(abs_tol=0.0)):
         if closed == 0.0 and settings.abs_tol == 0.0:
             with pytest.raises(ToleranceNotMet):

@@ -1,8 +1,10 @@
 import dataclasses
 import fractions
+import gc
 import math
 import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from ramsey_bounds.dephasing import (
     dgamma_dt,
     gamma_closed,
     gamma_quadrature,
+    gamma_short_time_coeff,
     spectral_density,
 )
 from ramsey_bounds.errors import (
@@ -390,8 +393,7 @@ def test_rescue_search_finds_narrow_window(monkeypatch):
     # the walk steps over the narrow positive window to the window's end ...
     t = optimal_interrogation(above, 1)
     (ts, hv), = walks
-    spec = above.bath.spectral
-    lo, hi = spec.root_window(above.bath.temperature, 1)
+    lo, hi = above.bath.root_window(1)
     assert ts[0] < lo and ts[-1] >= hi and len(ts) > 2
     assert max(hv) < 0.0
     # ... so only the ternary refinement of the hump can find the root
@@ -408,7 +410,7 @@ def test_static_bath_root_is_the_zeno_bound():
     for a in (0.3, 2.0, 7.5):
         deph = generic(a / 8.0, 2.0)
         for m in (1, 2, 17, 1000):
-            lo, hi = deph.bath.spectral.root_window(deph.bath.temperature, m)
+            lo, hi = deph.bath.root_window(m)
             assert lo == pytest.approx(math.sqrt(2.0 / (m * a)), rel=1e-15)
             assert optimal_interrogation(deph, m) == pytest.approx(lo, rel=1e-12)
 
@@ -449,7 +451,7 @@ def test_super_ohmic_between_thresholds_walks_nothing(monkeypatch):
     b3 = peak_bound(3.0)
     for scale in (0.5 / b3, 0.999 / b3, (1.0 - 1e-9) / b3):
         spec = PowerLawExpCutoff(scale / math.gamma(3.0), 3.0, 1.7)
-        assert scale > 1.0 and spec.root_window(ZeroTemperature(), 1) is None
+        assert scale > 1.0 and BathSpec(spec).root_window(1) is None
         with pytest.raises(NoFiniteOptimum):
             optimal_interrogation(DephasingModel(BathSpec(spec)), 1)
         assert np.isnan(optimal_interrogation(DephasingModel(BathSpec(spec)), [1.0, 1.0])).all()
@@ -475,11 +477,12 @@ def test_peak_bound_proves_no_root():
         # couplings around the threshold 1/(m Gamma(s) B(s))
         alpha = 10.0 ** rng.uniform(-0.3, 0.3) / (m * math.gamma(s) * peak_bound(s))
         spec = PowerLawExpCutoff(alpha, s, wc)
-        if spec.root_window(ZeroTemperature(), m) is not None:
+        bath = BathSpec(spec)
+        if bath.root_window(m) is not None:
             continue
         nones += 1
         ts = x / wc
-        assert (2.0 * m * ts * spec.dgamma(ZeroTemperature(), ts) < 1.0).all(), (s, m, alpha)
+        assert (2.0 * m * ts * spec.dgamma(bath, ts) < 1.0).all(), (s, m, alpha)
     assert 60 < nones < 140
     # the bound is exact at s = 2: just above m alpha = 2 a window remains,
     # and the walk finds its root; at m alpha = 2 it finds the tangent point
@@ -487,10 +490,10 @@ def test_peak_bound_proves_no_root():
     for m in (1, 4):
         for scale, x in ((1.0 + 1e-9, 0.99995), (1.0, 1.0)):
             deph = DephasingModel(BathSpec(PowerLawExpCutoff(2.0 * scale / m, 2.0, 1.3)))
-            assert deph.bath.spectral.root_window(ZeroTemperature(), m) is not None
+            assert deph.bath.root_window(m) is not None
             assert optimal_interrogation(deph, m) * 1.3 == pytest.approx(x, abs=1e-4)
         spec = PowerLawExpCutoff(2.0 * (1.0 - 1e-9) / m, 2.0, 1.3)
-        assert spec.root_window(ZeroTemperature(), m) is None
+        assert BathSpec(spec).root_window(m) is None
 
 
 def unbound_dgamma(spec, temp, t):
@@ -513,7 +516,7 @@ def unbound_dgamma(spec, temp, t):
                                   - sign * p * math.atan2(1.0, x))
         return sin_p_atan / p * math.hypot(1.0, x) ** -p
 
-    wc, terms = spec.omega_c, spec._terms(temp)
+    wc, terms = spec.omega_c, BathSpec(spec, temp).terms
     parts = [(a * r) * kernel_dt(p, r * wc * t) for a, p, r in terms]
     return wc * (parts[0] if len(parts) == 1 else math.fsum(parts))
 
@@ -559,6 +562,38 @@ def test_model_binds_its_gamma_prime_once(monkeypatch):
     assert binds == [deph.bath]
 
 
+def test_bath_binds_its_closed_form_once(monkeypatch):
+    # the tag states the power law's terms and window once per bath: a sweep's
+    # lanes, the float and array gamma, gamma' and c2 read what the bath bound
+    stated = []
+    for name in ("power_law_terms", "power_law_window"):
+        original = getattr(FiniteBeta, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            stated.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(FiniteBeta, name, counted)
+    deph = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, 0.5, 1.0), FiniteBeta(2.0)))
+    assert np.isfinite(ratio_r(deph, np.arange(1, 51)).r).all()
+    ts = np.geomspace(1e-2, 1e2, 9)
+    assert np.isfinite(gamma_closed(deph, ts)).all() and np.isfinite(deph.dgamma_dt(ts)).all()
+    assert math.isfinite(gamma_closed(deph, 1.0)) and math.isfinite(deph.dgamma_dt(1.0))
+    assert gamma_short_time_coeff(deph) == deph.bath.c2
+    assert stated == ["power_law_terms", "power_law_window"]
+
+
+@pytest.mark.parametrize("temp", [ZeroTemperature(), FiniteBeta(2.0), HighTemperatureOhmic(2.0)])
+def test_a_family_is_freed_with_its_last_bath(temp):
+    # the terms are the bath's: no module-wide cache keeps the family alive
+    spec = PowerLawExpCutoff(1.0, 1.0, 1.0)
+    family = weakref.ref(spec)
+    deph = DephasingModel(BathSpec(spec, temp))
+    assert math.isfinite(ratio_r(deph, 4).r) and math.isfinite(gamma_closed(deph, 1.0))
+    del spec, deph
+    gc.collect()
+    assert family() is None
+
+
 @pytest.mark.parametrize("use", ["dgamma_dt", "optimal_interrogation", "ratio_r"])
 @pytest.mark.parametrize("route", [ClosedForm(), Quadrature()], ids=["closed", "quad"])
 @pytest.mark.parametrize("spec", [PowerLawExpCutoff(2.0, 2.0, 1.3), Lorentzian(1.0, 0.5)],
@@ -579,10 +614,18 @@ def test_used_model_pickles(spec, route, use):
     # the quadrature route binds its bath's problem (a closure) too
     assert ("quad_problem" in vars(deph.bath)) == isinstance(route, Quadrature)
     copy = pickle.loads(pickle.dumps(deph))
+    # the bath pickles from its fields too: the copy binds nothing until asked
+    bound = {"terms", "c2", "root_window", "quad_problem"}
+    assert not bound & vars(copy.bath).keys()
     assert copy == deph and hash(copy) == hash(deph)
     assert copy.dgamma_dt(0.7).hex() == deph.dgamma_dt(0.7).hex()
     assert optimal_interrogation(copy, 3).hex() == optimal_interrogation(deph, 3).hex()
     assert repr(ratio_r(copy, 3)) == repr(ratio_r(deph, 3))
+    # ... and then binds its window, c2 and (the power law's) terms again
+    assert {"c2", "root_window"} <= vars(copy.bath).keys()
+    assert copy.bath.root_window(3) == deph.bath.root_window(3)
+    if isinstance(spec, PowerLawExpCutoff):
+        assert "terms" in vars(copy.bath) and copy.bath.terms == deph.bath.terms
 
 
 def count_product_lanes(monkeypatch, name):
@@ -765,7 +808,7 @@ def test_super_ohmic_window_end():
         scale = 10.0 ** rng.uniform(-0.5, 2.0)
         spec = PowerLawExpCutoff(scale / math.gamma(s), s, wc)
         deph = DephasingModel(BathSpec(spec))
-        window = spec.root_window(ZeroTemperature(), 1)
+        window = deph.bath.root_window(1)
         if scale * peak_bound(s) <= 1.0:
             assert window is None
             with pytest.raises(NoFiniteOptimum):
@@ -779,10 +822,10 @@ def test_super_ohmic_window_end():
         ts = np.geomspace(1e-6 * lo, lo, 2000)
         assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all()
     # the bound holds at the threshold itself, and its overflow is no bound
-    assert PowerLawExpCutoff(1.0, 2.0, 1.0).root_window(ZeroTemperature(), 1) is None
+    assert BathSpec(PowerLawExpCutoff(1.0, 2.0, 1.0)).root_window(1) is None
     spec = PowerLawExpCutoff(2.0, 1.0 + 1e-8, 1.0)
     assert not spec.is_ohmic
-    assert spec.root_window(ZeroTemperature(), 1)[1] == math.inf
+    assert BathSpec(spec).root_window(1)[1] == math.inf
 
 
 @pytest.mark.parametrize("route", [ClosedForm(), Quadrature()],
@@ -798,7 +841,7 @@ def test_finite_beta_s2_threshold(route):
         deph = DephasingModel(bath, route)
         if isinstance(route, ClosedForm):
             assert 2.0 * 1e7 * deph.dgamma_dt(1e7) - 1.0 == pytest.approx(limit, abs=1e-6)
-        lo, hi = bath.spectral.root_window(bath.temperature, 1)
+        lo, hi = bath.root_window(1)
         assert hi == math.inf if limit > 0.0 else hi < 20.0
         if alpha <= 1.0:
             with pytest.raises(NoFiniteOptimum):
@@ -817,8 +860,8 @@ def test_finite_beta_s2_window_end():
         wc = 0.7
         spec = PowerLawExpCutoff(0.5 * beta_wc, 2.0, wc)
         temp = FiniteBeta(beta_wc / wc)
-        lo, hi = spec.root_window(temp, 1)
         deph = DephasingModel(BathSpec(spec, temp))
+        lo, hi = deph.bath.root_window(1)
         ts = hi * np.geomspace(1.0, 1e4, 300)
         assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all(), beta_wc
 
@@ -832,7 +875,7 @@ def test_finite_beta_window_end():
         beta = 10.0 ** rng.uniform(-2.0, 2.0) / wc
         spec = PowerLawExpCutoff(10.0 ** rng.uniform(-1.0, 2.0), s, wc)
         deph = DephasingModel(BathSpec(spec, FiniteBeta(beta)))
-        lo, hi = spec.root_window(FiniteBeta(beta), 1)
+        lo, hi = deph.bath.root_window(1)
         assert lo < math.inf and hi >= 1.0 / wc
         if hi < math.inf:
             ts = hi * np.geomspace(1.0, 1e6, 200)
@@ -841,7 +884,7 @@ def test_finite_beta_window_end():
         assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all()
     # the end overflows close to s = 2
     spec = PowerLawExpCutoff(10.0, 2.0 + 1e-6, 1.0)
-    assert spec.root_window(FiniteBeta(1.0), 1)[1] == math.inf
+    assert BathSpec(spec, FiniteBeta(1.0)).root_window(1)[1] == math.inf
 
 
 def test_optimal_resolution_values():
@@ -1202,7 +1245,7 @@ def test_high_temp_solved_time_matches_bisection():
 def test_ohmic_ratio_fit_over_large_n():
     ns = np.unique(np.geomspace(1e3, 1e6, 25).astype(int)).astype(float)
     rs = np.array([ohmic_exact_ratio(1.0, n) for n in ns])
-    from ramsey_bounds.numerics import fit_power_law
+    from regime_formulas import fit_power_law
 
     fit = fit_power_law(ns, rs)
     assert 0.24 <= fit.exponent <= 0.26

@@ -11,11 +11,11 @@ from ramsey_bounds.metrology import ProbeSpec
 from ramsey_bounds.errors import DomainError, NoSignChange, ToleranceNotMet
 from ramsey_bounds.numerics import (
     QuadratureSettings,
-    fit_power_law,
     integrate_semi_infinite,
     solve_bracketed_root,
 )
 from ramsey_bounds.oracle import brute_force_optimum, reference_gamma
+from regime_formulas import fit_power_law
 
 
 def bisect(f, lo, hi, tol=1e-10):

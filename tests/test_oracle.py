@@ -97,12 +97,13 @@ def test_reference_gamma_at_long_times(t):
     # form Gamma(p - 1) Om^(p-1) [1 - Re (1 - i Om t)^(1-p)], give the same sum
     mpmath = pytest.importorskip("mpmath")
     spec = PowerLawExpCutoff(1.0, 0.5, 1.0)
-    got = reference_gamma(BathSpec(spec, FiniteBeta(1.0)), t)
+    bath = BathSpec(spec, FiniteBeta(1.0))
+    got = reference_gamma(bath, t)
     with mpmath.workdps(60):
         want = mpmath.fsum(
             a / math.gamma(p + 1.0) * mpmath.gamma(mpmath.mpf(p) - 1)
             * (1 - mpmath.re((1 - 1j * mpmath.mpf(r) * t) ** (1 - mpmath.mpf(p))))
-            for a, p, r in spec._thermal_terms(1.0))
+            for a, p, r in bath.terms)
     assert math.isfinite(got)
     assert abs(got / float(want) - 1.0) <= 1e-13
 

@@ -31,8 +31,8 @@ def log_uniform(lo, hi):
 def test_finite_beta_gamma_falls_with_beta(s, wc, beta_wc, x, heat):
     spec = PowerLawExpCutoff(1.0, s, wc)
     t, beta = x / wc, beta_wc / wc
-    cold = spec.gamma(FiniteBeta(beta), t)
-    hot = spec.gamma(FiniteBeta(beta / heat), t)
+    cold = spec.gamma(BathSpec(spec, FiniteBeta(beta)), t)
+    hot = spec.gamma(BathSpec(spec, FiniteBeta(beta / heat)), t)
     # the thermal part can sit below rounding at large beta wc
     assert hot >= cold * (1.0 - 1e-14)
 
@@ -45,11 +45,12 @@ def test_finite_beta_scale_covariance(s, wc, beta_wc, x, scale):
     t, beta = x / wc, beta_wc / wc
     base = PowerLawExpCutoff(1.3, s, wc)
     scaled = PowerLawExpCutoff(1.3, s, scale * wc)
-    want = base.gamma(FiniteBeta(beta), t)
-    got = scaled.gamma(FiniteBeta(beta / scale), t / scale)
+    base_bath = BathSpec(base, FiniteBeta(beta))
+    scaled_bath = BathSpec(scaled, FiniteBeta(beta / scale))
+    want = base.gamma(base_bath, t)
+    got = scaled.gamma(scaled_bath, t / scale)
     assert got == pytest.approx(want, rel=1e-13)
-    assert scaled.c2(FiniteBeta(beta / scale)) == pytest.approx(
-        scale ** 2 * base.c2(FiniteBeta(beta)), rel=1e-13)
+    assert scaled_bath.c2 == pytest.approx(scale ** 2 * base_bath.c2, rel=1e-13)
 
 
 @FIXED
