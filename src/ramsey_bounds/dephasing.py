@@ -29,9 +29,10 @@ family provides:
   which a model binds once (:attr:`DephasingModel.dgamma_at`);
 * ``c2(bath)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
 * ``root_window(bath)``: a function of m that gives a window ``(lo, hi)``
-  holding every root of 2 m t gamma'(t) = 1 (``hi`` may be inf), or None
-  where the family's bounds prove there is none. For the spectral families
-  ``lo`` is 1/(2 sqrt(m c2)); the optimizer walks up from it;
+  holding the first root of 2 m t gamma'(t) = 1 (``hi`` may be inf), or None
+  where there is none. For the spectral families ``lo`` is 1/(2 sqrt(m c2));
+  the optimizer walks up from it. The T = 0 power law's later lobes that
+  reach 1 (s > 4) follow as brackets ``(start, peak)`` of their rising sides;
 * ``quad_problem(temp)``: a function of ``(t, derivative=False)`` that sets
   up the bath integral at time t, or with ``derivative`` that of its
   t-derivative, (1/2) J(w) W(w) sin(w t) / w, as ``(integrand, head,
@@ -82,6 +83,7 @@ from .numerics import (
     _real,
     _real_array,
     integrate_semi_infinite,
+    solve_bracketed_root,
 )
 
 __all__ = [
@@ -258,14 +260,6 @@ def _open_window(c2):
     return lambda m: (_zeno_bound(c2, m), math.inf)
 
 
-def _power(x, p):
-    """x ** p, or inf where it overflows a float."""
-    try:
-        return x ** p
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class ZeroTemperature:
     """T = 0: the quadrature weight is 1."""
@@ -285,19 +279,16 @@ class ZeroTemperature:
         return ((0.5 * spec.alpha * math.gamma(spec.s + 1.0) * k, spec.s, 1.0),)
 
     def power_law_window(self, spec, c2):
-        """The power law's root window as a function of m. With s > 1,
-        x = wc t and theta = arctan x,
-
-            2 m t gamma' = m alpha Gamma(s) sin(theta) sin(s theta) cos(theta)^(s-1)
-                        <= m alpha Gamma(s) x (1 + x^2)^(-s/2),
-
-        which peaks at x^2 = 1/(s - 1) at m alpha Gamma(s) B(s), with
-        B(s) = (s - 1)^((s-1)/2) / s^(s/2). Where that is below 1 no root
-        exists, and the optimizer evaluates gamma' not once. The bound is exact
-        at s = 2, within 1.6 % of the true peak for s <= 3 and 4.8 % at s = 4;
-        near a threshold the optimizer's rescue search finds a narrow window
-        the walk steps over. ``hi`` comes from the looser bound
-        m alpha Gamma(s) (1 + x^2)^(-(s-1)/2).
+        """The power law's root window as a function of m. With s > 1 and
+        theta = arctan(wc t), 2 m t gamma' = m alpha Gamma(s) f(theta), where
+        f = sin(theta) sin(s theta) cos(theta)^(s-1) rises to one peak and falls
+        on each lobe (2 j pi/s, (2 j + 1) pi/s) within (0, pi/2): there
+        d ln f/d theta = cot(theta) - (s - 1) tan(theta) + s cot(s theta) falls,
+        so G = s sin((s + 2) theta) - (s - 2) sin(s theta), its product with
+        2 sin(theta) cos(theta) sin(s theta) > 0, changes sign once. A lane has
+        a root exactly where a peak reaches 1 (to 1e-12 in logarithms: at s = 2,
+        m alpha = 2 it touches 1 at wc t = 1); its window ends at the first, and
+        each later one follows as the bracket ``(start, peak)`` of its lobe.
         """
         alpha, s, wc = spec.alpha, spec.s, spec.omega_c
         if spec.is_ohmic:
@@ -305,21 +296,25 @@ class ZeroTemperature:
             return lambda m: (_zeno_bound(c2, m), math.inf) if 2.0 * m * alpha > 1.0 else None
         if s < 1.0:
             return _open_window(c2)
-        # the peak bound m alpha Gamma(s) B(s) (see the docstring), in
-        # logarithms, its terms summed per m in this order, from |sin(s theta)|
-        # <= 1 and sin(theta) cos(theta)^(s-1) = x (1 + x^2)^(-s/2). Where it is
-        # 1 (s = 2, m alpha = 2), 2 m t gamma' touches 1 at x = 1, a root the
-        # walk may find. As sin(theta) <= 1 too, it is at most
-        # m alpha Gamma(s) (1 + x^2)^(-(s-1)/2), which is 1 at the window's end;
-        # B(s) < 1, so that peak is above 1
-        log, log_alpha, lgamma_s = math.log, math.log(alpha), math.lgamma(s)
-        log_b = 0.5 * ((s - 1.0) * math.log(s - 1.0) - s * math.log(s))
-        gamma_s, power = math.gamma(s), 2.0 / (s - 1.0)
+        # per lobe, G's root (solved 1e-9 of the lobe short of both ends,
+        # where G may be 0 or lose its sign to rounding), ln(alpha Gamma(s) f)
+        # + 1e-12 there, and the lobe's start and peak times. A lobe starting
+        # within 2e-9 pi/s of pi/2, where f < (7e-9/s)^(s-1), is left out
+        sin, log, lobes = math.sin, math.log, []
+        g = lambda th: s * sin((s + 2.0) * th) - (s - 2.0) * sin(s * th)
+        for j in range(math.ceil(s / 4.0 - 1e-9)):
+            a, b = 2.0 * j * math.pi / s, min((2.0 * j + 1.0) * math.pi / s, 0.5 * math.pi)
+            th = solve_bracketed_root(g, (a + 1e-9 * (b - a), b - 1e-9 * (b - a)))
+            log_f = log(sin(th) * sin(s * th)) + (s - 1.0) * log(math.cos(th))
+            lobes.append((log(alpha) + math.lgamma(s) + 1e-12 + log_f, math.tan(a) / wc,
+                          math.tan(th) / wc))
 
         def window(m):
-            if log(m) + log_alpha + lgamma_s + log_b < 0.0:
-                return None
-            return _zeno_bound(c2, m), math.sqrt(_power(m * alpha * gamma_s, power) - 1.0) / wc
+            log_m, out = log(m), None
+            for c, start, peak in lobes:
+                if log_m + c >= 0.0:
+                    out = (_zeno_bound(c2, m), peak) if out is None else (*out, (start, peak))
+            return out
         return window
 
 
@@ -395,8 +390,13 @@ class FiniteBeta(_Parameters):
         # 2 m t gamma' <= m alpha Gamma(s) (1 + 2 C / (beta wc)) x^(2-s).
         c = 0.5 * math.sqrt(math.pi) * math.gamma(0.5 * (s - 1.0)) / math.gamma(0.5 * s)
         gamma_s, spread, power = math.gamma(s), 1.0 + 2.0 * c / bw, 1.0 / (s - 2.0)
-        return lambda m: (_zeno_bound(c2, m),
-                          max(1.0, _power(m * alpha * gamma_s * spread, power)) / wc)
+
+        def window(m):
+            try:
+                return _zeno_bound(c2, m), max(1.0, (m * alpha * gamma_s * spread) ** power) / wc
+            except OverflowError:  # the bound overflows a float: no end
+                return _zeno_bound(c2, m), math.inf
+        return window
 
 
 @dataclass(frozen=True)
@@ -597,10 +597,16 @@ class Lorentzian(_Parameters):
 
     def density(self, w):
         # in x = w/g, in place, as for the power law; past x ~ 1e154, x^2
-        # overflows and J rounds to its limit 0
-        x = np.asarray(w / self.g)
-        with np.errstate(over="ignore"):
+        # overflows and J rounds to its limit 0 (w/g too, past g ~ 1e-300).
+        # Only nodes whose largest x passes _BIG_X enter np.errstate, a fixed
+        # cost of about 2 us a call
+        if _largest(w, None, initial=0.0) < _BIG_X * self.g:
+            x = np.asarray(w / self.g)
             x *= x
+        else:
+            with np.errstate(over="ignore"):
+                x = np.asarray(w / self.g)
+                x *= x
         x += 1.0
         return np.divide(self.a / (np.pi * self.g), x, out=x)
 
@@ -774,8 +780,13 @@ class BathSpec:
 
     # bound on first use, and not where that raises (a bath whose terms overflow
     # still integrates): the power law's (a, p, r), gamma(t) = Sum a K_p(r wc t),
-    # and the family's c2, root window and quadrature problem
-    terms = functools.cached_property(lambda self: self.temperature.power_law_terms(self.spectral))
+    # DomainError for another family, and the family's c2, root window and
+    # quadrature problem
+    @functools.cached_property
+    def terms(self):
+        _check_kind("spectral", self.spectral, (PowerLawExpCutoff,))
+        return self.temperature.power_law_terms(self.spectral)
+
     c2 = functools.cached_property(lambda self: self.spectral.c2(self))
     root_window = functools.cached_property(lambda self: self.spectral.root_window(self))
     quad_problem = functools.cached_property(

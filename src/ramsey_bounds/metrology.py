@@ -215,14 +215,14 @@ def _multipliers(m):
 def _solve_lane(deph: DephasingModel, m: float) -> float:
     """The optimal time for one multiplier, NaN where none exists.
 
-    The bath's window [lo, hi] at m holds every root; the walk steps up from
-    one step below lo, and its first upward crossing brackets the root. It
-    ends one step past hi, or after _WALK_MAX_STEPS when hi is infinite.
+    The bath's window [lo, hi] at m holds the first root; the walk steps up
+    from one step below lo, and its first upward crossing brackets the root.
+    It ends one step past hi, or after _WALK_MAX_STEPS when hi is infinite.
     """
     window = deph.bath.root_window(m)
     if window is None or window[0] == math.inf:
         return math.nan
-    lo, hi = window
+    lo, hi = window[:2]
     h = _constraint(deph, m)
     t_end = hi * _WALK_STEP
     t = lo / _WALK_STEP
@@ -279,11 +279,13 @@ def _rescue_search(h, ts, hv):
 def optimal_resolution(deph: DephasingModel, probe: ProbeSpec) -> Optimum:
     """Minimize the frequency variance over t in (0, total_time] at phi t = pi/2.
 
-    The interior stationary point is compared against the t = total_time
+    The interior stationary points are compared against the t = total_time
     boundary (saturating decoherence functions can favour the boundary);
-    whichever is smaller wins, and ``boundary_limited`` is set when the
-    boundary does. When no stationary point exists the result is clamped to
-    total_time with ``finite=False``.
+    whichever is smallest wins, and ``boundary_limited`` is set when the
+    boundary does. The first is :func:`optimal_interrogation`'s; a later lobe
+    of 2 m t gamma' (super-Ohmic T = 0, s > 4) can hold a lower one. When no
+    stationary point exists the result is clamped to total_time with
+    ``finite=False``.
     """
     t_star = None
     try:
@@ -298,6 +300,17 @@ def optimal_resolution(deph: DephasingModel, probe: ProbeSpec) -> Optimum:
         gam = deph.product_optimum[1] if m == 1 and t_star <= T else deph.gamma(min(t_star, T))
         t_star = min(t_star, T)
         var_star = _variance(gam, math.pi / 2.0, n, m, T, t_star)
+        # each later lobe that the window brackets as (start, peak) holds one
+        # more, the root of h on [start, min(peak, T)], where h rises from -1;
+        # none up to T where the route's h at that end is below 0
+        for start, peak in deph.bath.root_window(m)[2:]:
+            h, end = _constraint(deph, m), min(peak, T)
+            h_end = h(end) if start < end else -1.0
+            if h_end >= 0.0:
+                t = solve_bracketed_root(h, (start, end), values=(-1.0, h_end))
+                var = _variance(deph.gamma(t), math.pi / 2.0, n, m, T, t)
+                if var < var_star:
+                    var_star, t_star = var, t
         if var_star <= var_T:
             return Optimum(t_opt=t_star, delta_omega_sq=var_star)
         return Optimum(t_opt=T, delta_omega_sq=var_T, boundary_limited=True)

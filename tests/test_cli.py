@@ -19,6 +19,7 @@ from ramsey_bounds.dephasing import (
 from ramsey_bounds import dephasing
 from ramsey_bounds.errors import DomainError, ToleranceNotMet
 from ramsey_bounds.metrology import ProbeSpec
+from ramsey_bounds.oracle import brute_force_optimum
 
 
 def run(capsys, *argv):
@@ -153,6 +154,23 @@ def test_optimize_boundary_exit_code(capsys):
     row = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
     assert row["boundary_limited"] == "true"
     assert float(row["t_opt"]) == 1.0
+
+
+def test_optimize_finds_a_later_lobe_minimum(capsys):
+    # s = 12 at T = 0: the second lobe's stationary point lies below the
+    # boundary T = 0.7, which the first one's (t = 0.064) does not beat
+    argv = ["--model", "powerlaw", "--alpha", "5.782887284129829e-07", "--s", "12",
+            "--omega-c", "1"]
+    code, out, _ = run(capsys, "optimize", *argv, "--n", "1", "--total-time", "0.7",
+                       "--strategy", "product")
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+    assert row["boundary_limited"] == "false" and row["finite"] == "true"
+    want = brute_force_optimum(DephasingModel(BathSpec(PowerLawExpCutoff(5.782887284129829e-07,
+                                                                         12.0, 1.0))),
+                               ProbeSpec(1, 0.7, "product"))
+    assert float(row["t_opt"]) == pytest.approx(want.t_opt, rel=1e-4)
+    assert float(row["delta_omega_sq"]) == pytest.approx(want.delta_omega_sq, rel=1e-4)
 
 
 def test_optimize_at_a_huge_total_time(capsys):

@@ -81,6 +81,42 @@ def test_spectral_density_errors():
         spectral_density(Lorentzian(1.0, 1.0), -0.5)
 
 
+def lorentzian_density_as_written(spec, w):
+    """J in x = w/g with x^2 taken under np.errstate on every call, as the
+    Lorentzian's density was written before it entered that context only
+    where x^2 can overflow (then w/g was not under it, and warned where it
+    overflowed)."""
+    with np.errstate(over="ignore"):
+        x = np.asarray(w / spec.g)
+        x *= x
+    x += 1.0
+    return np.divide(spec.a / (np.pi * spec.g), x, out=x)
+
+
+def test_lorentzian_density_keeps_its_bits():
+    # ordinary nodes, and g = 1e-300, where x^2 and then w/g overflow on all
+    # but the smallest nodes and J rounds to 0 there, give the bits of the
+    # density as written before, with no overflow warning (the suite's
+    # warnings are errors); so does g = 1e-150
+    w = np.concatenate([[0.0], np.geomspace(1e-310, 1e300, 700)])
+    for spec in (Lorentzian(1.3, 0.6), Lorentzian(2.0, 1e-300), Lorentzian(1.0, 1e-150)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectral_density(spec, w)
+        assert got.tobytes() == lorentzian_density_as_written(spec, w.copy()).tobytes()
+        assert (got[w > 1.4e154 * spec.g] == 0.0).all()
+    assert spectral_density(Lorentzian(1.0, 1e-300), 1e-140) == 0.0
+
+
+@pytest.mark.parametrize("spec", [Lorentzian(1.0, 1.0), GenericPowerLawDephasing(1.0, 1.5)],
+                         ids=["lorentzian", "generic"])
+def test_bath_terms_are_the_power_laws_alone(spec):
+    # the kernel terms belong to the power law: another family's bath raises
+    # a typed error naming it, not a bare AttributeError
+    with pytest.raises(DomainError, match=type(spec).__name__):
+        BathSpec(spec).terms
+
+
 DENSITIES = [PowerLawExpCutoff(0.7, 0.5, 2.0), PowerLawExpCutoff(1.3, 2.0, 0.5),
              Lorentzian(1.3, 0.6)]
 

@@ -63,12 +63,31 @@ def generic(alpha, nu):
     return DephasingModel(BathSpec(GenericPowerLawDephasing(alpha, nu)))
 
 
+def lobe_peak(s):
+    """The highest peak of f(u) = sin(u) sin(s u) cos(u)^(s-1) on (0, pi/2),
+    where 2 m t gamma' = m alpha Gamma(s) f(arctan(wc t)) at T = 0, s > 1:
+    the largest entry of a grid zoomed four times by 1000 about each of its
+    local maxima, so within rounding of the peak's value."""
+    def f(u):
+        return np.sin(u) * np.sin(s * u) * np.cos(u) ** (s - 1.0)
+    u = np.linspace(0.0, math.pi / 2.0, 20001)
+    v = f(u)
+    best = 0.0
+    for i in np.flatnonzero((v[1:-1] > 0.0) & (v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])) + 1:
+        lo, hi = u[i - 1], u[i + 1]
+        for _ in range(4):
+            grid = np.linspace(lo, hi, 2001)
+            k = int(np.argmax(f(grid)))
+            lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 2000)]
+        best = max(best, float(np.max(f(grid))))
+    return best
+
+
 def s3_near_threshold(offset):
     """s = 3, wc = 1, T = 0 bath coupled (1 + offset) times its product
     threshold: 2 t gamma'(t) = 2 alpha sin(u) cos(u)^2 sin(3u), u = arctan(t)."""
-    u = np.linspace(0.0, math.pi / 2.0, 200001)
-    peak = float(np.max(2.0 * np.sin(u) * np.cos(u) ** 2 * np.sin(3.0 * u)))
-    return DephasingModel(BathSpec(PowerLawExpCutoff((1.0 + offset) / peak, 3.0, 1.0)))
+    return DephasingModel(BathSpec(PowerLawExpCutoff((1.0 + offset) / (2.0 * lobe_peak(3.0)),
+                                                     3.0, 1.0)))
 
 
 # --- signal and information -----------------------------------------------------
@@ -390,18 +409,22 @@ def test_rescue_search_finds_narrow_window(monkeypatch):
         return rescue(h, ts, hv)
 
     monkeypatch.setattr(metrology, "_rescue_search", recorded)
-    # the walk steps over the narrow positive window to the window's end ...
+    # the walk steps over the narrow positive window to the window's end, the
+    # lobe's peak, where 2 t gamma' reaches 1 ...
     t = optimal_interrogation(above, 1)
     (ts, hv), = walks
     lo, hi = above.bath.root_window(1)
+    assert 2.0 * hi * above.dgamma_dt(hi) >= 1.0
     assert ts[0] < lo and ts[-1] >= hi and len(ts) > 2
     assert max(hv) < 0.0
     # ... so only the ternary refinement of the hump can find the root
     assert abs(2.0 * t * above.dgamma_dt(t) - 1.0) <= 1e-10
-    assert t == pytest.approx(0.62647, abs=1e-5)
+    assert t <= hi and t == pytest.approx(0.62647, abs=1e-5)
+    # below the threshold the window proves no root: no walk, no rescue
+    assert below.bath.root_window(1) is None
     with pytest.raises(NoFiniteOptimum):
         optimal_interrogation(below, 1)
-    assert len(walks) == 2
+    assert len(walks) == 1
 
 
 def test_static_bath_root_is_the_zeno_bound():
@@ -445,28 +468,29 @@ def test_ohmic_below_threshold_walks_nothing(monkeypatch):
 
 
 def test_super_ohmic_between_thresholds_walks_nothing(monkeypatch):
-    # at s = 3 the peak bound m alpha Gamma(s) B(s) proves no root where the
-    # older m alpha Gamma(s) <= 1 did not: the lane evaluates gamma' not once
+    # at s = 3 the lobe's exact peak proves no root wherever
+    # m alpha Gamma(s) f stays below 1 there, up to 1e-9 below the
+    # threshold: the lane evaluates gamma' not once
     calls = count_lane_evaluations(monkeypatch)
-    b3 = peak_bound(3.0)
-    for scale in (0.5 / b3, 0.999 / b3, (1.0 - 1e-9) / b3):
+    f3 = lobe_peak(3.0)
+    for scale in (0.5 / f3, 0.999 / f3, (1.0 - 1e-5) / f3, (1.0 - 1e-9) / f3):
         spec = PowerLawExpCutoff(scale / math.gamma(3.0), 3.0, 1.7)
         assert scale > 1.0 and BathSpec(spec).root_window(1) is None
         with pytest.raises(NoFiniteOptimum):
             optimal_interrogation(DephasingModel(BathSpec(spec)), 1)
         assert np.isnan(optimal_interrogation(DephasingModel(BathSpec(spec)), [1.0, 1.0])).all()
-    assert not calls
-    # a coupling whose bound is above 1 still walks: the true peak is 1.6 %
-    # below the bound at s = 3, so the bath 1e-5 below its threshold walks
-    # and finds no root (the rescue search)
     with pytest.raises(NoFiniteOptimum):
         optimal_interrogation(s3_near_threshold(-1e-5), 1)
+    assert not calls
+    # a coupling 1e-5 above the threshold walks, and finds its root
+    optimal_interrogation(s3_near_threshold(1e-5), 1)
     assert calls
 
 
 def test_peak_bound_proves_no_root():
     # for s in (1, 6], wherever the T = 0 window is None, a dense scan of the
-    # closed-form 2 m t gamma' stays below 1
+    # closed-form 2 m t gamma' stays below 1, and wherever it is not, the
+    # window's end is a point where 2 m t gamma' reaches 1
     rng = np.random.default_rng(24)
     x = np.geomspace(1e-4, 1e4, 40001)
     nones = 0
@@ -474,19 +498,22 @@ def test_peak_bound_proves_no_root():
         s = rng.uniform(1.0 + 1e-6, 6.0)
         m = float(rng.choice([1, 2, 7, 100]))
         wc = 10.0 ** rng.uniform(-1.0, 1.0)
-        # couplings around the threshold 1/(m Gamma(s) B(s))
-        alpha = 10.0 ** rng.uniform(-0.3, 0.3) / (m * math.gamma(s) * peak_bound(s))
+        # couplings around the threshold 1/(m Gamma(s) f) at f's peak
+        alpha = 10.0 ** rng.uniform(-0.3, 0.3) / (m * math.gamma(s) * lobe_peak(s))
         spec = PowerLawExpCutoff(alpha, s, wc)
         bath = BathSpec(spec)
-        if bath.root_window(m) is not None:
+        window = bath.root_window(m)
+        if window is not None:
+            hi = window[1]
+            assert 2.0 * m * hi * spec.dgamma(bath, np.array([hi]))[0] >= 1.0, (s, m, alpha)
             continue
         nones += 1
         ts = x / wc
         assert (2.0 * m * ts * spec.dgamma(bath, ts) < 1.0).all(), (s, m, alpha)
     assert 60 < nones < 140
-    # the bound is exact at s = 2: just above m alpha = 2 a window remains,
-    # and the walk finds its root; at m alpha = 2 it finds the tangent point
-    # x = 1, and just below it the window is None
+    # at s = 2 the peak is f(pi/4) = 1/2: just above m alpha = 2 a window
+    # remains, and the walk finds its root; at m alpha = 2 it finds the
+    # tangent point x = 1, and just below it the window is None
     for m in (1, 4):
         for scale, x in ((1.0 + 1e-9, 0.99995), (1.0, 1.0)):
             deph = DephasingModel(BathSpec(PowerLawExpCutoff(2.0 * scale / m, 2.0, 1.3)))
@@ -793,15 +820,11 @@ def test_zeno_bound_beyond_float_range_is_no_optimum():
     assert np.isnan(ratio_r(deph, np.arange(1, 4)).r).all()
 
 
-def peak_bound(s):
-    """B(s) = (s - 1)^((s-1)/2) / s^(s/2), the peak of x (1 + x^2)^(-s/2)."""
-    return (s - 1.0) ** (0.5 * (s - 1.0)) / s ** (0.5 * s)
-
-
 def test_super_ohmic_window_end():
-    # 2 m t gamma' <= m alpha Gamma(s) B(s): no root at all when that is <= 1;
-    # and 2 m t gamma' <= m alpha Gamma(s) (1 + wc^2 t^2)^(-(s-1)/2), so none
-    # above the window's end
+    # no root at all where m alpha Gamma(s) f stays below 1 at f's peak; else
+    # the window runs from the Zeno bound, below which 2 m t gamma' < 1, to the
+    # first lobe's peak that reaches 1, a point where 2 m t gamma' >= 1, so it
+    # holds the first root
     rng = np.random.default_rng(11)
     for _ in range(40):
         s, wc = rng.uniform(1.05, 5.0), 10.0 ** rng.uniform(-1.0, 1.0)
@@ -809,23 +832,71 @@ def test_super_ohmic_window_end():
         spec = PowerLawExpCutoff(scale / math.gamma(s), s, wc)
         deph = DephasingModel(BathSpec(spec))
         window = deph.bath.root_window(1)
-        if scale * peak_bound(s) <= 1.0:
+        if scale * lobe_peak(s) < 1.0:
             assert window is None
             with pytest.raises(NoFiniteOptimum):
                 optimal_interrogation(deph, 1)
             ts = np.geomspace(1e-6, 1e6, 20001) / wc
             assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all()
             continue
-        lo, hi = window
-        ts = hi * np.geomspace(1.0, 1e6, 2000)
-        assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all()
+        lo, hi, *later = window
+        assert 2.0 * hi * deph.dgamma_dt(hi) >= 1.0
+        assert lo < optimal_interrogation(deph, 1) <= hi
         ts = np.geomspace(1e-6 * lo, lo, 2000)
         assert (2.0 * ts * deph.dgamma_dt(ts) < 1.0).all()
-    # the bound holds at the threshold itself, and its overflow is no bound
+    # at s = 2, alpha = 1 the peak is 1/2 < 1; close to s = 1 the window ends
+    # at the lobe's peak, far out at wc t ~ 1e4
     assert BathSpec(PowerLawExpCutoff(1.0, 2.0, 1.0)).root_window(1) is None
     spec = PowerLawExpCutoff(2.0, 1.0 + 1e-8, 1.0)
     assert not spec.is_ohmic
-    assert BathSpec(spec).root_window(1)[1] == math.inf
+    deph = DephasingModel(BathSpec(spec))
+    lo, hi = deph.bath.root_window(1)
+    assert 1e3 < hi < math.inf and 2.0 * hi * deph.dgamma_dt(hi) >= 1.0
+
+
+def test_super_ohmic_verdict_is_exact():
+    # at T = 0 a lane has a root exactly where m alpha Gamma(s) f reaches 1 at
+    # f's highest peak, which is a later lobe's from s ~ 19.12 on: 1e-9 below
+    # that coupling the window is None and 2 m t gamma' stays below 1; 1e-9
+    # above it the lane's root lies no later than the window's end
+    rng = np.random.default_rng(33)
+    x = np.geomspace(1e-4, 1e4, 20001)
+    for s in (*rng.uniform(1.0, 40.0, 24), 19.0, 19.2, 25.0, 40.0):
+        s, wc = float(s), 10.0 ** rng.uniform(-1.0, 1.0)
+        threshold = 1.0 / (math.gamma(s) * lobe_peak(s))
+        for m in (1, 2, 7, 100):
+            below = DephasingModel(BathSpec(PowerLawExpCutoff((1.0 - 1e-9) * threshold / m, s, wc)))
+            assert below.bath.root_window(m) is None, (s, m)
+            assert (2.0 * m * (x / wc) * below.dgamma_dt(x / wc) < 1.0).all(), (s, m)
+            above = DephasingModel(BathSpec(PowerLawExpCutoff((1.0 + 1e-9) * threshold / m, s, wc)))
+            lo, hi, *later = above.bath.root_window(m)
+            t = optimal_interrogation(above, m)
+            assert lo < t <= hi and abs(2.0 * m * t * above.dgamma_dt(t) - 1.0) <= 1e-10, (s, m)
+            # only the highest lobe reaches 1: past s ~ 19.12 it is not the first
+            assert not later and (math.atan(wc * hi) > math.pi / s) == (s > 19.12), (s, m)
+
+
+def test_super_ohmic_lobes_bind_up_to_the_largest_s():
+    # Gamma(s + 1) is a float up to s ~ 170.6, and s = 170 has 43 lobes. At
+    # alpha = 1 every lobe reaches 1: the window brackets each later lobe's
+    # rising side, (start, peak), up to a point where 2 t gamma' >= 1
+    for s in (100.0, 170.0):
+        assert BathSpec(PowerLawExpCutoff(1e-310, s, 1.0)).root_window(1) is None
+        deph = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, s, 1.0)))
+        lo, hi, *later = deph.bath.root_window(1)
+        assert len(later) == math.ceil(s / 4.0) - 1
+        for start, peak in later:
+            assert hi < start < peak and 2.0 * peak * deph.dgamma_dt(peak) >= 1.0
+            hi = peak
+    # a lobe that ends at pi/2 (s = 6, 10), or starts within rounding of it
+    # (s = 8 (1 + 1e-15), whose last lobe, 1e-15 wide, is left out; at
+    # 8 (1 + 1e-8) it is 1.6e-8 wide, and a coupling of 1e70 takes it past 1)
+    for s, alpha, lobes in ((6.0, 1e3, 2), (10.0, 1.0, 3), (8.0 * (1.0 + 1e-15), 1e70, 2),
+                            (8.0 * (1.0 + 1e-8), 1e70, 3)):
+        deph = DephasingModel(BathSpec(PowerLawExpCutoff(alpha, s, 1.0)))
+        lo, hi, *later = deph.bath.root_window(1)
+        assert len(later) == lobes - 1
+        assert all(2.0 * peak * deph.dgamma_dt(peak) >= 1.0 for _, peak in [(lo, hi), *later])
 
 
 @pytest.mark.parametrize("route", [ClosedForm(), Quadrature()],
@@ -896,6 +967,61 @@ def test_optimal_resolution_values():
     res = optimal_resolution(ohmic(1.0), ProbeSpec(2, 1.0, "ghz"))
     assert res.t_opt == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-10)
     assert res.delta_omega_sq == pytest.approx(4.0 * math.sqrt(3.0) / 9.0, rel=1e-10)
+
+
+# s = 12 at T = 0: 2 t gamma' peaks at 3.0, 1.28 and 0.002 on its three
+# lobes (wc t = 0.1616, 0.7049 and 1.922), so the first two cross 1
+LOBED = DephasingModel(BathSpec(PowerLawExpCutoff(5.782887284129829e-07, 12.0, 1.0)))
+
+
+def agrees_with_oracle(deph, probe):
+    ana, ora = optimal_resolution(deph, probe), oracle.brute_force_optimum(deph, probe)
+    return (ana.boundary_limited == ora.boundary_limited
+            and abs(ora.t_opt - ana.t_opt) <= 1e-4 * ana.t_opt
+            and abs(ora.delta_omega_sq - ana.delta_omega_sq) <= 1e-4 * ana.delta_omega_sq)
+
+
+def test_resolution_takes_a_later_lobe_minimum():
+    # the second lobe's stationary point, t = 0.6419, is below the boundary
+    # T = 0.7 and below the first stationary point, t = 0.0640
+    probe = ProbeSpec(1, 0.7, "product")
+    res = optimal_resolution(LOBED, probe)
+    assert res.finite and not res.boundary_limited
+    assert res.t_opt == pytest.approx(0.64185098, abs=1e-8)
+    assert res.delta_omega_sq == pytest.approx(13.2486917059, rel=1e-10)
+    assert abs(2.0 * res.t_opt * LOBED.dgamma_dt(res.t_opt) - 1.0) <= 1e-10
+    assert agrees_with_oracle(LOBED, probe)
+    # the quadrature route finds it too, on the same lobe brackets
+    quad = optimal_resolution(DephasingModel(LOBED.bath, Quadrature()), probe)
+    assert not quad.boundary_limited and quad.t_opt == pytest.approx(res.t_opt, rel=1e-8)
+    # ratio_r takes the first stationary point
+    first = ratio_r(LOBED, 1).t_u
+    assert first == optimal_interrogation(LOBED, 1) == pytest.approx(0.06399, abs=1e-5)
+    # a budget that ends before the second lobe's root, or before its start
+    # (wc t = tan(pi/6)), leaves the first stationary point and the boundary
+    for total_time in (0.6, 0.5):
+        res = optimal_resolution(LOBED, ProbeSpec(1, total_time, "product"))
+        assert res.t_opt in (first, total_time)
+        assert agrees_with_oracle(LOBED, ProbeSpec(1, total_time, "product"))
+
+
+def test_resolution_agrees_with_oracle_on_lobed_baths():
+    # seeded T = 0 baths with s in (4, 20), coupled 1.5 to 6 times the product
+    # threshold, whose later lobes can hold the lowest interior minimum
+    rng = np.random.default_rng(5)
+    later = 0
+    for k in range(40):
+        s, wc = float(rng.uniform(4.0, 20.0)), 10.0 ** rng.uniform(-0.5, 0.5)
+        alpha = float(rng.uniform(1.5, 6.0)) / (math.gamma(s) * lobe_peak(s))
+        deph = DephasingModel(BathSpec(PowerLawExpCutoff(alpha, s, wc)))
+        n = int(rng.choice([1, 2, 3, 4]))
+        strategy = "product" if k % 2 == 0 else "ghz"
+        t_star = optimal_interrogation(deph, 1 if strategy == "product" else n)
+        probe = ProbeSpec(n, t_star * float(rng.uniform(3.0, 30.0)), strategy)
+        assert agrees_with_oracle(deph, probe), (s, wc, alpha, probe)
+        res = optimal_resolution(deph, probe)
+        later += not res.boundary_limited and res.t_opt != t_star
+    assert later >= 4
 
 
 def test_markov_resolution_bound():
@@ -1086,8 +1212,13 @@ def test_sweep_runs_rescue_search_once(monkeypatch):
         return rescue(*args)
 
     monkeypatch.setattr(metrology, "_rescue_search", counted)
+    # the product lane's window proves no root: the sweep rescues nothing
     res = ratio_r(s3_near_threshold(-1e-5), np.arange(1, 51))
     assert np.isnan(res.r).all() and np.isnan(res.t_u).all()
+    assert not calls
+    # a product lane narrower than one walk step is rescued once, not per n
+    res = ratio_r(s3_near_threshold(1e-5), np.arange(1, 51))
+    assert np.isfinite(res.r).all()
     assert len(calls) == 1
 
 
