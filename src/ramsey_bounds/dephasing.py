@@ -28,11 +28,14 @@ family provides:
 * ``dgamma_function(bath)``: gamma' on a float t as a function of t alone,
   which a model binds once (:attr:`DephasingModel.dgamma_at`);
 * ``c2(bath)``: the coefficient of the short-time law gamma(t) ~ c2 t^2;
+* ``lobes(bath)``: the lobes of 2 m t gamma'(t), each ``(c, start, peak)``:
+  it is 0 at ``start`` and rises to its one peak at ``peak``, which reaches 1
+  exactly where ln m + c >= 0; empty for every bath but the T = 0 power law
+  with s > 1 (see :meth:`ZeroTemperature.power_law_lobes`);
 * ``root_window(bath)``: a function of m that gives a window ``(lo, hi)``
   holding the first root of 2 m t gamma'(t) = 1 (``hi`` may be inf), or None
   where there is none. For the spectral families ``lo`` is 1/(2 sqrt(m c2));
-  the optimizer walks up from it. The T = 0 power law's later lobes that
-  reach 1 (s > 4) follow as brackets ``(start, peak)`` of their rising sides;
+  the optimizer walks up from it;
 * ``quad_problem(temp)``: a function of ``(t, derivative=False)`` that sets
   up the bath integral at time t, or with ``derivative`` that of its
   t-derivative, (1/2) J(w) W(w) sin(w t) / w, as ``(integrand, head,
@@ -40,11 +43,12 @@ family provides:
   which :func:`_bath_quadrature` cuts and integrates;
 * ``time_scale()``: the characteristic time, which seeds the oracle's grid.
 
-A :class:`BathSpec` binds the power law's terms, c2, the root window and
-the quadrature problem once each. A temperature tag applies its weight
-W(w) in place, ``weigh(j, w)``, bounds it, ``weight_bound()``, and states
-the power law's terms and root window, ``power_law_terms(spec)`` and
-``power_law_window(spec, c2)``. An evaluation route (closed form or
+A :class:`BathSpec` binds the power law's terms, c2, the lobes, the root
+window and the quadrature problem once each. A temperature tag applies its
+weight W(w) in place, ``weigh(j, w)``, bounds it, ``weight_bound()``, and
+states the power law's terms, lobes and root window,
+``power_law_terms(spec)``, ``power_law_lobes(spec)`` and
+``power_law_window(spec, c2, lobes)``. An evaluation route (closed form or
 quadrature) supplies ``gamma(bath, t)`` on a time or an array of times,
 ``dgamma(bath, t)`` on an array, both checked by the caller, and
 ``dgamma_function(bath)``, the float gamma' as a function of t.
@@ -278,24 +282,20 @@ class ZeroTemperature:
         k = 2.0 if spec.is_ohmic else 1.0
         return ((0.5 * spec.alpha * math.gamma(spec.s + 1.0) * k, spec.s, 1.0),)
 
-    def power_law_window(self, spec, c2):
-        """The power law's root window as a function of m. With s > 1 and
+    def power_law_lobes(self, spec):
+        """The power law's lobes (:attr:`BathSpec.lobes`). With s > 1 and
         theta = arctan(wc t), 2 m t gamma' = m alpha Gamma(s) f(theta), where
         f = sin(theta) sin(s theta) cos(theta)^(s-1) rises to one peak and falls
         on each lobe (2 j pi/s, (2 j + 1) pi/s) within (0, pi/2): there
         d ln f/d theta = cot(theta) - (s - 1) tan(theta) + s cot(s theta) falls,
         so G = s sin((s + 2) theta) - (s - 2) sin(s theta), its product with
-        2 sin(theta) cos(theta) sin(s theta) > 0, changes sign once. A lane has
-        a root exactly where a peak reaches 1 (to 1e-12 in logarithms: at s = 2,
-        m alpha = 2 it touches 1 at wc t = 1); its window ends at the first, and
-        each later one follows as the bracket ``(start, peak)`` of its lobe.
+        2 sin(theta) cos(theta) sin(s theta) > 0, changes sign once. A peak
+        counts as reaching 1 to 1e-12 in logarithms: at s = 2, m alpha = 2 it
+        touches 1 at wc t = 1.
         """
-        alpha, s, wc = spec.alpha, spec.s, spec.omega_c
-        if spec.is_ohmic:
-            # 2 m t gamma' rises to 2 m alpha
-            return lambda m: (_zeno_bound(c2, m), math.inf) if 2.0 * m * alpha > 1.0 else None
-        if s < 1.0:
-            return _open_window(c2)
+        s, wc = spec.s, spec.omega_c
+        if s < 1.0 or spec.is_ohmic:
+            return ()
         # per lobe, G's root (solved 1e-9 of the lobe short of both ends,
         # where G may be 0 or lose its sign to rounding), ln(alpha Gamma(s) f)
         # + 1e-12 there, and the lobe's start and peak times. A lobe starting
@@ -306,15 +306,28 @@ class ZeroTemperature:
             a, b = 2.0 * j * math.pi / s, min((2.0 * j + 1.0) * math.pi / s, 0.5 * math.pi)
             th = solve_bracketed_root(g, (a + 1e-9 * (b - a), b - 1e-9 * (b - a)))
             log_f = log(sin(th) * sin(s * th)) + (s - 1.0) * log(math.cos(th))
-            lobes.append((log(alpha) + math.lgamma(s) + 1e-12 + log_f, math.tan(a) / wc,
+            lobes.append((log(spec.alpha) + math.lgamma(s) + 1e-12 + log_f, math.tan(a) / wc,
                           math.tan(th) / wc))
+        return tuple(lobes)
+
+    def power_law_window(self, spec, c2, lobes):
+        """The power law's root window as a function of m. With s > 1 a lane
+        has a root exactly where a lobe's peak reaches 1, and its window ends
+        at the first such peak."""
+        if spec.is_ohmic:
+            # 2 m t gamma' rises to 2 m alpha
+            alpha = spec.alpha
+            return lambda m: (_zeno_bound(c2, m), math.inf) if 2.0 * m * alpha > 1.0 else None
+        if spec.s < 1.0:
+            return _open_window(c2)
+        log = math.log
 
         def window(m):
-            log_m, out = log(m), None
-            for c, start, peak in lobes:
+            log_m = log(m)
+            for c, _, peak in lobes:
                 if log_m + c >= 0.0:
-                    out = (_zeno_bound(c2, m), peak) if out is None else (*out, (start, peak))
-            return out
+                    return _zeno_bound(c2, m), peak
+            return None
         return window
 
 
@@ -359,7 +372,10 @@ class FiniteBeta(_Parameters):
             out.append((a, s + n - 1.0, r))
         return tuple(out)
 
-    def power_law_window(self, spec, c2):
+    def power_law_lobes(self, spec):
+        return ()
+
+    def power_law_window(self, spec, c2, lobes):
         alpha, s, wc = spec.alpha, spec.s, spec.omega_c
         if s < 2.0:
             return _open_window(c2)
@@ -416,7 +432,10 @@ class HighTemperatureOhmic(_Parameters):
         """The Ohmic power law's terms: one kernel, at p = 0."""
         return ((spec.alpha / (self.beta * spec.omega_c), 0.0, 1.0),)
 
-    def power_law_window(self, spec, c2):
+    def power_law_lobes(self, spec):
+        return ()
+
+    def power_law_window(self, spec, c2, lobes):
         return _open_window(c2)
 
 
@@ -573,8 +592,11 @@ class PowerLawExpCutoff(_Parameters):
             return _integrand(self, temp, t, derivative), head, tail_start, tail, min(1.0 / t, wc)
         return problem
 
+    def lobes(self, bath):
+        return bath.temperature.power_law_lobes(self)
+
     def root_window(self, bath):
-        return bath.temperature.power_law_window(self, bath.c2)
+        return bath.temperature.power_law_window(self, bath.c2, bath.lobes)
 
     def time_scale(self):
         return 1.0 / self.omega_c
@@ -597,16 +619,10 @@ class Lorentzian(_Parameters):
 
     def density(self, w):
         # in x = w/g, in place, as for the power law; past x ~ 1e154, x^2
-        # overflows and J rounds to its limit 0 (w/g too, past g ~ 1e-300).
-        # Only nodes whose largest x passes _BIG_X enter np.errstate, a fixed
-        # cost of about 2 us a call
-        if _largest(w, None, initial=0.0) < _BIG_X * self.g:
+        # overflows and J rounds to its limit 0 (w/g too, past g ~ 1e-300)
+        with np.errstate(over="ignore"):
             x = np.asarray(w / self.g)
             x *= x
-        else:
-            with np.errstate(over="ignore"):
-                x = np.asarray(w / self.g)
-                x *= x
         x += 1.0
         return np.divide(self.a / (np.pi * self.g), x, out=x)
 
@@ -697,6 +713,9 @@ class Lorentzian(_Parameters):
             return _integrand(self, temp, t, derivative), head, 20.0 / t, tail, min(1.0 / t, g)
         return problem
 
+    def lobes(self, bath):
+        return ()
+
     def root_window(self, bath):
         # 2 m t gamma' grows without bound
         return _open_window(bath.c2)
@@ -752,6 +771,9 @@ class GenericPowerLawDephasing(_Parameters):
     def quad_problem(self, temp):
         raise NoSpectralDensity("no bath integral for generic power-law dephasing")
 
+    def lobes(self, bath):
+        return ()
+
     def root_window(self, bath):
         # the exact root of 2 m t gamma'(t) = 1
         alpha, nu, power = self.alpha, self.nu, -1.0 / self.nu
@@ -780,14 +802,15 @@ class BathSpec:
 
     # bound on first use, and not where that raises (a bath whose terms overflow
     # still integrates): the power law's (a, p, r), gamma(t) = Sum a K_p(r wc t),
-    # DomainError for another family, and the family's c2, root window and
-    # quadrature problem
+    # DomainError for another family, and the family's c2, lobes, root window
+    # and quadrature problem
     @functools.cached_property
     def terms(self):
         _check_kind("spectral", self.spectral, (PowerLawExpCutoff,))
         return self.temperature.power_law_terms(self.spectral)
 
     c2 = functools.cached_property(lambda self: self.spectral.c2(self))
+    lobes = functools.cached_property(lambda self: self.spectral.lobes(self))
     root_window = functools.cached_property(lambda self: self.spectral.root_window(self))
     quad_problem = functools.cached_property(
         lambda self: self.spectral.quad_problem(self.temperature))

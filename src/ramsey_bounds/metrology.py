@@ -218,11 +218,14 @@ def _solve_lane(deph: DephasingModel, m: float) -> float:
     The bath's window [lo, hi] at m holds the first root; the walk steps up
     from one step below lo, and its first upward crossing brackets the root.
     It ends one step past hi, or after _WALK_MAX_STEPS when hi is infinite.
+    A lobe whose peak the window counts as reaching 1 may stay below it on
+    the route (within rounding, or a quadrature's error); the first root of a
+    later lobe is then the lane's.
     """
     window = deph.bath.root_window(m)
     if window is None or window[0] == math.inf:
         return math.nan
-    lo, hi = window[:2]
+    lo, hi = window
     h = _constraint(deph, m)
     t_end = hi * _WALK_STEP
     t = lo / _WALK_STEP
@@ -233,7 +236,10 @@ def _solve_lane(deph: DephasingModel, m: float) -> float:
         hv.append(h(t))
         if hv[-1] >= 0.0:
             return solve_bracketed_root(h, (ts[-2], t), values=(hv[-2], hv[-1]))
-    return _rescue_search(h, ts, hv)
+    t = _rescue_search(h, ts, hv)
+    if math.isnan(t):
+        return next(_later_roots(deph, h, m, hi, math.inf), math.nan)
+    return t
 
 
 def _constraint(deph: DephasingModel, m: float):
@@ -249,6 +255,20 @@ def _constraint(deph: DephasingModel, m: float):
     def h(t):
         return two_m * t * dgamma(t) - 1.0
     return h
+
+
+def _later_roots(deph, h, m, after, end):
+    """Each root of h on the rising side of a lobe of the bath
+    (:attr:`BathSpec.lobes`) that reaches 1 at m and starts in (after, end),
+    solved on [start, min(peak, end)], where h rises from -1; none where the
+    route's h is below 0 at that end."""
+    log_m = math.log(m)
+    for c, start, peak in deph.bath.lobes:
+        if after < start < end and log_m + c >= 0.0:
+            stop = min(peak, end)
+            h_stop = h(stop)
+            if h_stop >= 0.0:
+                yield solve_bracketed_root(h, (start, stop), values=(-1.0, h_stop))
 
 
 def _rescue_search(h, ts, hv):
@@ -300,14 +320,10 @@ def optimal_resolution(deph: DephasingModel, probe: ProbeSpec) -> Optimum:
         gam = deph.product_optimum[1] if m == 1 and t_star <= T else deph.gamma(min(t_star, T))
         t_star = min(t_star, T)
         var_star = _variance(gam, math.pi / 2.0, n, m, T, t_star)
-        # each later lobe that the window brackets as (start, peak) holds one
-        # more, the root of h on [start, min(peak, T)], where h rises from -1;
-        # none up to T where the route's h at that end is below 0
-        for start, peak in deph.bath.root_window(m)[2:]:
-            h, end = _constraint(deph, m), min(peak, T)
-            h_end = h(end) if start < end else -1.0
-            if h_end >= 0.0:
-                t = solve_bracketed_root(h, (start, end), values=(-1.0, h_end))
+        # a later lobe can hold one more up to T; only a bath with two lobes
+        # has a later one
+        if len(deph.bath.lobes) > 1:
+            for t in _later_roots(deph, _constraint(deph, m), m, t_star, T):
                 var = _variance(deph.gamma(t), math.pi / 2.0, n, m, T, t)
                 if var < var_star:
                     var_star, t_star = var, t

@@ -82,22 +82,17 @@ def test_spectral_density_errors():
 
 
 def lorentzian_density_as_written(spec, w):
-    """J in x = w/g with x^2 taken under np.errstate on every call, as the
-    Lorentzian's density was written before it entered that context only
-    where x^2 can overflow (then w/g was not under it, and warned where it
-    overflowed)."""
+    """J = (a / (pi g)) / (1 + x^2) in x = w/g, with every overflow silenced."""
     with np.errstate(over="ignore"):
-        x = np.asarray(w / spec.g)
-        x *= x
-    x += 1.0
-    return np.divide(spec.a / (np.pi * spec.g), x, out=x)
+        x = w / spec.g
+        return spec.a / (np.pi * spec.g) / (1.0 + x * x)
 
 
 def test_lorentzian_density_keeps_its_bits():
     # ordinary nodes, and g = 1e-300, where x^2 and then w/g overflow on all
     # but the smallest nodes and J rounds to 0 there, give the bits of the
-    # density as written before, with no overflow warning (the suite's
-    # warnings are errors); so does g = 1e-150
+    # formula, with no overflow warning (the suite's warnings are errors); so
+    # does g = 1e-150
     w = np.concatenate([[0.0], np.geomspace(1e-310, 1e300, 700)])
     for spec in (Lorentzian(1.3, 0.6), Lorentzian(2.0, 1e-300), Lorentzian(1.0, 1e-150)):
         with warnings.catch_warnings():

@@ -642,7 +642,7 @@ def test_used_model_pickles(spec, route, use):
     assert ("quad_problem" in vars(deph.bath)) == isinstance(route, Quadrature)
     copy = pickle.loads(pickle.dumps(deph))
     # the bath pickles from its fields too: the copy binds nothing until asked
-    bound = {"terms", "c2", "root_window", "quad_problem"}
+    bound = {"terms", "c2", "lobes", "root_window", "quad_problem"}
     assert not bound & vars(copy.bath).keys()
     assert copy == deph and hash(copy) == hash(deph)
     assert copy.dgamma_dt(0.7).hex() == deph.dgamma_dt(0.7).hex()
@@ -869,34 +869,73 @@ def test_super_ohmic_verdict_is_exact():
             assert below.bath.root_window(m) is None, (s, m)
             assert (2.0 * m * (x / wc) * below.dgamma_dt(x / wc) < 1.0).all(), (s, m)
             above = DephasingModel(BathSpec(PowerLawExpCutoff((1.0 + 1e-9) * threshold / m, s, wc)))
-            lo, hi, *later = above.bath.root_window(m)
+            lo, hi = above.bath.root_window(m)
             t = optimal_interrogation(above, m)
             assert lo < t <= hi and abs(2.0 * m * t * above.dgamma_dt(t) - 1.0) <= 1e-10, (s, m)
             # only the highest lobe reaches 1: past s ~ 19.12 it is not the first
-            assert not later and (math.atan(wc * hi) > math.pi / s) == (s > 19.12), (s, m)
+            reach = [peak for c, _, peak in above.bath.lobes if math.log(m) + c >= 0.0]
+            assert reach == [hi] and (math.atan(wc * hi) > math.pi / s) == (s > 19.12), (s, m)
 
 
 def test_super_ohmic_lobes_bind_up_to_the_largest_s():
     # Gamma(s + 1) is a float up to s ~ 170.6, and s = 170 has 43 lobes. At
-    # alpha = 1 every lobe reaches 1: the window brackets each later lobe's
-    # rising side, (start, peak), up to a point where 2 t gamma' >= 1
+    # alpha = 1 every lobe reaches 1: each runs from its start, where
+    # 2 t gamma' is 0, to its peak, where 2 t gamma' >= 1, after the one
+    # before it; the window ends at the first peak
     for s in (100.0, 170.0):
         assert BathSpec(PowerLawExpCutoff(1e-310, s, 1.0)).root_window(1) is None
         deph = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, s, 1.0)))
-        lo, hi, *later = deph.bath.root_window(1)
-        assert len(later) == math.ceil(s / 4.0) - 1
-        for start, peak in later:
-            assert hi < start < peak and 2.0 * peak * deph.dgamma_dt(peak) >= 1.0
-            hi = peak
+        lo, hi = deph.bath.root_window(1)
+        lobes = deph.bath.lobes
+        assert len(lobes) == math.ceil(s / 4.0) and lobes[0][1:] == (0.0, hi)
+        end = 0.0
+        for c, start, peak in lobes:
+            assert c >= 0.0 and end <= start < peak and 2.0 * peak * deph.dgamma_dt(peak) >= 1.0
+            end = peak
     # a lobe that ends at pi/2 (s = 6, 10), or starts within rounding of it
     # (s = 8 (1 + 1e-15), whose last lobe, 1e-15 wide, is left out; at
     # 8 (1 + 1e-8) it is 1.6e-8 wide, and a coupling of 1e70 takes it past 1)
-    for s, alpha, lobes in ((6.0, 1e3, 2), (10.0, 1.0, 3), (8.0 * (1.0 + 1e-15), 1e70, 2),
+    for s, alpha, count in ((6.0, 1e3, 2), (10.0, 1.0, 3), (8.0 * (1.0 + 1e-15), 1e70, 2),
                             (8.0 * (1.0 + 1e-8), 1e70, 3)):
         deph = DephasingModel(BathSpec(PowerLawExpCutoff(alpha, s, 1.0)))
-        lo, hi, *later = deph.bath.root_window(1)
-        assert len(later) == lobes - 1
-        assert all(2.0 * peak * deph.dgamma_dt(peak) >= 1.0 for _, peak in [(lo, hi), *later])
+        lobes = deph.bath.lobes
+        assert len(lobes) == count and all(c >= 0.0 for c, _, _ in lobes)
+        assert all(2.0 * peak * deph.dgamma_dt(peak) >= 1.0 for _, _, peak in lobes)
+
+
+def test_only_the_zero_temperature_super_ohmic_bath_has_lobes():
+    for spec, temp in ((PowerLawExpCutoff(1.0, 0.5, 1.0), ZeroTemperature()),
+                       (PowerLawExpCutoff(1.0, 1.0, 1.0), ZeroTemperature()),
+                       (PowerLawExpCutoff(1.0, 3.0, 1.0), FiniteBeta(2.0)),
+                       (PowerLawExpCutoff(1.0, 1.0, 1.0), HighTemperatureOhmic(2.0)),
+                       (Lorentzian(1.0, 0.5), ZeroTemperature()),
+                       (GenericPowerLawDephasing(1.0, 1.5), FiniteBeta(2.0))):
+        assert BathSpec(spec, temp).lobes == ()
+    assert len(BathSpec(PowerLawExpCutoff(1.0, 3.0, 1.0)).lobes) == 1
+
+
+@pytest.mark.parametrize("route", [ClosedForm(), Quadrature()], ids=["closed", "quad"])
+def test_lane_takes_a_later_lobe_past_a_first_one_below_1(route):
+    # at s = 25 the second lobe is the highest. Coupled so that the first
+    # lobe's peak is 1 - 1e-13, the window counts it as reaching 1 (the 1e-12
+    # margin), but 2 t gamma' stays below 1 there: the walk and the rescue
+    # search find no root, and the lane's first root is the second lobe's
+    s = 25.0
+    first = DephasingModel(BathSpec(PowerLawExpCutoff(1.0, s, 1.0))).bath.lobes[0][2]
+    u = math.atan(first)
+    alpha = (1.0 - 1e-13) / (math.gamma(s) * math.sin(u) * math.sin(s * u) * math.cos(u) ** (s - 1.0))
+    deph = DephasingModel(BathSpec(PowerLawExpCutoff(alpha, s, 1.0)), route)
+    (_, _, peak0), (_, start, peak), *_ = lobes = deph.bath.lobes
+    assert lobes[1][0] > 0.0 and deph.bath.root_window(1)[1] == peak0
+    # (on the closed form: a dense scan of the quadrature is slow)
+    ts = np.geomspace(1e-3, start, 2001)
+    assert (2.0 * ts * DephasingModel(deph.bath).dgamma_dt(ts) < 1.0).all()
+    t = optimal_interrogation(deph, 1)
+    assert start < t < peak and abs(2.0 * t * deph.dgamma_dt(t) - 1.0) <= 1e-10
+    # optimal_resolution and ratio_r take it too
+    res = optimal_resolution(deph, ProbeSpec(1, 2.0 * peak, "product"))
+    assert res.finite and res.t_opt in (t, 2.0 * peak)
+    assert ratio_r(deph, 1).t_u == t
 
 
 @pytest.mark.parametrize("route", [ClosedForm(), Quadrature()],
